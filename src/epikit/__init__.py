@@ -50,10 +50,18 @@ from .schedules import (
     protocol_action_model,
     protocol_model,
     schedule,
+    schedule_context,
     view1,
 )
 from .simengine import RunRecord, oracle_indist, run
-from .solver import DecisionMap, Verdict, solve, solve_report, verify_certificate
+from .solver import (
+    DecisionMap,
+    Verdict,
+    solve,
+    solve_report,
+    verdict_report,
+    verify_certificate,
+)
 from .tasks import InputlessTask, OutputFrame, builtin, make_task, output_model, task_action_model
 from .topology import (
     ChromaticComplex,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -29,10 +28,11 @@ from .schedules import (
     input_model,
     parse_schedule,
     protocol_model,
+    schedule_context,
     schedule_to_json,
 )
 from .simengine import format_trace, record_to_json, run
-from .solver import decision_to_json, solve, solve_report
+from .solver import decision_to_json, solve, verdict_report
 from .tasks import builtin, output_model, task_from_json, task_to_json
 from .topology import complex_to_dot, complex_to_json, frame_to_complex
 
@@ -76,25 +76,13 @@ def _load_task(args):
     raise CliError("supply --task or --task-file")
 
 
-def _threads() -> int:
-    raw = os.environ.get("EPIKIT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"EPIKIT_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise CliError("EPIKIT_THREADS must be >= 1")
-    return value
-
-
 def _resolve_state(token: str, n: int, rounds: int) -> int:
     """A state is an index or, for schedule-indexed models, schedule text."""
     if token.isdigit():
         return int(token)
-    target = parse_schedule(token)
-    for k, sched in enumerate(enum_schedules(n, rounds)):
-        if sched == target:
-            return k
+    k = schedule_context(n, rounds).index.get(parse_schedule(token))
+    if k is not None:
+        return k
     raise CliError(f"schedule {token!r} is not a state of this model")
 
 
@@ -114,7 +102,7 @@ def _build_model(args):
 def _build_complex(args):
     if args.kind == "protocol":
         frame = protocol_model(args.n, args.rounds).frame
-        labels = [s.text() for s in enum_schedules(args.n, args.rounds)]
+        labels = [s.text() for s in schedule_context(args.n, args.rounds).schedules]
     elif args.kind == "output":
         task = _load_task(args)
         frame = task.output.frame
@@ -204,11 +192,10 @@ def cmd_mc(args) -> int:
 
 def cmd_check(args) -> int:
     _check_n(args)
-    _threads()  # validate the worker bound even though search is sequential
     task = _load_task(args)
     verdict = solve(task, args.n, args.rounds)
     if args.report:
-        print(json.dumps(solve_report(task, args.n, args.rounds), indent=2))
+        print(json.dumps(verdict_report(task, verdict), indent=2))
     else:
         print("solvable" if verdict.solvable else "unsolvable")
     if verdict.solvable and args.certificate:

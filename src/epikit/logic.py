@@ -233,17 +233,30 @@ def product_update(
     Keeps the pairs (s, t) where t's precondition holds at s; a pair is
     related for an agent iff both components are; each pair keeps the
     valuation of its model component.  Also returns the pairing map from
-    surviving (state, point) pairs to new state indices.  An empty result
-    is legal.
+    surviving (state, point) pairs to new state indices, numbered state
+    by state and, within a state, by point.  An empty result is legal.
+
+    A point-set precondition costs the smaller of its size and the state
+    count (members outside the model's states are never enabled); a
+    formula precondition is evaluated at every state.  With point-set
+    preconditions throughout, the update is linear in the states, the
+    points, the set members and the surviving pairs.
     """
     if model.frame.agent_count != action.frame.agent_count:
         raise ValueError("model and action must share the agent set")
-    pairs = [
-        (s, t)
-        for s in model.frame.states()
-        for t in range(action.point_count)
-        if _pre_holds(model, s, action.preconditions[t])
-    ]
+    states = model.frame.states()
+    every_state = frozenset(states)
+    # keyed, not indexed, by state: a member equal to a state index (True,
+    # 1.0) enables it, as ``s in pre`` would
+    enabled: dict[int, list[int]] = {s: [] for s in states}
+    for t, pre in enumerate(action.preconditions):
+        if isinstance(pre, frozenset):
+            members = pre & every_state
+        else:
+            members = [s for s in states if eval_formula(model, s, pre)]
+        for s in members:
+            enabled[s].append(t)
+    pairs = [(s, t) for s in states for t in enabled[s]]
     pairing = {st: i for i, st in enumerate(pairs)}
     partitions = [
         [
@@ -328,6 +341,14 @@ def knowledge_loss_check(
 # ---------------------------------------------------------------------------
 # formula text syntax
 
+# How deeply parse_formula lets formulas nest, counting every connective,
+# parenthesis, ``!`` and ``K[i]`` on the way down to an atom (a chain
+# ``a | b | c`` nests to the left).  The parser and the evaluator recurse
+# once or a few times per level; this keeps both well inside Python's
+# default recursion limit of 1000 frames.
+MAX_FORMULA_DEPTH = 200
+
+
 class FormulaParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -366,6 +387,7 @@ def parse_formula(text: str) -> Formula:
     ``|``, ``,`` and ``;``), ``true``/``false``, ``!f``, ``f & g``,
     ``f | g``, ``f -> g``, ``K[i] f``, parentheses.  ``&`` binds tighter
     than ``|``, which binds tighter than the right-associative ``->``.
+    Formulas nesting deeper than ``MAX_FORMULA_DEPTH`` are refused.
     """
     tokens = _tokenize(text)
     idx = 0
@@ -383,36 +405,52 @@ def parse_formula(text: str) -> Formula:
         idx += 1
         return tok
 
-    def parse_implies() -> Formula:
-        left = parse_or()
+    # Each parse_* takes the number of levels already open above it, which
+    # bounds the parser's own recursion, and returns the formula with its
+    # height, which bounds the chains built by loops.
+    def level(height: int, pos: int) -> int:
+        if height > MAX_FORMULA_DEPTH:
+            raise FormulaParseError(
+                f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", pos
+            )
+        return height
+
+    def parse_implies(depth: int) -> tuple[Formula, int]:
+        left, height = parse_or(depth)
         tok = peek()
         if tok and tok[0] == "ARROW":
             take()
-            return Implies(left, parse_implies())
-        return left
+            right, right_height = parse_implies(level(depth + 1, tok[2]))
+            return Implies(left, right), level(max(height, right_height) + 1, tok[2])
+        return left, height
 
-    def parse_or() -> Formula:
-        out = parse_and()
+    def parse_or(depth: int) -> tuple[Formula, int]:
+        out, height = parse_and(depth)
         while (tok := peek()) and tok[1] == "|":
             take()
-            out = Or(out, parse_and())
-        return out
+            right, right_height = parse_and(depth)
+            out, height = Or(out, right), level(max(height, right_height) + 1, tok[2])
+        return out, height
 
-    def parse_and() -> Formula:
-        out = parse_unary()
+    def parse_and(depth: int) -> tuple[Formula, int]:
+        out, height = parse_unary(depth)
         while (tok := peek()) and tok[1] == "&":
             take()
-            out = And(out, parse_unary())
-        return out
+            right, right_height = parse_unary(depth)
+            out, height = And(out, right), level(max(height, right_height) + 1, tok[2])
+        return out, height
 
-    def parse_unary() -> Formula:
+    def parse_unary(depth: int) -> tuple[Formula, int]:
         tok = peek()
         if tok is None:
             raise FormulaParseError("unexpected end of input", len(text))
         kind, value, pos = tok
+        if value in ("!", "K", "("):
+            level(depth + 1, pos)
         if value == "!":
             take()
-            return Not(parse_unary())
+            sub, height = parse_unary(depth + 1)
+            return Not(sub), level(height + 1, pos)
         if value == "K":
             take()
             take("[")
@@ -420,22 +458,23 @@ def parse_formula(text: str) -> Formula:
             if agent_tok[0] != "INT":
                 raise FormulaParseError("expected agent index", agent_tok[2])
             take("]")
-            return Know(int(agent_tok[1]), parse_unary())
+            sub, height = parse_unary(depth + 1)
+            return Know(int(agent_tok[1]), sub), level(height + 1, pos)
         if value == "(":
             take()
-            inner = parse_implies()
+            inner, height = parse_implies(depth + 1)
             take(")")
-            return inner
+            return inner, level(height + 1, pos)
         if kind in ("NAME", "SCHED"):
             take()
             if value == "true":
-                return TRUE
+                return TRUE, 1
             if value == "false":
-                return FALSE
-            return Atom(value)
+                return FALSE, 1
+            return Atom(value), 1
         raise FormulaParseError(f"unexpected token {value!r}", pos)
 
-    result = parse_implies()
+    result, _ = parse_implies(0)
     tok = peek()
     if tok is not None:
         raise FormulaParseError(f"trailing input {tok[1]!r}", tok[2])

@@ -10,6 +10,7 @@ is a sequence of N block actions, each applied to a fresh array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations, product as iproduct
 from typing import Callable, Iterator, Sequence
 
@@ -219,6 +220,57 @@ def seen_ids(state) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
+# the shared schedule context
+
+class ScheduleContext:
+    """The canonical schedules of (n, rounds) and their final states under
+    one abstraction.
+
+    Get it from :func:`schedule_context`, which builds one per key and
+    process, so the model builders, the task tabulation and the solver
+    share it instead of enumerating again.  Final states are worked out on
+    first use, through :func:`final_states`.  (A plain class, not a
+    dataclass: building a dataclass costs about a millisecond at import,
+    which every command pays.)
+    """
+
+    def __init__(self, abstraction: Abstraction, schedules: tuple[Schedule, ...]):
+        self.abstraction = abstraction
+        self.schedules = schedules
+
+    @cached_property
+    def finals(self) -> tuple[tuple, ...]:
+        """``finals[k][i]``: process i's final state under schedule k.
+
+        Equal states are kept as one object: there are far fewer distinct
+        local states than (schedule, process) pairs, and the nested
+        full-information states are large."""
+        distinct: dict = {}
+        return tuple(
+            tuple(distinct.setdefault(x, x) for x in final_states(s, self.abstraction))
+            for s in self.schedules
+        )
+
+    @cached_property
+    def index(self) -> dict[Schedule, int]:
+        """Canonical position of each schedule."""
+        return {s: k for k, s in enumerate(self.schedules)}
+
+
+@lru_cache(maxsize=16)
+def _cached_context(n: int, rounds: int, abstraction: Abstraction) -> ScheduleContext:
+    return ScheduleContext(abstraction, tuple(enum_schedules(n, rounds)))
+
+
+def schedule_context(
+    n: int, rounds: int, abstraction: Abstraction | None = None
+) -> ScheduleContext:
+    """The shared context for (n, rounds, abstraction); no abstraction
+    means full information."""
+    return _cached_context(n, rounds, abstraction or full_information)
+
+
+# ---------------------------------------------------------------------------
 # models
 
 def sched_atom(sched: Schedule) -> str:
@@ -236,9 +288,9 @@ def protocol_action_model(
     state carrying the same schedule.  Points record who observes whom in
     the last round, which is what sequential composition needs.
     """
-    scheds = enum_schedules(n, rounds)
-    finals = [final_states(s, abstraction) for s in scheds]
-    partitions = [[finals[k][a] for k in range(len(scheds))] for a in range(n + 1)]
+    ctx = schedule_context(n, rounds, abstraction)
+    scheds, finals = ctx.schedules, ctx.finals
+    partitions = [[f[a] for f in finals] for a in range(n + 1)]
     frame = new_frame(len(scheds), n + 1, partitions)
     preconditions = tuple(frozenset((k,)) for k in range(len(scheds)))
     sees = tuple(
@@ -252,7 +304,7 @@ def input_model(n: int, rounds: int) -> KripkeModel:
     """The initial model: one state per schedule, all states alike to every
     process (only the environment knows the schedule).  State atoms name
     the schedule; id atoms hold everywhere."""
-    scheds = enum_schedules(n, rounds)
+    scheds = schedule_context(n, rounds).schedules
     frame = new_frame(len(scheds), n + 1, [[0] * len(scheds)] * (n + 1))
     ap = tuple(sched_atom(s) for s in scheds) + tuple(f"id_{i}" for i in range(n + 1))
     ids = frozenset(range(len(scheds), len(scheds) + n + 1))

@@ -20,11 +20,11 @@ from .kernel import FrameMorphism, is_morphism, is_proper
 from .logic import ModelMorphism, is_model_morphism
 from .schedules import (
     Abstraction,
-    enum_schedules,
     protocol_action_model,
     protocol_model,
+    schedule_context,
 )
-from .tasks import InputlessTask, Value, output_model
+from .tasks import InputlessTask, Value, _value_to_json, output_model
 from .topology import morphism_to_simplicial
 
 
@@ -265,30 +265,27 @@ def verify_certificate(
 ) -> bool:
     """Re-check a decision map through the simulator.
 
-    View classes are re-derived by running every schedule in the memory
-    simulator and grouping final states, not by reusing the view algebra.
-    The induced tuple of every schedule must be allowed, the induced state
-    map must be a morphism of Kripke models into the output model, and its
-    projection must translate to a chromatic simplicial map onto the
-    output complex.  Raises on partial maps or class-count mismatches.
+    View classes are re-derived by running every schedule once in the
+    memory simulator and grouping final states, not by reusing the view
+    algebra.  The induced tuple of every schedule must be allowed, the
+    induced state map must be a morphism of Kripke models into the output
+    model, and its projection must translate to a chromatic simplicial map
+    onto the output complex.  Raises on partial maps or class-count
+    mismatches.
     """
     if n != task.n or rounds != task.rounds:
         raise SolverError(
             f"task {task.name!r} is tabulated for n={task.n}, rounds={task.rounds}"
         )
-    scheds = enum_schedules(n, rounds)
+    scheds = schedule_context(n, rounds).schedules
     n_agents = task.process_count
     # simulator-side classes, numbered by first occurrence
-    sim_class: list[list[int]] = []
-    for a in range(n_agents):
-        index: dict[object, int] = {}
-        row = []
-        for sched in scheds:
-            state = simengine.run(sched, abstraction).final(a)
-            if state not in index:
-                index[state] = len(index)
-            row.append(index[state])
-        sim_class.append(row)
+    index: list[dict[object, int]] = [{} for _ in range(n_agents)]
+    sim_class: list[list[int]] = [[] for _ in range(n_agents)]
+    for sched in scheds:
+        finals = simengine.run(sched, abstraction).finals
+        for a in range(n_agents):
+            sim_class[a].append(index[a].setdefault(finals[a], len(index[a])))
     for a in range(n_agents):
         if len(decision.values[a]) != max(sim_class[a]) + 1:
             raise SolverError(
@@ -381,8 +378,15 @@ def solve_report(
     abstraction: Abstraction | None = None,
 ) -> dict:
     """Verdict plus class inventories and search statistics, JSON-ready."""
-    verdict = solve(task, n, rounds, abstraction)
-    scheds = enum_schedules(task.n, task.rounds)
+    return verdict_report(task, solve(task, n, rounds, abstraction), abstraction)
+
+
+def verdict_report(
+    task: InputlessTask, verdict: Verdict, abstraction: Abstraction | None = None
+) -> dict:
+    """The :func:`solve_report` of a verdict already found for the task;
+    only an unsolvable verdict searches again, for its conflict core."""
+    scheds = schedule_context(task.n, task.rounds).schedules
     report = {
         "task": task.name,
         "n": task.n,
@@ -390,28 +394,30 @@ def solve_report(
         "solvable": verdict.solvable,
         "states": len(scheds),
         "class_counts": [len(by_agent) for by_agent in verdict.classes],
-        "classes": [
-            [[scheds[k].text() for k in members] for members in by_agent]
-            for by_agent in verdict.classes
-        ],
+        "classes": _class_texts(scheds, verdict),
         "search_nodes": verdict.stats.nodes,
         "search_backtracks": verdict.stats.backtracks,
         "search_assignments": verdict.stats.assignments,
     }
     if verdict.solvable:
-        report["decision"] = [
-            [_value_json(v) for v in per_agent] for per_agent in verdict.decision.values
-        ]
+        report["decision"] = _decision_values(verdict)
     else:
         core = conflict_core(task, abstraction)
         report["conflict_core"] = [scheds[k].text() for k in core]
     return report
 
 
-def _value_json(value: Value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+def _class_texts(scheds, verdict: Verdict) -> list:
+    return [
+        [[scheds[k].text() for k in members] for members in by_agent]
+        for by_agent in verdict.classes
+    ]
+
+
+def _decision_values(verdict: Verdict) -> list:
+    return [
+        [_value_to_json(v) for v in per_agent] for per_agent in verdict.decision.values
+    ]
 
 
 def decision_to_json(task: InputlessTask, verdict: Verdict) -> dict:
@@ -419,16 +425,11 @@ def decision_to_json(task: InputlessTask, verdict: Verdict) -> dict:
     in canonical schedule order."""
     if not verdict.solvable:
         raise SolverError("no certificate for an unsolvable task")
-    scheds = enum_schedules(task.n, task.rounds)
+    scheds = schedule_context(task.n, task.rounds).schedules
     return {
         "task": task.name,
         "n": task.n,
         "N": task.rounds,
-        "decision": [
-            [_value_json(v) for v in per_agent] for per_agent in verdict.decision.values
-        ],
-        "classes": [
-            [[scheds[k].text() for k in members] for members in by_agent]
-            for by_agent in verdict.classes
-        ],
+        "decision": _decision_values(verdict),
+        "classes": _class_texts(scheds, verdict),
     }

@@ -17,9 +17,10 @@ from .kernel import KripkeFrame, new_frame
 from .logic import ActionModel, KripkeModel, product_update
 from .schedules import (
     Schedule,
-    enum_schedules,
     final_states,
+    fubini,
     input_model,
+    schedule_context,
     seen_ids,
     view1,
 )
@@ -70,9 +71,10 @@ class InputlessTask:
     """Output tuples plus the schedule->tuples relation, tabulated eagerly.
 
     ``delta_table[k]`` lists the indices of the tuples acceptable for the
-    k-th schedule of the canonical enumeration for (n, rounds).  Schedules
-    with an empty entry make the task vacuously unsolvable; they are kept
-    and reported through ``empty_schedules`` rather than rejected.
+    k-th schedule of the canonical enumeration for (n, rounds); every
+    entry is an index into ``output.tuples``.  Schedules with an empty
+    entry make the task vacuously unsolvable; they are kept and reported
+    through ``empty_schedules`` rather than rejected.
     """
 
     name: str
@@ -82,12 +84,24 @@ class InputlessTask:
     delta_table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        expected = len(enum_schedules(self.n, self.rounds))
+        if self.n < 0:
+            raise TaskError("n must be >= 0")
+        if self.rounds < 1:
+            raise TaskError("rounds must be >= 1")
+        expected = fubini(self.n + 1) ** self.rounds
         if len(self.delta_table) != expected:
             raise TaskError(
                 f"delta table covers {len(self.delta_table)} schedules, "
                 f"expected {expected}"
             )
+        width = len(self.output.tuples)
+        for k, row in enumerate(self.delta_table):
+            for t in row:
+                if type(t) is not int or not 0 <= t < width:
+                    raise TaskError(
+                        f"delta row {k} names tuple {t!r}; the task has "
+                        f"tuples 0..{width - 1}"
+                    )
 
     @property
     def process_count(self) -> int:
@@ -115,12 +129,12 @@ def make_task(
     tuples: Sequence[OutputTuple],
     delta: DeltaPredicate,
 ) -> InputlessTask:
-    """Tabulate a predicate-form relation over the canonical schedules."""
+    """Tabulate a predicate-form relation over the canonical schedules,
+    asking about every tuple of one schedule before the next schedule."""
     output = OutputFrame(tuple(tuple(t) for t in tuples))
-    scheds = enum_schedules(n, rounds)
     table = tuple(
         tuple(t for t, out in enumerate(output.tuples) if delta(sched, out))
-        for sched in scheds
+        for sched in schedule_context(n, rounds).schedules
     )
     return InputlessTask(name, n, rounds, output, table)
 
@@ -152,6 +166,9 @@ def output_model(
 # ---------------------------------------------------------------------------
 # builtins
 
+# The builtins' rules for one schedule at a time.  The builtins themselves
+# read the same facts off the shared schedule context, once per schedule.
+
 def never_reads_others(agent: int, sched: Schedule) -> bool:
     """True when nothing of any other process ever reaches the agent.
 
@@ -173,25 +190,59 @@ def _one_hot_tuples(width: int) -> list[OutputTuple]:
     return [tuple(1 if j == i else 0 for j in range(width)) for i in range(width)]
 
 
-def _testset_delta(sched: Schedule, out: OutputTuple) -> bool:
-    # a process that never reads anyone else must win
-    for i in range(sched.process_count):
-        if never_reads_others(i, sched) and out[i] != 1:
-            return False
-    return True
+def _per_schedule(facts: Callable[[Schedule], object]) -> Callable[[Schedule], object]:
+    """``facts`` remembered for the schedule it was last asked about.
+    :func:`make_task` asks about every tuple of a schedule before the next
+    one, so a builtin's facts are worked out once per schedule, not once
+    per (schedule, tuple) pair."""
+    last: list = [None, None]
+
+    def get(sched: Schedule):
+        if last[0] is not sched:
+            last[0], last[1] = sched, facts(sched)
+        return last[1]
+
+    return get
 
 
-def _two_testset_delta(sched: Schedule, out: OutputTuple) -> bool:
-    for i in range(3):
-        if never_reads_others(i, sched) and out[i] != 1:
-            return False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if reads_only(frozenset((i, j)), sched):
-                k = 3 - i - j
-                if not (out[i] == 1 and out[j] == 1 and out[k] == 0):
-                    return False
-    return True
+def _seen_sets(n: int, rounds: int) -> Callable[[Schedule], list[frozenset[int]]]:
+    """Per schedule, the ids seen by each process, read off the shared
+    full-information final states."""
+    ctx = schedule_context(n, rounds)
+    return lambda sched: [seen_ids(state) for state in ctx.finals[ctx.index[sched]]]
+
+
+def _solo(seen: list[frozenset[int]]) -> list[int]:
+    """The processes that never read anyone else; each must win."""
+    return [i for i, ids in enumerate(seen) if ids == {i}]
+
+
+def _testset_delta(n: int, rounds: int) -> DeltaPredicate:
+    seen = _seen_sets(n, rounds)
+    solo = _per_schedule(lambda s: _solo(seen(s)))
+    return lambda sched, out: all(out[i] == 1 for i in solo(sched))
+
+
+def _two_testset_delta(rounds: int) -> DeltaPredicate:
+    seen = _seen_sets(2, rounds)
+
+    def forced(sched: Schedule):
+        ids = seen(sched)
+        # a pair that only ever sees itself wins together
+        pairs = [
+            (i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if ids[i] | ids[j] <= {i, j}
+        ]
+        return _solo(ids), pairs
+
+    facts = _per_schedule(forced)
+
+    def delta(sched: Schedule, out: OutputTuple) -> bool:
+        solo, pairs = facts(sched)
+        return all(out[i] == 1 for i in solo) and all(
+            out[i] == 1 and out[j] == 1 and out[3 - i - j] == 0 for i, j in pairs
+        )
+
+    return delta
 
 
 def builtin(name: str, n: int, rounds: int = 1) -> InputlessTask:
@@ -210,24 +261,22 @@ def builtin(name: str, n: int, rounds: int = 1) -> InputlessTask:
     key = name.replace("-", "_")
     if key == "testset":
         width = n + 1
-        return make_task("testset", n, rounds, _one_hot_tuples(width), _testset_delta)
+        return make_task(
+            "testset", n, rounds, _one_hot_tuples(width), _testset_delta(n, rounds)
+        )
     if key == "two_testset":
         if n + 1 != 3:
             raise TaskError("two_testset is defined for exactly 3 processes")
         tuples = _one_hot_tuples(3) + [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
-        return make_task("two_testset", n, rounds, tuples, _two_testset_delta)
+        return make_task("two_testset", n, rounds, tuples, _two_testset_delta(rounds))
     if key == "snapshot":
         if rounds != 1:
             raise TaskError("snapshot is defined for a single round")
-        scheds = enum_schedules(n, 1)
-        view_tuple = lambda s: tuple(
-            tuple(sorted(view1(i, s.rounds[0]))) for i in range(n + 1)
+        view_tuple = _per_schedule(
+            lambda s: tuple(tuple(sorted(view1(i, s.rounds[0]))) for i in range(n + 1))
         )
-        tuples: list[OutputTuple] = []
-        for s in scheds:
-            vt = view_tuple(s)
-            if vt not in tuples:
-                tuples.append(vt)
+        scheds = schedule_context(n, 1).schedules
+        tuples = list(dict.fromkeys(view_tuple(s) for s in scheds))
         return make_task(
             "snapshot", n, 1, tuples, lambda s, out: out == view_tuple(s)
         )
@@ -261,10 +310,13 @@ def task_to_json(task: InputlessTask) -> dict:
 
 def task_from_json(data: dict) -> InputlessTask:
     tuples = tuple(tuple(_value_from_json(v) for v in t) for t in data["tuples"])
+    delta = data["delta"]
+    if not isinstance(delta, list) or not all(isinstance(row, list) for row in delta):
+        raise TaskError("delta must be a list of lists of tuple indices")
     return InputlessTask(
         str(data.get("name", "custom")),
         int(data["n"]),
         int(data["N"]),
         OutputFrame(tuples),
-        tuple(tuple(row) for row in data["delta"]),
+        tuple(tuple(row) for row in delta),
     )

@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from epikit import cli, solver
 from epikit.cli import main
-from epikit.logic import model_from_json
+from epikit.logic import MAX_FORMULA_DEPTH, model_from_json
 from epikit.tasks import task_from_json
 from epikit.topology import complex_from_json
 
@@ -124,6 +127,23 @@ def test_mc_unknown_atom(capsys):
     assert "unknown atom" in err
 
 
+def test_mc_formula_depth_bound(capsys):
+    def mc(terms):
+        return run_cli(
+            capsys,
+            "mc", "protocol", "--n", "1", "--rounds", "1",
+            "--state", "0", "--formula", " | ".join(["id_0"] * terms),
+        )
+
+    code, out, _ = mc(MAX_FORMULA_DEPTH)
+    assert code == 0
+    assert out.strip() == "true"
+    code, out, err = mc(2000)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "deeper than" in err
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -171,19 +191,42 @@ def test_check_task_file(capsys, tmp_path):
     assert out.strip() == "solvable"
 
 
+@pytest.mark.parametrize("bad", [5, -1])
+def test_check_task_file_rejects_bad_delta(capsys, tmp_path, bad):
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps({
+        "n": 0, "N": 1, "tuples": [[0], [1]], "delta": [[0, bad]],
+    }))
+    code, out, err = run_cli(
+        capsys, "check", "--n", "0", "--rounds", "1", "--task-file", str(path)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "delta row 0" in err
+
+
+def test_check_report_solves_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return real_solve(*args, **kwargs)
+
+    real_solve = solver.solve
+    monkeypatch.setattr(solver, "solve", counting_solve)
+    monkeypatch.setattr(cli, "solve", counting_solve)
+    code, out, _ = run_cli(
+        capsys, "check", "--n", "2", "--rounds", "1", "--task", "snapshot", "--report"
+    )
+    assert code == 0
+    assert json.loads(out)["solvable"] is True
+    assert len(calls) == 1
+
+
 def test_check_requires_task(capsys):
     code, _, err = run_cli(capsys, "check", "--n", "2")
     assert code == 1
     assert "task" in err
-
-
-def test_check_rejects_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("EPIKIT_THREADS", "zero")
-    code, _, err = run_cli(
-        capsys, "check", "--n", "2", "--rounds", "1", "--task", "snapshot"
-    )
-    assert code == 1
-    assert "EPIKIT_THREADS" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Formula evaluation, product update, action composition, parsing."""
 
+import random
+
 import pytest
 
 from epikit.kernel import (
@@ -15,6 +17,7 @@ from epikit.logic import (
     AfterAction,
     And,
     Atom,
+    MAX_FORMULA_DEPTH,
     FormulaParseError,
     Implies,
     Know,
@@ -159,6 +162,77 @@ def test_update_frame_is_restricted_product():
                     a, t1, t2
                 )
                 assert updated.frame.related(a, u, v) == expected
+
+
+def reference_update(model, action):
+    """The product update by definition: every (state, point) pair, in
+    state-major order, kept when the point's precondition holds there."""
+    pairs = [
+        (s, t)
+        for s in range(model.frame.state_count)
+        for t, pre in enumerate(action.preconditions)
+        if (s in pre if isinstance(pre, frozenset) else eval_formula(model, s, pre))
+    ]
+    partitions = [
+        [(model.frame.partitions[a][s], action.frame.partitions[a][t]) for s, t in pairs]
+        for a in range(model.frame.agent_count)
+    ]
+    frame = new_frame(len(pairs), model.frame.agent_count, partitions)
+    valuation = tuple(model.valuation[s] for s, _ in pairs)
+    return KripkeModel(frame, model.ap, valuation), {st: i for i, st in enumerate(pairs)}
+
+
+def random_formula(rng, agents, height):
+    if height == 0 or rng.random() < 0.3:
+        return rng.choice([TRUE, FALSE, Atom("x"), Atom("y")])
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Not(random_formula(rng, agents, height - 1))
+    if kind == 1:
+        return And(random_formula(rng, agents, height - 1),
+                   random_formula(rng, agents, height - 1))
+    return Know(rng.randrange(agents), random_formula(rng, agents, height - 1))
+
+
+def random_precondition(rng, n_states, agents, nothing_holds):
+    if nothing_holds:
+        return rng.choice([frozenset(), FALSE, frozenset({-1, n_states})])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return frozenset()
+    if kind == 1:
+        # members on both sides of the state range, duplicates collapsing
+        return frozenset(rng.randint(-2, n_states + 2) for _ in range(rng.randint(1, 8)))
+    if kind == 2:
+        return TRUE
+    return random_formula(rng, agents, 3)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_update_matches_pairwise_reference(seed):
+    rng = random.Random(f"update-{seed}")
+    agents = rng.randint(1, 3)
+    n_states = rng.randint(0, 7)
+    n_points = rng.randint(1, 6)
+    model = KripkeModel(
+        new_frame(n_states, agents,
+                  [[rng.randrange(3) for _ in range(n_states)] for _ in range(agents)]),
+        ("x", "y"),
+        tuple(frozenset(i for i in (0, 1) if rng.random() < 0.5) for _ in range(n_states)),
+    )
+    nothing_holds = seed % 6 == 0
+    action = ActionModel(
+        new_frame(n_points, agents,
+                  [[rng.randrange(3) for _ in range(n_points)] for _ in range(agents)]),
+        tuple(random_precondition(rng, n_states, agents, nothing_holds)
+              for _ in range(n_points)),
+    )
+    updated, pairing = product_update(model, action)
+    expected, expected_pairing = reference_update(model, action)
+    assert updated == expected
+    assert list(pairing.items()) == list(expected_pairing.items())
+    if nothing_holds:
+        assert updated.frame.state_count == 0
 
 
 def test_after_action_operator():
@@ -332,6 +406,23 @@ def test_parse_errors_carry_positions():
         parse_formula("K[x] p")
     with pytest.raises(FormulaParseError):
         parse_formula("")
+
+
+def test_parse_depth_bound():
+    at_bound = " | ".join(["p"] * MAX_FORMULA_DEPTH)
+    assert eval_formula(tiny_model(), 0, parse_formula(at_bound.replace("p", "x")))
+    for text in [
+        " | ".join(["p"] * (MAX_FORMULA_DEPTH + 1)),
+        " -> ".join(["p"] * 2000),
+        "!" * 2000 + "p",
+        "K[0] " * 2000 + "p",
+        "(" * 2000 + "p" + ")" * 2000,
+    ]:
+        with pytest.raises(FormulaParseError) as err:
+            parse_formula(text)
+        assert "deeper than" in str(err.value)
+    deep = parse_formula("K[0] " * (MAX_FORMULA_DEPTH - 1) + "x")
+    assert not eval_formula(tiny_model(), 0, deep)
 
 
 def test_format_parse_roundtrip():

@@ -10,6 +10,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from epikit import simengine
 from epikit.schedules import enum_schedules, view1
 from epikit.solver import (
     DecisionMap,
@@ -126,6 +127,21 @@ def test_certificate_survives_verification():
     task = builtin("snapshot", 2)
     verdict = solve(task)
     assert verify_certificate(task, 2, 1, verdict.decision)
+
+
+def test_verification_runs_each_schedule_once(monkeypatch):
+    runs = []
+
+    def counting_run(sched, abstraction=None):
+        runs.append(sched)
+        return real_run(sched, abstraction)
+
+    real_run = simengine.run
+    monkeypatch.setattr(simengine, "run", counting_run)
+    task = builtin("snapshot", 2)
+    verdict = solve(task)
+    assert verify_certificate(task, 2, 1, verdict.decision)
+    assert runs == enum_schedules(2, 1) * 2  # once in solve, once here
 
 
 def test_perturbed_certificate_fails():

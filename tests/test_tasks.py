@@ -8,14 +8,17 @@ through the view algebra the task module uses.
 import pytest
 
 from epikit.kernel import is_proper
-from epikit.schedules import enum_block_actions, enum_schedules
+from epikit.schedules import enum_block_actions, enum_schedules, view1
 from epikit.simengine import run
 from epikit.tasks import (
+    InputlessTask,
     OutputFrame,
     TaskError,
     builtin,
     make_task,
+    never_reads_others,
     output_model,
+    reads_only,
     task_action_model,
     task_from_json,
     task_to_json,
@@ -204,6 +207,49 @@ def test_snapshot_tuple_count():
 
 
 # ---------------------------------------------------------------------------
+# builtin tables against a per-pair tabulation
+
+def reference_allows(name, sched, out):
+    """The builtin relations by definition, worked out from scratch for
+    every (schedule, tuple) pair."""
+    n = sched.process_count
+    if name == "snapshot":
+        return out == tuple(tuple(sorted(view1(i, sched.rounds[0]))) for i in range(n))
+    if any(never_reads_others(i, sched) and out[i] != 1 for i in range(n)):
+        return False
+    if name == "two_testset":
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            if reads_only(frozenset((i, j)), sched) and not (
+                out[i] == 1 and out[j] == 1 and out[3 - i - j] == 0
+            ):
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "name, n, rounds",
+    [
+        ("testset", 2, 2),
+        ("testset", 3, 1),
+        ("two_testset", 2, 1),
+        ("two_testset", 2, 2),
+        ("snapshot", 2, 1),
+        ("snapshot", 3, 1),
+    ],
+)
+def test_builtin_table_matches_per_pair_reference(name, n, rounds):
+    task = builtin(name, n, rounds)
+    expected = tuple(
+        tuple(
+            t for t, out in enumerate(task.output.tuples)
+            if reference_allows(name, sched, out)
+        )
+        for sched in enum_schedules(n, rounds)
+    )
+    assert task.delta_table == expected
+
+
+# ---------------------------------------------------------------------------
 # task action model and output model
 
 def test_action_model_frame_is_output_frame():
@@ -284,3 +330,29 @@ def test_task_json_roundtrip():
         assert again.output.tuples == task.output.tuples
         assert again.delta_table == task.delta_table
         assert again.n == task.n and again.rounds == task.rounds
+
+
+@pytest.mark.parametrize("bad", [2, 5, -1, True, 1.0, "0"])
+def test_task_from_json_rejects_bad_delta_entries(bad):
+    data = task_to_json(builtin("testset", 1))
+    data["delta"][1] = [0, bad]
+    with pytest.raises(TaskError) as err:
+        task_from_json(data)
+    assert "delta row 1" in str(err.value)
+
+
+def test_task_from_json_rejects_delta_rows_that_are_not_lists():
+    data = task_to_json(builtin("testset", 1))
+    data["delta"][1] = 0
+    with pytest.raises(TaskError):
+        task_from_json(data)
+
+
+def test_task_rejects_bad_dimensions():
+    output = OutputFrame(((1, 0), (0, 1)))
+    with pytest.raises(TaskError):
+        InputlessTask("t", -1, 1, output, ())
+    with pytest.raises(TaskError):
+        InputlessTask("t", 1, 0, output, ())
+    with pytest.raises(TaskError):
+        InputlessTask("t", 1, 2, output, ((0,),) * 8)  # two rounds need 9 rows
