@@ -43,7 +43,6 @@ from .schedules import (
     block_action,
     enum_block_actions,
     enum_schedules,
-    full_info_view,
     indist_1,
     input_model,
     parse_schedule,

@@ -102,19 +102,40 @@ def _build_model(args):
 def _build_complex(args):
     if args.kind == "protocol":
         frame = protocol_model(args.n, args.rounds).frame
-        labels = [s.text() for s in schedule_context(args.n, args.rounds).schedules]
     elif args.kind == "output":
-        task = _load_task(args)
-        frame = task.output.frame
-        labels = [
-            "(" + ",".join(str(v) for v in t) + ")" for t in task.output.tuples
-        ]
+        frame = _load_task(args).output.frame
     else:
         raise CliError(f"unknown complex kind {args.kind!r}")
     if not is_proper(frame):
         raise CliError("frame is not proper; it has no dual complex")
     complex_, _ = frame_to_complex(frame)
-    return complex_, frame, labels
+    return complex_
+
+
+def _render(args, what: str, dot: bool) -> str:
+    """An export object (``schedules``, ``task``, or ``<kind>-model`` and
+    ``<kind>-complex``) as DOT or as indented JSON, newline-terminated."""
+    if what == "schedules":
+        if dot:
+            raise CliError("schedules export only as --json")
+        data = [schedule_to_json(s) for s in enum_schedules(args.n, args.rounds)]
+    elif what == "task":
+        if dot:
+            raise CliError("tasks export only as --json")
+        data = task_to_json(_load_task(args))
+    else:
+        args.kind, obj = what.split("-")
+        if obj == "model":
+            model = _build_model(args)
+            if dot:
+                return frame_to_dot(model.frame)
+            data = model_to_json(model)
+        else:
+            complex_ = _build_complex(args)
+            if dot:
+                return complex_to_dot(complex_)
+            data = complex_to_json(complex_)
+    return json.dumps(data, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +164,13 @@ def cmd_run(args) -> int:
 
 def cmd_model(args) -> int:
     _check_n(args)
-    model = _build_model(args)
-    if args.dot:
-        sys.stdout.write(frame_to_dot(model.frame))
-    else:
-        print(json.dumps(model_to_json(model), indent=2))
+    sys.stdout.write(_render(args, f"{args.kind}-model", args.dot))
     return EXIT_OK
 
 
 def cmd_complex(args) -> int:
     _check_n(args)
-    complex_, _, _ = _build_complex(args)
-    if args.dot:
-        sys.stdout.write(complex_to_dot(complex_))
-    else:
-        print(json.dumps(complex_to_json(complex_), indent=2))
+    sys.stdout.write(_render(args, f"{args.kind}-complex", args.dot))
     return EXIT_OK
 
 
@@ -209,43 +222,9 @@ def cmd_export(args) -> int:
     _check_n(args)
     if bool(args.dot) == bool(args.json):
         raise CliError("choose exactly one of --dot PATH or --json PATH")
-    path = args.dot or args.json
-    what = args.what
-
-    if args.dot:
-        if what == "schedules":
-            raise CliError("schedules export only as --json")
-        if what in ("input-model", "protocol-model", "output-model"):
-            args.kind = what.split("-")[0]
-            text = frame_to_dot(_build_model(args).frame)
-        elif what in ("protocol-complex", "output-complex"):
-            args.kind = what.split("-")[0]
-            complex_, _, _ = _build_complex(args)
-            text = complex_to_dot(complex_)
-        elif what == "task":
-            raise CliError("tasks export only as --json")
-        else:
-            raise CliError(f"unknown export object {what!r}")
-        with open(path, "w") as fh:
-            fh.write(text)
-        return EXIT_OK
-
-    if what == "schedules":
-        data = [schedule_to_json(s) for s in enum_schedules(args.n, args.rounds)]
-    elif what in ("input-model", "protocol-model", "output-model"):
-        args.kind = what.split("-")[0]
-        data = model_to_json(_build_model(args))
-    elif what in ("protocol-complex", "output-complex"):
-        args.kind = what.split("-")[0]
-        complex_, _, _ = _build_complex(args)
-        data = complex_to_json(complex_)
-    elif what == "task":
-        data = task_to_json(_load_task(args))
-    else:
-        raise CliError(f"unknown export object {what!r}")
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    text = _render(args, args.what, bool(args.dot))
+    with open(args.dot or args.json, "w") as fh:
+        fh.write(text)
     return EXIT_OK
 
 

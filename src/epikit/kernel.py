@@ -27,9 +27,6 @@ class KripkeFrame:
     agent_count: int
     partitions: tuple[tuple[int, ...], ...]  # [agent][state] -> class label
 
-    def label(self, agent: int, state: int) -> int:
-        return self.partitions[agent][state]
-
     def related(self, agent: int, u: int, v: int) -> bool:
         return self.partitions[agent][u] == self.partitions[agent][v]
 
@@ -48,9 +45,6 @@ class KripkeFrame:
                 buckets[c].append(s)
             out.append(tuple(tuple(b) for b in buckets))
         return tuple(out)
-
-    def class_members(self, agent: int, cls: int) -> tuple[int, ...]:
-        return self.classes_by_agent[agent][cls]
 
     def states(self) -> range:
         return range(self.state_count)

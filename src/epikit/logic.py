@@ -86,16 +86,6 @@ def Implies(left: Formula, right: Formula) -> Formula:
     return Not(And(left, Not(right)))
 
 
-def any_of(formulas: list[Formula]) -> Formula:
-    """Disjunction of a list (FALSE when empty)."""
-    if not formulas:
-        return FALSE
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = Or(out, f)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # models
 

@@ -197,16 +197,6 @@ def final_states(sched: Schedule, abstraction: Abstraction | None = None) -> tup
     return tuple(states)
 
 
-def full_info_view(agent: int, sched: Schedule):
-    """The nested full-information local state of one agent.
-
-    After one round this is (id, ((j, j), ...)) over the view, which
-    carries exactly the view set; each further round maps every id seen
-    to that id's previous local state.
-    """
-    return final_states(sched)[agent]
-
-
 def seen_ids(state) -> frozenset[int]:
     """All process ids occurring anywhere in a nested local state."""
     if isinstance(state, int):

@@ -16,16 +16,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import simengine
-from .kernel import FrameMorphism, is_morphism, is_proper
-from .logic import ModelMorphism, is_model_morphism
-from .schedules import (
-    Abstraction,
-    protocol_action_model,
-    protocol_model,
-    schedule_context,
-)
-from .tasks import InputlessTask, Value, _value_to_json, output_model
-from .topology import morphism_to_simplicial
+from .kernel import FrameMorphism, KripkeFrame, is_morphism
+from .schedules import Abstraction, protocol_action_model, schedule_context
+from .tasks import InputlessTask, Value, _value_to_json
 
 
 @dataclass(frozen=True)
@@ -60,24 +53,6 @@ class SolverError(ValueError):
     pass
 
 
-def _class_structure(
-    task: InputlessTask, abstraction: Abstraction | None
-) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], list[tuple[int, ...]]]:
-    """View classes per agent plus, per schedule, its class per agent.
-
-    Classes come from the schedule action model, whose labels are already
-    numbered by first-occurring schedule.
-    """
-    action = protocol_action_model(task.n, task.rounds, abstraction)
-    frame = action.frame
-    classes = frame.classes_by_agent
-    per_schedule = [
-        tuple(frame.partitions[a][k] for a in range(frame.agent_count))
-        for k in frame.states()
-    ]
-    return classes, per_schedule
-
-
 class _Search:
     """Backtracking over (agent, view-class) assignments.
 
@@ -87,20 +62,22 @@ class _Search:
     propagated through a work queue before branching, which never skips a
     solution, so the first one found under the canonical variable and
     value order is still the canonically first certificate.  Variables
-    are flattened to dense ints for the hot loop.
+    are flattened to dense ints for the hot loop.  The view classes are
+    those of ``frame``, the schedule action model's frame.
     """
 
     def __init__(
         self,
         task: InputlessTask,
-        classes,
-        per_schedule,
+        frame: KripkeFrame,
         keep: Sequence[int] | None = None,
     ):
         tuples = task.output.tuples
-        n_agents = task.process_count
+        n_agents = self.agent_count = task.process_count
         self.variables = [
-            (a, c) for a in range(n_agents) for c in range(len(classes[a]))
+            (a, c)
+            for a in range(n_agents)
+            for c in range(len(frame.classes_by_agent[a]))
         ]
         var_id = {v: i for i, v in enumerate(self.variables)}
         n_vars = len(self.variables)
@@ -120,7 +97,7 @@ class _Search:
             sum(1 << t for t in task.delta_table[k]) for k in self.sched_ids
         ]
         self.sched_vars = [
-            tuple(var_id[(a, per_schedule[k][a])] for a in range(n_agents))
+            tuple(var_id[(a, frame.partitions[a][k])] for a in range(n_agents))
             for k in self.sched_ids
         ]
         self.touching: list[list[int]] = [[] for _ in range(n_vars)]
@@ -180,40 +157,51 @@ class _Search:
             else:
                 live[key] = old
 
-    def run(self) -> dict | None:
-        """Returns the complete assignment or None when none exists."""
+    def run(self) -> bool:
+        """True when a complete assignment exists; :meth:`decision` reads
+        it off."""
         self.queue: list[int] = list(range(len(self.sched_ids)))
-        trail0: list = []
-        if not self._propagate(trail0):
-            return None
-        if not self._search(0):
-            return None
-        return {
-            var: self.value_of[vid]
-            if self.value_of[vid] is not None
-            else self.var_values[vid][0]
-            for vid, var in enumerate(self.variables)
-        }
+        return self._propagate([]) and self._search()
 
-    def _search(self, start: int) -> bool:
+    def decision(self) -> DecisionMap:
+        """The assignment :meth:`run` found, per agent in class order."""
+        values: list[list[Value]] = [[] for _ in range(self.agent_count)]
+        for vid, (a, _) in enumerate(self.variables):
+            value = self.value_of[vid]
+            values[a].append(self.var_values[vid][0] if value is None else value)
+        return DecisionMap(tuple(tuple(v) for v in values))
+
+    def _search(self) -> bool:
+        """Depth-first over ``branch_order`` with an explicit stack, so no
+        recursion limit bounds the number of branching levels.  A node is
+        opened at the first unassigned variable past its parent's; its
+        values are tried in order, each undone before the next."""
         value_of = self.value_of
         order = self.branch_order
-        pos = start
-        while pos < len(order) and value_of[order[pos]] is not None:
-            pos += 1
-        if pos == len(order):
-            return True
-        vid = order[pos]
-        self.nodes += 1
-        for choice in range(len(self.var_values[vid])):
-            trail: list = []
-            self.queue = []
-            ok = self._assign(vid, choice, trail) and self._propagate(trail)
-            if ok and self._search(pos + 1):
+        stack: list[list] = []  # per open node: [pos, vid, next choice, trail]
+        pos = 0
+        while True:
+            while pos < len(order) and value_of[order[pos]] is not None:
+                pos += 1
+            if pos == len(order):
                 return True
-            self._undo(trail)
-        self.backtracks += 1
-        return False
+            self.nodes += 1
+            stack.append([pos, order[pos], 0, []])
+            while True:
+                if not stack:
+                    return False
+                node = stack[-1]
+                pos, vid, choice, trail = node
+                self._undo(trail)
+                if choice == len(self.var_values[vid]):
+                    self.backtracks += 1
+                    stack.pop()
+                    continue
+                node[2] = choice + 1
+                self.queue = []
+                if self._assign(vid, choice, trail) and self._propagate(trail):
+                    pos += 1
+                    break
 
 
 def solve(
@@ -234,23 +222,17 @@ def solve(
         raise SolverError(
             f"task {task.name!r} is tabulated for n={task.n}, rounds={task.rounds}"
         )
-    classes, per_schedule = _class_structure(task, abstraction)
-    n_agents = task.process_count
-
+    frame = protocol_action_model(task.n, task.rounds, abstraction).frame
+    classes = frame.classes_by_agent
     if task.empty_schedules:
         return Verdict(False, None, classes, SearchStats(0, 0, 0))
 
-    search = _Search(task, classes, per_schedule)
-    result = search.run()
+    search = _Search(task, frame)
+    solvable = search.run()
     stats = SearchStats(search.nodes, search.backtracks, search.assignments)
-    if result is None:
+    if not solvable:
         return Verdict(False, None, classes, stats)
-    decision = DecisionMap(
-        tuple(
-            tuple(result[(a, c)] for c in range(len(classes[a])))
-            for a in range(n_agents)
-        )
-    )
+    decision = search.decision()
     if not verify_certificate(task, n, rounds, decision, abstraction):
         raise SolverError("internal error: found certificate failed verification")
     return Verdict(True, decision, classes, stats)
@@ -265,12 +247,21 @@ def verify_certificate(
 ) -> bool:
     """Re-check a decision map through the simulator.
 
+    Solvability is one condition: the map sending schedule k to the
+    tuple t_k its processes decide is a morphism from the protocol frame
+    to the output frame, where t and t' are related for agent a iff
+    t[a] == t'[a], and every t_k is allowed at k.  This is the paper's
+    model-morphism form: the input model relates all states for every
+    agent and both the protocol and the output model give state k the
+    input valuation of k, so k -> (k, t_k) is a morphism of Kripke models
+    exactly when the projected map is a frame morphism.  On proper frames
+    a frame morphism always translates to a chromatic simplicial map onto
+    the output complex (the duality of :mod:`epikit.topology`).
+
     View classes are re-derived by running every schedule once in the
     memory simulator and grouping final states, not by reusing the view
-    algebra.  The induced tuple of every schedule must be allowed, the
-    induced state map must be a morphism of Kripke models into the output
-    model, and its projection must translate to a chromatic simplicial map
-    onto the output complex.  Raises on partial maps or class-count
+    algebra; the morphism check against the view algebra's frame is what
+    makes the two agree.  Raises on partial maps or class-count
     mismatches.
     """
     if n != task.n or rounds != task.rounds:
@@ -293,54 +284,26 @@ def verify_certificate(
                 f"classes, simulator found {max(sim_class[a]) + 1}"
             )
 
+    tuple_index = {t: i for i, t in enumerate(task.output.tuples)}
+    image = []
     for k in range(len(scheds)):
         out = tuple(decision.value(a, sim_class[a][k]) for a in range(n_agents))
         if not task.allows(k, out):
             return False
-
-    # the induced map into the output model is a model morphism
-    proto = protocol_model(n, rounds, abstraction)
-    out_model, pairing = output_model(task, n, rounds)
-    tuple_index = {t: i for i, t in enumerate(task.output.tuples)}
-    mapping = []
-    for k in range(len(scheds)):
-        out = tuple(decision.value(a, sim_class[a][k]) for a in range(n_agents))
-        mapping.append(pairing[(k, tuple_index[out])])
-    h = ModelMorphism(FrameMorphism(tuple(mapping)))
-    if not is_model_morphism(h, proto, out_model):
-        return False
-
-    # and its projection onto the output frame is chromatic simplicial
-    # (the duality only exists for proper frames; coarse abstractions can
-    # leave schedules fully indistinguishable, where the check is vacuous)
-    out_frame = task.output.frame
-    projected = FrameMorphism(
-        tuple(
-            tuple_index[
-                tuple(decision.value(a, sim_class[a][k]) for a in range(n_agents))
-            ]
-            for k in range(len(scheds))
-        )
-    )
-    if not is_morphism(projected, proto.frame, out_frame):
-        return False
-    if is_proper(proto.frame) and is_proper(out_frame):
-        morphism_to_simplicial(projected, proto.frame, out_frame)
-    return True
+        image.append(tuple_index[out])
+    frame = protocol_action_model(n, rounds, abstraction).frame
+    return is_morphism(FrameMorphism(tuple(image)), frame, task.output.frame)
 
 
 def _solve_restricted(
-    task: InputlessTask,
-    keep: Sequence[int],
-    classes,
-    per_schedule,
+    task: InputlessTask, keep: Sequence[int], frame: KripkeFrame
 ) -> bool:
     """Solvability over a subset of schedules (used for conflict cores).
     Classes stay those of the full model; dropped schedules impose no
     constraint."""
     if any(not task.delta_table[k] for k in keep):
         return False
-    return _Search(task, classes, per_schedule, keep).run() is not None
+    return _Search(task, frame, keep).run()
 
 
 def conflict_core(
@@ -353,9 +316,9 @@ def conflict_core(
     single-deletion pass makes the result minimal: removing any one
     member restores solvability.
     """
-    classes, per_schedule = _class_structure(task, abstraction)
+    frame = protocol_action_model(task.n, task.rounds, abstraction).frame
     everything = range(len(task.delta_table))
-    if _solve_restricted(task, everything, classes, per_schedule):
+    if _solve_restricted(task, everything, frame):
         raise SolverError("conflict core requested for a solvable task")
     core = list(everything)
     chunk = max(1, len(core) // 2)
@@ -363,7 +326,7 @@ def conflict_core(
         pos = 0
         while pos < len(core):
             trial = core[:pos] + core[pos + chunk:]
-            if not _solve_restricted(task, trial, classes, per_schedule):
+            if not _solve_restricted(task, trial, frame):
                 core = trial
             else:
                 pos += chunk

@@ -94,6 +94,12 @@ class InputlessTask:
                 f"delta table covers {len(self.delta_table)} schedules, "
                 f"expected {expected}"
             )
+        for t in self.output.tuples:
+            if len(t) != self.process_count:
+                raise TaskError(
+                    f"output tuple {t!r} has {len(t)} values; the task has "
+                    f"{self.process_count} processes"
+                )
         width = len(self.output.tuples)
         for k, row in enumerate(self.delta_table):
             for t in row:
@@ -308,15 +314,33 @@ def task_to_json(task: InputlessTask) -> dict:
     }
 
 
+def _list_of_lists(data: dict, key: str) -> list:
+    rows = data[key]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise TaskError(f"{key} must be a list of lists")
+    return rows
+
+
 def task_from_json(data: dict) -> InputlessTask:
-    tuples = tuple(tuple(_value_from_json(v) for v in t) for t in data["tuples"])
-    delta = data["delta"]
-    if not isinstance(delta, list) or not all(isinstance(row, list) for row in delta):
-        raise TaskError("delta must be a list of lists of tuple indices")
+    if not isinstance(data, dict):
+        raise TaskError("a task must be a JSON object")
+    missing = [key for key in ("n", "N", "tuples", "delta") if key not in data]
+    if missing:
+        raise TaskError(f"task is missing {', '.join(missing)}")
+    for key in ("n", "N"):
+        if type(data[key]) is not int:
+            raise TaskError(f"{key} must be an integer")
+    tuples = tuple(
+        tuple(_value_from_json(v) for v in t) for t in _list_of_lists(data, "tuples")
+    )
+    try:
+        output = OutputFrame(tuples)
+    except TypeError:
+        raise TaskError("output values must be numbers, strings or flat lists")
     return InputlessTask(
         str(data.get("name", "custom")),
-        int(data["n"]),
-        int(data["N"]),
-        OutputFrame(tuples),
-        tuple(tuple(row) for row in delta),
+        data["n"],
+        data["N"],
+        output,
+        tuple(tuple(row) for row in _list_of_lists(data, "delta")),
     )

@@ -3,14 +3,17 @@
 import json
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
 from epikit import cli, solver
 from epikit.cli import main
 from epikit.logic import MAX_FORMULA_DEPTH, model_from_json
-from epikit.tasks import task_from_json
+from epikit.tasks import make_task, task_from_json, task_to_json
 from epikit.topology import complex_from_json
+
+from test_tasks import MALFORMED_TASKS
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +208,47 @@ def test_check_task_file_rejects_bad_delta(capsys, tmp_path, bad):
     assert err.startswith("error: ") and "delta row 0" in err
 
 
+@pytest.mark.parametrize("case", sorted(MALFORMED_TASKS))
+def test_check_task_file_rejects_malformed_files(case, tmp_path):
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(MALFORMED_TASKS[case]))
+    n = "2" if case == "narrow tuples" else "0"
+    proc = subprocess.run(
+        [sys.executable, "-m", "epikit.cli", "check", "--n", n, "--task-file", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_report_on_a_task_without_tuples(capsys, tmp_path):
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps({"n": 0, "N": 1, "tuples": [], "delta": [[]]}))
+    code, out, _ = run_cli(
+        capsys, "check", "--n", "0", "--task-file", str(path), "--report"
+    )
+    assert code == 2
+    assert json.loads(out)["conflict_core"] == ["0"]
+
+
+def test_check_deep_search_without_recursion(capsys, tmp_path):
+    # every binary tuple at every schedule: 1,124 class variables, one
+    # branching level each
+    task = make_task(
+        "anything", 3, 2, list(product((0, 1), repeat=4)), lambda s, out: True
+    )
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(task_to_json(task)))
+    code, out, _ = run_cli(
+        capsys, "check", "--n", "3", "--rounds", "2", "--task-file", str(path)
+    )
+    assert code == 0
+    assert out == "solvable\n"
+
+
 def test_check_report_solves_once(capsys, monkeypatch):
     calls = []
 
@@ -276,6 +320,22 @@ def test_export_needs_exactly_one_format(capsys, tmp_path):
     code, _, err = run_cli(capsys, "export", "schedules", "--n", "1")
     assert code == 1
     assert "exactly one" in err
+
+
+@pytest.mark.parametrize(
+    "what, message",
+    [("schedules", "schedules export only as --json"),
+     ("task", "tasks export only as --json")],
+)
+def test_export_json_only_objects_refuse_dot(capsys, tmp_path, what, message):
+    path = tmp_path / "out.dot"
+    code, out, err = run_cli(
+        capsys, "export", what, "--n", "1", "--task", "testset", "--dot", str(path)
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not path.exists()
 
 
 def test_exports_are_deterministic(capsys, tmp_path):

@@ -17,8 +17,8 @@ from epikit.schedules import (
     block_action,
     enum_block_actions,
     enum_schedules,
+    final_states,
     fubini,
-    full_info_view,
     indist_1,
     input_model,
     parse_schedule,
@@ -184,8 +184,8 @@ def test_one_round_view_determines_view_set():
     for i in range(3):
         for a in acts:
             for b in acts:
-                same_state = full_info_view(i, schedule(a)) == full_info_view(
-                    i, schedule(b)
+                same_state = (
+                    final_states(schedule(a))[i] == final_states(schedule(b))[i]
                 )
                 assert same_state == (view1(i, a) == view1(i, b))
 
@@ -193,15 +193,15 @@ def test_one_round_view_determines_view_set():
 def test_two_round_distinction_travels_through_q():
     u = parse_schedule("0|1,2;0,1,2")
     v = parse_schedule("0|1,2;0,2|1")
-    assert full_info_view(Q, u) == full_info_view(Q, v)
-    assert full_info_view(P, u) != full_info_view(P, v)
-    assert full_info_view(R, u) != full_info_view(R, v)
+    assert final_states(u)[Q] == final_states(v)[Q]
+    assert final_states(u)[P] != final_states(v)[P]
+    assert final_states(u)[R] != final_states(v)[R]
 
 
 def test_view_equals_itself_across_rounds():
     s = parse_schedule("0|2|1;0|2|1")
     for i in range(3):
-        assert full_info_view(i, s) == full_info_view(i, s)
+        assert final_states(s)[i] == final_states(s)[i]
 
 
 def test_seen_ids_transitive():
@@ -209,7 +209,7 @@ def test_seen_ids_transitive():
     # from p in round 2 once p has seen r
     s = parse_schedule("1|0,2;1,0|2")
     assert R not in view1(Q, s.rounds[0])
-    assert R in seen_ids(full_info_view(Q, s))
+    assert R in seen_ids(final_states(s)[Q])
 
 
 # ---------------------------------------------------------------------------

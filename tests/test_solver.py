@@ -6,12 +6,20 @@ three-process task at one round), written against raw views without the
 solver's data structures.
 """
 
+import random
 from itertools import product as iproduct
 
 import pytest
 
 from epikit import simengine
-from epikit.schedules import enum_schedules, view1
+from epikit.kernel import FrameMorphism, is_morphism, is_proper
+from epikit.logic import ModelMorphism, is_model_morphism
+from epikit.schedules import (
+    enum_schedules,
+    protocol_action_model,
+    protocol_model,
+    view1,
+)
 from epikit.solver import (
     DecisionMap,
     SolverError,
@@ -21,7 +29,8 @@ from epikit.solver import (
     solve_report,
     verify_certificate,
 )
-from epikit.tasks import builtin, make_task
+from epikit.tasks import builtin, make_task, output_model
+from epikit.topology import morphism_to_simplicial
 
 P, Q, R = 0, 1, 2
 
@@ -234,16 +243,160 @@ def test_conflict_core_is_minimal():
     task = builtin("two_testset", 2)
     scheds = [s.text() for s in enum_schedules(2, 1)]
     core = conflict_core(task)
-    from epikit.solver import _class_structure, _solve_restricted
+    from epikit.solver import _solve_restricted
 
-    classes, per_schedule = _class_structure(task, None)
-    assert not _solve_restricted(task, core, classes, per_schedule)
+    frame = protocol_action_model(2, 1).frame
+    assert not _solve_restricted(task, core, frame)
     for drop in core:
         rest = [k for k in core if k != drop]
-        assert _solve_restricted(task, rest, classes, per_schedule)
+        assert _solve_restricted(task, rest, frame)
 
 
 def test_snapshot_report_zero_backtracks():
     report = solve_report(builtin("snapshot", 2))
     assert report["solvable"] is True
     assert report["search_backtracks"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the one-condition verifier against the paper's three-check form
+
+def reference_verify(task, decision, abstraction=None):
+    """The certificate check in the paper's form: simulator classes, the
+    allowed-tuple check, a morphism of Kripke models from the protocol
+    model into the output model (both built by product update), its
+    projection as a frame morphism, and, on proper frames, the dual
+    chromatic simplicial map."""
+    scheds = enum_schedules(task.n, task.rounds)
+    n_agents = task.process_count
+    index = [{} for _ in range(n_agents)]
+    sim_class = [[] for _ in range(n_agents)]
+    for sched in scheds:
+        finals = simengine.run(sched, abstraction).finals
+        for a in range(n_agents):
+            sim_class[a].append(index[a].setdefault(finals[a], len(index[a])))
+    for a in range(n_agents):
+        if len(decision.values[a]) != max(sim_class[a]) + 1:
+            raise SolverError("class count")
+    outs = [
+        tuple(decision.value(a, sim_class[a][k]) for a in range(n_agents))
+        for k in range(len(scheds))
+    ]
+    if not all(task.allows(k, out) for k, out in enumerate(outs)):
+        return False
+    proto = protocol_model(task.n, task.rounds, abstraction)
+    out_model, pairing = output_model(task, task.n, task.rounds)
+    tuple_index = {t: i for i, t in enumerate(task.output.tuples)}
+    h = FrameMorphism(
+        tuple(pairing[(k, tuple_index[out])] for k, out in enumerate(outs))
+    )
+    if not is_model_morphism(ModelMorphism(h), proto, out_model):
+        return False
+    projected = FrameMorphism(tuple(tuple_index[out] for out in outs))
+    out_frame = task.output.frame
+    if not is_morphism(projected, proto.frame, out_frame):
+        return False
+    if is_proper(proto.frame) and is_proper(out_frame):
+        morphism_to_simplicial(projected, proto.frame, out_frame)
+    return True
+
+
+def _last_view(rnd, state, snap):
+    ids = tuple(j for j, _ in snap)
+    return ids, ids
+
+
+def _snap_size(rnd, state, snap):
+    return len(snap), len(snap)
+
+
+def _planted_task(rng, n, rounds, abstraction):
+    """Random binary tuples and rows, plus one planted decision map on the
+    simulator classes whose tuples every row allows."""
+    scheds = enum_schedules(n, rounds)
+    finals = [simengine.run(s, abstraction).finals for s in scheds]
+    index = [{} for _ in range(n + 1)]
+    classes = [
+        [index[a].setdefault(f[a], len(index[a])) for f in finals]
+        for a in range(n + 1)
+    ]
+    planted = [[rng.randrange(2) for _ in index[a]] for a in range(n + 1)]
+    forced = [
+        tuple(planted[a][classes[a][k]] for a in range(n + 1))
+        for k in range(len(scheds))
+    ]
+    every = list(iproduct((0, 1), repeat=n + 1))
+    tuples = sorted(set(forced) | set(rng.sample(every, rng.randrange(len(every)))))
+    plant = rng.random() < 0.7
+    allowed = {
+        s: {t for t in tuples if rng.random() < 0.5} | ({forced[k]} if plant else set())
+        for k, s in enumerate(scheds)
+    }
+    task = make_task("random", n, rounds, tuples, lambda s, out: out in allowed[s])
+    return task, DecisionMap(tuple(tuple(p) for p in planted))
+
+
+def _candidate_maps(rng, task, planted, abstraction):
+    """Certificates, perturbed maps, maps off the task's tuples and maps
+    with a wrong class count."""
+    maps = [planted]
+    verdict = solve(task, abstraction=abstraction)
+    if verdict.solvable:
+        maps.append(verdict.decision)
+    for base in list(maps):
+        values = [list(v) for v in base.values]
+        a = rng.randrange(len(values))
+        c = rng.randrange(len(values[a]))
+        flipped = [list(v) for v in values]
+        flipped[a][c] = 1 - flipped[a][c]
+        off_task = [list(v) for v in values]
+        off_task[a][c] = 7
+        short = [list(v) for v in values]
+        short[a] = short[a][:-1]
+        long = [list(v) for v in values]
+        long[a] = long[a] + [0]
+        maps += [
+            DecisionMap(tuple(tuple(v) for v in m))
+            for m in (flipped, off_task, short, long)
+        ]
+    return maps
+
+
+def _verdict_or_error(check, *args):
+    try:
+        return check(*args)
+    except SolverError:
+        return SolverError
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_verifier_agrees_with_three_check_reference(seed):
+    rng = random.Random(seed)
+    n = rng.choice((1, 2))
+    rounds = rng.choice((1, 2))
+    abstraction = (None, _last_view, _snap_size)[seed % 3]
+    task, planted = _planted_task(rng, n, rounds, abstraction)
+    for decision in _candidate_maps(rng, task, planted, abstraction):
+        expected = _verdict_or_error(reference_verify, task, decision, abstraction)
+        got = _verdict_or_error(
+            verify_certificate, task, n, rounds, decision, abstraction
+        )
+        assert got == expected
+
+
+def test_verifier_catches_a_simulator_that_disagrees(monkeypatch):
+    # a simulator that answers each schedule with the next schedule's run
+    # keeps every class count, and the task allows every combination of
+    # values, so only the morphism check can refuse
+    task = builtin("snapshot", 2)
+    verdict = solve(task)
+    combos = list(iproduct(*(task.output.values_for(a) for a in range(3))))
+    anything = make_task("anything", 2, 1, combos, lambda s, out: True)
+    scheds = enum_schedules(2, 1)
+    real_run = simengine.run
+    shifted = {s: scheds[(k + 1) % len(scheds)] for k, s in enumerate(scheds)}
+    monkeypatch.setattr(
+        simengine, "run", lambda sched, abstraction=None: real_run(shifted[sched])
+    )
+    assert not reference_verify(anything, verdict.decision)
+    assert not verify_certificate(anything, 2, 1, verdict.decision)

@@ -348,6 +348,40 @@ def test_task_from_json_rejects_delta_rows_that_are_not_lists():
         task_from_json(data)
 
 
+MALFORMED_TASKS = {
+    "missing delta": {"n": 0, "N": 1, "tuples": [[0]]},
+    "missing n": {"N": 1, "tuples": [[0]], "delta": [[0]]},
+    "missing N": {"n": 0, "tuples": [[0]], "delta": [[0]]},
+    "missing tuples": {"n": 0, "N": 1, "delta": [[0]]},
+    "not an object": [1, 2],
+    "tuples not a list": {"n": 0, "N": 1, "tuples": 5, "delta": [[0]]},
+    "tuple not a list": {"n": 0, "N": 1, "tuples": [0], "delta": [[0]]},
+    "n not an int": {"n": [0], "N": 1, "tuples": [[0]], "delta": [[0]]},
+    "unhashable value": {"n": 0, "N": 1, "tuples": [[{"v": 0}]], "delta": [[0]]},
+    "narrow tuples": {
+        "n": 2, "N": 1, "tuples": [[0, 1], [1, 0]], "delta": [[0, 1]] * 13,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TASKS))
+def test_task_from_json_rejects_malformed_files(case):
+    with pytest.raises(TaskError):
+        task_from_json(MALFORMED_TASKS[case])
+
+
+def test_task_from_json_allows_no_tuples():
+    task = task_from_json({"n": 0, "N": 1, "tuples": [], "delta": [[]]})
+    assert task.output.tuples == ()
+    assert task.empty_schedules == (0,)
+
+
+def test_tuple_width_checked_for_made_tasks():
+    with pytest.raises(TaskError) as err:
+        make_task("narrow", 2, 1, ((0, 1), (1, 0)), lambda s, out: True)
+    assert "3 processes" in str(err.value)
+
+
 def test_task_rejects_bad_dimensions():
     output = OutputFrame(((1, 0), (0, 1)))
     with pytest.raises(TaskError):
