@@ -24,11 +24,11 @@ from .logic import (
 )
 from .schedules import (
     enum_schedules,
-    fubini,
     input_model,
     parse_schedule,
     protocol_model,
     schedule_context,
+    schedule_count,
     schedule_to_json,
 )
 from .simengine import format_trace, record_to_json, run
@@ -37,6 +37,8 @@ from .tasks import builtin, output_model, task_from_json, task_to_json
 from .topology import complex_to_dot, complex_to_json, frame_to_complex
 
 DEFAULT_MAX_N = 5
+# schedule counts above this are not worked out for the --n cap's message
+ESTIMATE_LIMIT = 10**18
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -59,7 +61,9 @@ def _check_n(args) -> None:
     if args.n < 0:
         raise CliError("--n must be >= 0")
     if args.n > DEFAULT_MAX_N and not args.max_n_override:
-        estimate = fubini(args.n + 1) ** args.rounds
+        estimate = schedule_count(args.n, args.rounds, ESTIMATE_LIMIT)
+        if estimate is None:
+            estimate = f"more than {ESTIMATE_LIMIT}"
         raise CliError(
             f"--n {args.n} exceeds the default cap of {DEFAULT_MAX_N}; the "
             f"run would enumerate {estimate} schedules. Pass "

@@ -289,8 +289,35 @@ def frame_to_json(frame: KripkeFrame) -> dict:
     }
 
 
+class FormatError(ValueError):
+    """JSON data without the documented shape of a frame or a model."""
+
+
 def frame_from_json(data: dict) -> KripkeFrame:
-    return new_frame(int(data["states"]), int(data["agents"]), data["partitions"])
+    """The frame :func:`frame_to_json` wrote.  Anything else, such as a
+    missing key, a count that is not an integer or a partition row of the
+    wrong length, raises :class:`FormatError`."""
+    if not isinstance(data, dict):
+        raise FormatError("a frame must be a JSON object")
+    missing = [key for key in ("states", "agents", "partitions") if key not in data]
+    if missing:
+        raise FormatError(f"frame is missing {', '.join(missing)}")
+    states, agents, partitions = data["states"], data["agents"], data["partitions"]
+    if type(states) is not int or states < 0:
+        raise FormatError("states must be an integer >= 0")
+    if type(agents) is not int or agents < 1:
+        raise FormatError("agents must be an integer >= 1")
+    if (
+        not isinstance(partitions, list)
+        or len(partitions) != agents
+        or not all(isinstance(row, list) and len(row) == states for row in partitions)
+    ):
+        raise FormatError(
+            f"partitions must be {agents} lists of {states} class labels"
+        )
+    if not all(type(label) is int for row in partitions for label in row):
+        raise FormatError("class labels must be integers")
+    return new_frame(states, agents, partitions)
 
 
 def frame_to_dot(frame: KripkeFrame, node_labels: Sequence[str] | None = None) -> str:

@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Union
 
 from .kernel import (
+    FormatError,
     FrameMorphism,
     KripkeFrame,
     frame_from_json,
@@ -499,7 +500,31 @@ def model_to_json(model: KripkeModel) -> dict:
 
 
 def model_from_json(data: dict) -> KripkeModel:
+    """The model :func:`model_to_json` wrote.  Anything else, such as a
+    missing key, atom names that are not strings or a valuation naming
+    an atom index out of range, raises :class:`~epikit.kernel.FormatError`."""
+    if not isinstance(data, dict):
+        raise FormatError("a model must be a JSON object")
+    missing = [key for key in ("ap", "valuation") if key not in data]
+    if missing:
+        raise FormatError(f"model is missing {', '.join(missing)}")
     frame = frame_from_json(data)
-    ap = tuple(data["ap"])
-    valuation = tuple(frozenset(row) for row in data["valuation"])
-    return KripkeModel(frame, ap, valuation)
+    ap, valuation = data["ap"], data["valuation"]
+    if not isinstance(ap, list) or not all(isinstance(name, str) for name in ap):
+        raise FormatError("ap must be a list of atom names")
+    if (
+        not isinstance(valuation, list)
+        or len(valuation) != frame.state_count
+        or not all(isinstance(row, list) for row in valuation)
+    ):
+        raise FormatError(
+            f"valuation must be {frame.state_count} lists of atom indices"
+        )
+    for s, row in enumerate(valuation):
+        for i in row:
+            if type(i) is not int or not 0 <= i < len(ap):
+                raise FormatError(
+                    f"state {s}: atom index {i!r} is out of range; the model "
+                    f"has {len(ap)} atoms"
+                )
+    return KripkeModel(frame, tuple(ap), tuple(frozenset(row) for row in valuation))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product as iproduct
+from itertools import combinations, islice, product as iproduct
 from typing import Callable, Iterator, Sequence
 
-from .kernel import new_frame
+from .kernel import KripkeFrame, new_frame
 from .logic import ActionModel, KripkeModel, product_update
 
 
@@ -213,15 +213,15 @@ def seen_ids(state) -> frozenset[int]:
 # the shared schedule context
 
 class ScheduleContext:
-    """The canonical schedules of (n, rounds) and their final states under
-    one abstraction.
+    """The canonical schedules of (n, rounds), their final states under
+    one abstraction and the frame of the view classes those give.
 
     Get it from :func:`schedule_context`, which builds one per key and
     process, so the model builders, the task tabulation and the solver
-    share it instead of enumerating again.  Final states are worked out on
-    first use, through :func:`final_states`.  (A plain class, not a
-    dataclass: building a dataclass costs about a millisecond at import,
-    which every command pays.)
+    share it instead of enumerating again.  Final states (through
+    :func:`final_states`) and the frame are worked out on first use.  (A
+    plain class, not a dataclass: building a dataclass costs about a
+    millisecond at import, which every command pays.)
     """
 
     def __init__(self, abstraction: Abstraction, schedules: tuple[Schedule, ...]):
@@ -240,6 +240,15 @@ class ScheduleContext:
             tuple(distinct.setdefault(x, x) for x in final_states(s, self.abstraction))
             for s in self.schedules
         )
+
+    @cached_property
+    def frame(self) -> KripkeFrame:
+        """One state per schedule, two alike for an agent iff the agent's
+        final states under them are equal: the frame of the schedule
+        action model, whose classes are the solver's view classes."""
+        n_agents = self.schedules[0].process_count
+        partitions = [[f[a] for f in self.finals] for a in range(n_agents)]
+        return new_frame(len(self.schedules), n_agents, partitions)
 
     @cached_property
     def index(self) -> dict[Schedule, int]:
@@ -279,15 +288,15 @@ def protocol_action_model(
     the last round, which is what sequential composition needs.
     """
     ctx = schedule_context(n, rounds, abstraction)
-    scheds, finals = ctx.schedules, ctx.finals
-    partitions = [[f[a] for f in finals] for a in range(n + 1)]
-    frame = new_frame(len(scheds), n + 1, partitions)
+    scheds = ctx.schedules
     preconditions = tuple(frozenset((k,)) for k in range(len(scheds)))
-    sees = tuple(
-        tuple(tuple(sorted(view1(a, s.rounds[-1]))) for a in range(n + 1))
-        for s in scheds
-    )
-    return ActionModel(frame, preconditions, sees)
+    # who observes whom depends only on the last round's block action
+    observed = {
+        act: tuple(tuple(sorted(view1(a, act))) for a in range(n + 1))
+        for act in enum_block_actions(n)
+    }
+    sees = tuple(observed[s.rounds[-1]] for s in scheds)
+    return ActionModel(ctx.frame, preconditions, sees)
 
 
 def input_model(n: int, rounds: int) -> KripkeModel:
@@ -312,12 +321,40 @@ def protocol_model(
     return model
 
 
-def fubini(count: int) -> int:
-    """Number of block actions over ``count`` processes (ordered set
-    partitions), via the binomial recurrence."""
+def _fubini_numbers() -> Iterator[int]:
+    """fubini(0), fubini(1), ...: the numbers of ordered set partitions,
+    one term at a time via the binomial recurrence."""
     from math import comb
 
     table = [1]
-    for m in range(1, count + 1):
+    while True:
+        yield table[-1]
+        m = len(table)
         table.append(sum(comb(m, k) * table[m - k] for k in range(1, m + 1)))
-    return table[count]
+
+
+def fubini(count: int) -> int:
+    """Number of block actions over ``count`` processes (ordered set
+    partitions)."""
+    return next(islice(_fubini_numbers(), count, None))
+
+
+def schedule_count(n: int, rounds: int, limit: int) -> int | None:
+    """``fubini(n + 1) ** rounds``, the number of schedules of (n, rounds),
+    or None when it exceeds ``limit``.  Every factor and partial product
+    is compared with ``limit`` as it is made, so no number much larger is
+    built and a size of thousands of processes or rounds is answered at
+    once."""
+    for m, per_round in enumerate(_fubini_numbers()):
+        if per_round > limit:
+            return None
+        if m == n + 1:
+            break
+    count = 1
+    for _ in range(rounds):
+        count *= per_round
+        if count > limit:
+            return None
+        if per_round == 1:
+            break
+    return count

@@ -33,9 +33,15 @@ class DecisionMap:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """What one search did.  ``nodes`` counts decisions, ``backtracks``
+    counts conflicts (each ends in a backjump, or at the root in the
+    verdict Unsolvable), ``assignments`` counts variables given a value,
+    decided or implied, and ``learned`` counts recorded nogoods."""
+
     nodes: int
     backtracks: int
     assignments: int
+    learned: int
 
 
 @dataclass(frozen=True)
@@ -53,17 +59,55 @@ class SolverError(ValueError):
     pass
 
 
+# reasons of an assignment other than a forcing schedule's position
+_DECIDED = -1
+_LAST_VALUE = -2  # every other value of the variable was removed
+
+
 class _Search:
-    """Backtracking over (agent, view-class) assignments.
+    """Conflict-driven search over (agent, view-class) assignments.
 
     Live tuple sets per schedule are bitmasks; assigning a value
-    intersects them with the value's coordinate mask.  Forced values
-    (every live tuple of some schedule agreeing on a coordinate) are
-    propagated through a work queue before branching, which never skips a
-    solution, so the first one found under the canonical variable and
-    value order is still the canonically first certificate.  Variables
-    are flattened to dense ints for the hot loop.  The view classes are
-    those of ``frame``, the schedule action model's frame.
+    intersects them with the value's coordinate mask.  A schedule whose
+    live tuples all agree on a coordinate forces that value; one whose
+    live set empties is a conflict.  Variables are flattened to dense ints
+    and a literal ``var = value`` to ``lit_base[var] + choice``.
+
+    Each conflict is explained by the literals behind it, worked out only
+    then: a value forced at schedule ``pos`` is explained by the earlier
+    assignments on that schedule's variables, a variable left with one
+    value by the nogoods that removed the others.  Resolving back to the
+    first unique implication point of the current level gives a nogood, a
+    set of literals no solution holds together (GRASP's 1UIP scheme over
+    multi-valued domains).  Literals fixed at the root are dropped from
+    it, since the task alone implies them.  The search jumps back to the
+    highest other level in the nogood, where all its literals but the
+    UIP hold, and removes the UIP's value from that variable's
+    remaining-values mask.  Learned nogoods are watched on two literals:
+    once all but one hold, the last one's value is removed.  A variable
+    with one value left is assigned it; one with none is a conflict.
+
+    Decisions follow ``branch_order`` and take the smallest remaining
+    value, and then the first complete assignment is the lexicographically
+    first solution S in that order, the certificate plain depth-first
+    search would find:
+
+    - Every nogood is implied by the task, so every removed value and
+      every implied literal is implied by the task plus the decisions at
+      its level and below.
+    - Take the lowest-level decision that disagrees with S, on variable x.
+      All decisions below it agree with S, so S satisfies everything
+      implied at those levels: every variable before x in
+      ``branch_order`` (all assigned when x was chosen) has its value in
+      S, and S's value for x was not removed.  The smallest remaining
+      value is then smaller than S's, so any solution below that decision
+      would precede S; there is none, and the search backjumps out of it.
+      No nogood excludes S, so the search cannot end Unsolvable; it ends
+      only with every decision agreeing with S, and the assignment it
+      ends with is S.
+
+    The view classes are those of ``frame``, the schedule action model's
+    frame.
     """
 
     def __init__(
@@ -109,99 +153,252 @@ class _Search:
         self.branch_order = [
             vid for vid in range(n_vars) if self.touching[vid]
         ]
-        self.value_of: list = [None] * n_vars
+        self.full = [(1 << len(values)) - 1 for values in self.var_values]
+        self.lit_base: list[int] = []
+        self.lit_var: list[int] = []
+        for vid, values in enumerate(self.var_values):
+            self.lit_base.append(len(self.lit_var))
+            self.lit_var += [vid] * len(values)
+        # per literal: the nogoods watching it, and the nogood that last
+        # removed its value
+        self.watches: list[list[list[int]]] = [[] for _ in self.lit_var]
+        self.removed_by: list = [None] * len(self.lit_var)
+
+        self.choice = [-1] * n_vars  # value index, -1 while unassigned
+        self.domain = self.full[:]  # remaining value indices as a bitmask
+        self.level = [0] * n_vars
+        self.reason = [_DECIDED] * n_vars  # or the forcing schedule's pos
+        self.trail_at = [0] * n_vars
+        self.trail: list[int] = []  # assigned variables in order
+        self.log: list[tuple[int, int]] = []  # (pos, old live) or (~var, old domain)
+        self.marks: list[tuple[int, int]] = []  # trail and log length per level
+        self.queue: list[int] = []
+        self.qhead = 0  # trail variables whose nogood watches were visited
+        self.conflict: list[int] = []  # the variables behind the last conflict
         self.nodes = 0
         self.backtracks = 0
         self.assignments = 0
+        self.learned = 0
 
-    def _assign(self, vid: int, choice: int, trail: list) -> bool:
+    # -- propagation -------------------------------------------------------
+
+    def _assign(self, vid: int, choice: int, reason: int) -> bool:
         self.assignments += 1
-        self.value_of[vid] = self.var_values[vid][choice]
-        trail.append((-1, vid))
+        self.choice[vid] = choice
+        self.level[vid] = len(self.marks)
+        self.reason[vid] = reason
+        self.trail_at[vid] = len(self.trail)
+        self.trail.append(vid)
         mask = self.var_masks[vid][choice]
         live = self.live
         for pos in self.touching[vid]:
             new = live[pos] & mask
             if new != live[pos]:
-                trail.append((pos, live[pos]))
+                self.log.append((pos, live[pos]))
                 live[pos] = new
                 if not new:
+                    self.conflict = self._assigned_on(pos)
                     return False
                 self.queue.append(pos)
         return True
 
-    def _propagate(self, trail: list) -> bool:
+    def _remove(self, vid: int, choice: int, nogood: list[int]) -> bool:
+        dom = self.domain[vid]
+        self.log.append((~vid, dom))
+        dom &= ~(1 << choice)
+        self.domain[vid] = dom
+        self.removed_by[self.lit_base[vid] + choice] = nogood
+        if dom & (dom - 1):
+            return True
+        if not dom:
+            self.conflict = self._removal_reasons(vid, self.full[vid])
+            return False
+        return self._assign(vid, dom.bit_length() - 1, _LAST_VALUE)
+
+    def _watch(self, lit: int) -> bool:
+        """Visit the nogoods watching ``lit``, which now holds."""
+        watchers = self.watches[lit]
+        if not watchers:
+            return True
+        self.watches[lit] = kept = []
+        choice, lit_var, lit_base = self.choice, self.lit_var, self.lit_base
+        for i, nogood in enumerate(watchers):
+            if nogood[0] == lit:
+                nogood[0], nogood[1] = nogood[1], lit
+            for k in range(2, len(nogood)):
+                other = nogood[k]
+                var = lit_var[other]
+                if choice[var] != other - lit_base[var]:
+                    nogood[1], nogood[k] = other, lit
+                    self.watches[other].append(nogood)
+                    break
+            else:
+                kept.append(nogood)
+                last = nogood[0]
+                var = lit_var[last]
+                c = last - lit_base[var]
+                if choice[var] == c:
+                    self.conflict = [lit_var[held] for held in nogood]
+                elif choice[var] >= 0 or not self.domain[var] >> c & 1:
+                    continue
+                elif self._remove(var, c, nogood):
+                    continue
+                kept += watchers[i + 1:]
+                return False
+        return True
+
+    def _propagate(self) -> bool:
         queue = self.queue
         live = self.live
-        value_of = self.value_of
-        while queue:
+        choice = self.choice
+        trail = self.trail
+        while True:
+            if self.qhead < len(trail):
+                vid = trail[self.qhead]
+                self.qhead += 1
+                if not self._watch(self.lit_base[vid] + choice[vid]):
+                    return False
+                continue
+            if not queue:
+                return True
             pos = queue.pop()
             lv = live[pos]
             for vid in self.sched_vars[pos]:
-                if value_of[vid] is not None:
+                if choice[vid] >= 0:
                     continue
-                for choice, mask in enumerate(self.var_masks[vid]):
+                for c, mask in enumerate(self.var_masks[vid]):
                     if lv & ~mask == 0:
-                        if not self._assign(vid, choice, trail):
+                        if not self.domain[vid] >> c & 1:
+                            # forced to a value a nogood removed
+                            self.conflict = self._assigned_on(pos)
+                            self.conflict += self._removal_reasons(vid, 1 << c)
+                            return False
+                        if not self._assign(vid, c, pos):
                             return False
                         break
-        return True
 
-    def _undo(self, trail: list):
-        value_of = self.value_of
-        live = self.live
-        while trail:
-            key, old = trail.pop()
-            if key < 0:
-                value_of[old] = None
-            else:
+    # -- conflict analysis -------------------------------------------------
+
+    def _removal_reasons(self, vid: int, removed: int) -> list[int]:
+        """The variables behind the removal of each value in ``removed``."""
+        out = []
+        base = self.lit_base[vid]
+        while removed:
+            c = (removed & -removed).bit_length() - 1
+            removed &= removed - 1
+            out += [self.lit_var[lit] for lit in self.removed_by[base + c]]
+        return [u for u in out if u != vid]
+
+    def _assigned_on(self, pos: int) -> list[int]:
+        return [u for u in self.sched_vars[pos] if self.choice[u] >= 0]
+
+    def _explain(self, vid: int) -> list[int]:
+        """The assigned variables that implied ``vid``'s value."""
+        reason = self.reason[vid]
+        if reason == _LAST_VALUE:
+            return self._removal_reasons(vid, self.full[vid] & ~self.domain[vid])
+        at = self.trail_at[vid]
+        return [
+            u for u in self._assigned_on(reason)
+            if u != vid and self.trail_at[u] < at
+        ]
+
+    def _analyze(self) -> list[int]:
+        """The 1UIP nogood of the current conflict: the UIP's literal
+        first, then the literal of highest level among the rest."""
+        depth = len(self.marks)
+        level = self.level
+        seen: set[int] = set()
+        lower: list[int] = []
+        pending = 0
+        frontier = self.conflict
+        i = len(self.trail)
+        while True:
+            for u in frontier:
+                if u not in seen:
+                    seen.add(u)
+                    if level[u] == depth:
+                        pending += 1
+                    elif level[u] > 0:
+                        lower.append(u)
+            i -= 1
+            while self.trail[i] not in seen:
+                i -= 1
+            uip = self.trail[i]
+            pending -= 1
+            if not pending:
+                break
+            frontier = self._explain(uip)
+        lower.sort(key=level.__getitem__, reverse=True)
+        return [self.lit_base[u] + self.choice[u] for u in [uip] + lower]
+
+    def _backjump(self, depth: int):
+        trail_len, log_len = self.marks[depth]
+        del self.marks[depth:]
+        for vid in self.trail[trail_len:]:
+            self.choice[vid] = -1
+        del self.trail[trail_len:]
+        log, live, domain = self.log, self.live, self.domain
+        while len(log) > log_len:
+            key, old = log.pop()
+            if key >= 0:
                 live[key] = old
+            else:
+                domain[~key] = old
+        self.qhead = trail_len
+        self.queue.clear()
+
+    def _learn(self, nogood: list[int]) -> bool:
+        """Record ``nogood`` after the backjump and remove its UIP value."""
+        self.learned += 1
+        if len(nogood) > 1:
+            self.watches[nogood[0]].append(nogood)
+            self.watches[nogood[1]].append(nogood)
+        vid = self.lit_var[nogood[0]]
+        return self._remove(vid, nogood[0] - self.lit_base[vid], nogood)
+
+    # -- search ------------------------------------------------------------
 
     def run(self) -> bool:
         """True when a complete assignment exists; :meth:`decision` reads
         it off."""
-        self.queue: list[int] = list(range(len(self.sched_ids)))
-        return self._propagate([]) and self._search()
+        self.queue = list(range(len(self.sched_ids)))
+        ok = self._propagate()
+        order = self.branch_order
+        choice = self.choice
+        decided: list[int] = []  # order index of each level's decision
+        pos = 0
+        while True:
+            while not ok:
+                self.backtracks += 1
+                if not self.marks:
+                    return False
+                nogood = self._analyze()
+                back = self.level[self.lit_var[nogood[1]]] if len(nogood) > 1 else 0
+                self._backjump(back)
+                pos = decided[back]
+                del decided[back:]
+                ok = self._learn(nogood) and self._propagate()
+            while pos < len(order) and choice[order[pos]] >= 0:
+                pos += 1
+            if pos == len(order):
+                return True
+            vid = order[pos]
+            self.nodes += 1
+            self.marks.append((len(self.trail), len(self.log)))
+            decided.append(pos)
+            dom = self.domain[vid]
+            ok = (
+                self._assign(vid, (dom & -dom).bit_length() - 1, _DECIDED)
+                and self._propagate()
+            )
 
     def decision(self) -> DecisionMap:
         """The assignment :meth:`run` found, per agent in class order."""
         values: list[list[Value]] = [[] for _ in range(self.agent_count)]
         for vid, (a, _) in enumerate(self.variables):
-            value = self.value_of[vid]
-            values[a].append(self.var_values[vid][0] if value is None else value)
+            values[a].append(self.var_values[vid][max(self.choice[vid], 0)])
         return DecisionMap(tuple(tuple(v) for v in values))
-
-    def _search(self) -> bool:
-        """Depth-first over ``branch_order`` with an explicit stack, so no
-        recursion limit bounds the number of branching levels.  A node is
-        opened at the first unassigned variable past its parent's; its
-        values are tried in order, each undone before the next."""
-        value_of = self.value_of
-        order = self.branch_order
-        stack: list[list] = []  # per open node: [pos, vid, next choice, trail]
-        pos = 0
-        while True:
-            while pos < len(order) and value_of[order[pos]] is not None:
-                pos += 1
-            if pos == len(order):
-                return True
-            self.nodes += 1
-            stack.append([pos, order[pos], 0, []])
-            while True:
-                if not stack:
-                    return False
-                node = stack[-1]
-                pos, vid, choice, trail = node
-                self._undo(trail)
-                if choice == len(self.var_values[vid]):
-                    self.backtracks += 1
-                    stack.pop()
-                    continue
-                node[2] = choice + 1
-                self.queue = []
-                if self._assign(vid, choice, trail) and self._propagate(trail):
-                    pos += 1
-                    break
 
 
 def solve(
@@ -210,11 +407,11 @@ def solve(
     rounds: int | None = None,
     abstraction: Abstraction | None = None,
 ) -> Verdict:
-    """Complete backtracking search over decision maps.
+    """Complete search over decision maps, learning a nogood from every
+    conflict (see :class:`_Search`).
 
-    Any schedule whose compatible tuple set empties prunes the branch.  A
-    Solvable verdict is re-verified through the simulator path before
-    being returned.
+    A Solvable verdict carries the canonically first certificate and is
+    re-verified through the simulator path before being returned.
     """
     n = task.n if n is None else n
     rounds = task.rounds if rounds is None else rounds
@@ -225,11 +422,13 @@ def solve(
     frame = protocol_action_model(task.n, task.rounds, abstraction).frame
     classes = frame.classes_by_agent
     if task.empty_schedules:
-        return Verdict(False, None, classes, SearchStats(0, 0, 0))
+        return Verdict(False, None, classes, SearchStats(0, 0, 0, 0))
 
     search = _Search(task, frame)
     solvable = search.run()
-    stats = SearchStats(search.nodes, search.backtracks, search.assignments)
+    stats = SearchStats(
+        search.nodes, search.backtracks, search.assignments, search.learned
+    )
     if not solvable:
         return Verdict(False, None, classes, stats)
     decision = search.decision()

@@ -18,9 +18,9 @@ from .logic import ActionModel, KripkeModel, product_update
 from .schedules import (
     Schedule,
     final_states,
-    fubini,
     input_model,
     schedule_context,
+    schedule_count,
     seen_ids,
     view1,
 )
@@ -88,11 +88,16 @@ class InputlessTask:
             raise TaskError("n must be >= 0")
         if self.rounds < 1:
             raise TaskError("rounds must be >= 1")
-        expected = fubini(self.n + 1) ** self.rounds
-        if len(self.delta_table) != expected:
+        rows = len(self.delta_table)
+        expected = schedule_count(self.n, self.rounds, rows)
+        if expected is None:
             raise TaskError(
-                f"delta table covers {len(self.delta_table)} schedules, "
-                f"expected {expected}"
+                f"delta table covers {rows} schedules; n={self.n} and "
+                f"N={self.rounds} have more"
+            )
+        if rows != expected:
+            raise TaskError(
+                f"delta table covers {rows} schedules, expected {expected}"
             )
         for t in self.output.tuples:
             if len(t) != self.process_count:

@@ -13,6 +13,7 @@ from epikit.logic import MAX_FORMULA_DEPTH, model_from_json
 from epikit.tasks import make_task, task_from_json, task_to_json
 from epikit.topology import complex_from_json
 
+from test_logic import MALFORMED_MODELS
 from test_tasks import MALFORMED_TASKS
 
 
@@ -222,6 +223,47 @@ def test_check_task_file_rejects_malformed_files(case, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "header",
+    [{"n": 3000, "N": 1}, {"n": 60, "N": 200}],
+    ids=["3000 processes", "60 processes, 200 rounds"],
+)
+def test_check_task_file_refuses_an_oversized_header_at_once(header, tmp_path):
+    # the schedule count of such a header is never built as an integer
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps({**header, "tuples": [], "delta": []}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "epikit.cli", "check", "--n", "2", "--task-file", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: delta table covers 0 schedules; n={header['n']} and "
+        f"N={header['N']} have more\n"
+    )
+
+
+def test_cap_message_for_a_huge_n_is_immediate(capsys):
+    code, _, err = run_cli(capsys, "check", "--n", "3000", "--task", "testset")
+    assert code == 1
+    assert f"enumerate more than {cli.ESTIMATE_LIMIT} schedules" in err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_mc_model_file_rejects_malformed_files(capsys, case, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MALFORMED_MODELS[case]))
+    code, out, err = run_cli(
+        capsys, "mc", "--model-file", str(path), "--state", "0", "--formula", "true"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_check_report_on_a_task_without_tuples(capsys, tmp_path):

@@ -9,6 +9,7 @@ from epikit.kernel import (
     are_isomorphic,
     compose_morphisms,
     find_isomorphism,
+    FormatError,
     frame_from_json,
     frame_to_dot,
     frame_to_json,
@@ -260,6 +261,18 @@ def test_same_class_counts_different_wiring():
 def test_frame_json_roundtrip():
     f = new_frame(3, 2, [[0, 0, 1], [0, 1, 1]])
     assert frame_from_json(frame_to_json(f)) == f
+
+
+@pytest.mark.parametrize("data", [
+    [[0, 0]],
+    {"states": 2, "agents": 1},
+    {"states": 2, "agents": True, "partitions": [[0, 0]]},
+    {"states": 2, "agents": 1, "partitions": [[0, 0], [0, 0]]},
+    {"states": 2, "agents": 1, "partitions": [[0, 0.5]]},
+])
+def test_frame_from_json_rejects_malformed_data(data):
+    with pytest.raises(FormatError):
+        frame_from_json(data)
 
 
 def test_frame_dot_is_stable():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from epikit.kernel import (
+    FormatError,
     FrameMorphism,
     are_isomorphic,
     identity_morphism,
@@ -438,3 +439,53 @@ def test_model_json_roundtrip():
     model = protocol_model(2, 1)
     again = model_from_json(model_to_json(model))
     assert again == model
+
+
+# a well-formed two-state, one-agent model and ways to break it
+GOOD_MODEL = {
+    "states": 2, "agents": 1, "partitions": [[0, 0]],
+    "ap": ["a"], "valuation": [[0], []],
+}
+
+
+def _model_with(**changes):
+    data = dict(GOOD_MODEL)
+    for key, value in changes.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    return data
+
+
+MALFORMED_MODELS = {
+    "not an object": [],
+    "frame keys only partly there": {"n": 1, "states": 3},
+    "missing partitions": _model_with(partitions=None),
+    "missing valuation": _model_with(valuation=None),
+    "states not an int": _model_with(states="2"),
+    "negative states": _model_with(states=-1),
+    "agents not an int": _model_with(agents=1.0),
+    "no agents": _model_with(agents=0, partitions=[]),
+    "partitions not a list": _model_with(partitions={"0": [0, 0]}),
+    "too few partition rows": _model_with(agents=2),
+    "short partition row": _model_with(partitions=[[0]]),
+    "label not an int": _model_with(partitions=[[0, [1]]]),
+    "ap not a list": _model_with(ap="a"),
+    "atom name not a string": _model_with(ap=["a", 1]),
+    "short valuation": _model_with(valuation=[[0]]),
+    "valuation row not a list": _model_with(valuation=[0, []]),
+    "atom index out of range": _model_with(valuation=[[0], [1]]),
+    "atom index not an int": _model_with(valuation=[["0"], []]),
+}
+
+
+def test_good_model_loads():
+    model = model_from_json(GOOD_MODEL)
+    assert model.valuation == (frozenset((0,)), frozenset())
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_model_from_json_rejects_malformed_data(case):
+    with pytest.raises(FormatError):
+        model_from_json(MALFORMED_MODELS[case])

@@ -25,6 +25,8 @@ from epikit.schedules import (
     protocol_action_model,
     protocol_model,
     schedule,
+    schedule_context,
+    schedule_count,
     schedule_from_json,
     schedule_to_json,
     seen_ids,
@@ -72,6 +74,22 @@ def test_block_action_counts(n, count):
     generated = enum_block_actions(n)
     assert len(generated) == count
     assert {a.classes for a in generated} == oracle
+
+
+@pytest.mark.parametrize("n,rounds", [(0, 1), (0, 5), (1, 3), (2, 2), (3, 2)])
+def test_schedule_count_stops_at_its_limit(n, rounds):
+    count = fubini_recurrence(n + 1) ** rounds
+    assert count == len(enum_schedules(n, rounds))
+    assert schedule_count(n, rounds, count) == count
+    assert schedule_count(n, rounds, 10 ** 30) == count
+    assert schedule_count(n, rounds, count - 1) is None
+
+
+def test_schedule_count_of_huge_sizes_is_immediate():
+    # neither fubini(3001) nor 3 ** 10**9 is ever built
+    assert schedule_count(3000, 1, 10 ** 6) is None
+    assert schedule_count(1, 10 ** 9, 10 ** 6) is None
+    assert schedule_count(0, 10 ** 9, 1) == 1
 
 
 def test_single_process_enumeration():
@@ -253,6 +271,16 @@ def test_identity_preconditions():
     model = protocol_action_model(2, 1)
     for k in range(13):
         assert model.preconditions[k] == frozenset((k,))
+
+
+def test_action_model_reads_the_context_frame_and_last_round_views():
+    ctx = schedule_context(2, 2)
+    model = protocol_action_model(2, 2)
+    assert model.frame is ctx.frame
+    assert model.sees == tuple(
+        tuple(tuple(sorted(view1(a, s.rounds[-1]))) for a in range(3))
+        for s in ctx.schedules
+    )
 
 
 def test_constant_abstraction_collapses_everything():

@@ -400,3 +400,232 @@ def test_verifier_catches_a_simulator_that_disagrees(monkeypatch):
     )
     assert not reference_verify(anything, verdict.decision)
     assert not verify_certificate(anything, 2, 1, verdict.decision)
+
+
+# ---------------------------------------------------------------------------
+# the learning search against chronological backtracking and brute force
+
+class ChronologicalSearch:
+    """The solver's search before it learned, kept as a reference:
+    chronological depth-first search over the same variable and value
+    order with the same tuple-mask propagation, undoing one level at a
+    time and recording nothing (written recursively; the test tasks have
+    at most about a hundred variables)."""
+
+    def __init__(self, task, frame):
+        tuples = task.output.tuples
+        n_agents = self.agent_count = task.process_count
+        self.variables = [
+            (a, c)
+            for a in range(n_agents)
+            for c in range(len(frame.classes_by_agent[a]))
+        ]
+        var_id = {v: i for i, v in enumerate(self.variables)}
+        domains = [task.output.values_for(a) for a in range(n_agents)]
+        self.var_values = [tuple(domains[a]) for a, _ in self.variables]
+        self.var_masks = [
+            tuple(
+                sum(1 << t for t, out in enumerate(tuples) if out[a] == value)
+                for value in domains[a]
+            )
+            for a, _ in self.variables
+        ]
+        self.live = [sum(1 << t for t in row) for row in task.delta_table]
+        self.sched_vars = [
+            tuple(var_id[(a, frame.partitions[a][k])] for a in range(n_agents))
+            for k in range(len(task.delta_table))
+        ]
+        self.touching = [[] for _ in self.variables]
+        for pos, svars in enumerate(self.sched_vars):
+            for vid in svars:
+                self.touching[vid].append(pos)
+        self.order = [vid for vid in range(len(self.variables)) if self.touching[vid]]
+        self.value_of = [None] * len(self.variables)
+        self.queue = list(range(len(self.live)))
+
+    def _assign(self, vid, choice, trail):
+        self.value_of[vid] = self.var_values[vid][choice]
+        trail.append((-1, vid))
+        mask = self.var_masks[vid][choice]
+        for pos in self.touching[vid]:
+            new = self.live[pos] & mask
+            if new != self.live[pos]:
+                trail.append((pos, self.live[pos]))
+                self.live[pos] = new
+                if not new:
+                    return False
+                self.queue.append(pos)
+        return True
+
+    def _propagate(self, trail):
+        while self.queue:
+            pos = self.queue.pop()
+            lv = self.live[pos]
+            for vid in self.sched_vars[pos]:
+                if self.value_of[vid] is not None:
+                    continue
+                for choice, mask in enumerate(self.var_masks[vid]):
+                    if lv & ~mask == 0:
+                        if not self._assign(vid, choice, trail):
+                            return False
+                        break
+        return True
+
+    def _undo(self, trail):
+        while trail:
+            key, old = trail.pop()
+            if key < 0:
+                self.value_of[old] = None
+            else:
+                self.live[key] = old
+
+    def _search(self, pos):
+        while pos < len(self.order) and self.value_of[self.order[pos]] is not None:
+            pos += 1
+        if pos == len(self.order):
+            return True
+        vid = self.order[pos]
+        for choice in range(len(self.var_values[vid])):
+            trail = []
+            self.queue = []
+            if (
+                self._assign(vid, choice, trail)
+                and self._propagate(trail)
+                and self._search(pos + 1)
+            ):
+                return True
+            self._undo(trail)
+        return False
+
+    def solve(self):
+        """The first decision map in canonical order, or None."""
+        if not all(self.live) or not (self._propagate([]) and self._search(0)):
+            return None
+        values = [[] for _ in range(self.agent_count)]
+        for vid, (a, _) in enumerate(self.variables):
+            value = self.value_of[vid]
+            values[a].append(self.var_values[vid][0] if value is None else value)
+        return DecisionMap(tuple(tuple(v) for v in values))
+
+
+def brute_force_first(task):
+    """The first decision map in canonical order, by enumerating maps with
+    one value per (agent, class) in agent-then-class order, values in the
+    order of their first tuple, and refusing a prefix as soon as a
+    schedule whose agents all have a value is not allowed.  Classes come
+    from the simulator."""
+    n_agents = task.process_count
+    scheds = enum_schedules(task.n, task.rounds)
+    index = [{} for _ in range(n_agents)]
+    classes = [[] for _ in range(n_agents)]
+    for sched in scheds:
+        finals = simengine.run(sched).finals
+        for a in range(n_agents):
+            classes[a].append(index[a].setdefault(finals[a], len(index[a])))
+    variables = [(a, c) for a in range(n_agents) for c in range(len(index[a]))]
+    domains = [task.output.values_for(a) for a, _ in variables]
+    position = {v: i for i, v in enumerate(variables)}
+    # the schedules to check once variable i has its value
+    due = [[] for _ in variables]
+    for k in range(len(scheds)):
+        last = max(position[(a, classes[a][k])] for a in range(n_agents))
+        due[last].append(k)
+
+    chosen = []
+
+    def extend():
+        i = len(chosen)
+        if i == len(variables):
+            return True
+        for value in domains[i]:
+            chosen.append(value)
+            if all(
+                task.allows(k, tuple(
+                    chosen[position[(a, classes[a][k])]] for a in range(n_agents)
+                ))
+                for k in due[i]
+            ) and extend():
+                return True
+            chosen.pop()
+        return False
+
+    if not extend():
+        return None
+    return DecisionMap(tuple(
+        tuple(chosen[position[(a, c)]] for c in range(len(index[a])))
+        for a in range(n_agents)
+    ))
+
+
+def _threshold_task(rng, n, rounds, width, allow):
+    """Random tuples over ``width`` values per agent, each row allowing
+    each tuple with probability ``allow``."""
+    every = list(iproduct(range(width), repeat=n + 1))
+    tuples = sorted(rng.sample(every, max(1, round(len(every) * rng.uniform(0.6, 1)))))
+    scheds = enum_schedules(n, rounds)
+    allowed = {s: {t for t in tuples if rng.random() < allow} for s in scheds}
+    return make_task("threshold", n, rounds, tuples, lambda s, out: out in allowed[s])
+
+
+# (n, rounds, values per agent, range of the share of tuples a row
+# allows, brute force as well): the ranges sit where these tasks turn from
+# solvable to unsolvable, so that searches meet conflicts; brute force
+# only where it takes well under a second
+DIFFERENTIAL_SHAPES = (
+    (1, 1, 2, (0.5, 0.9), True),
+    (1, 1, 3, (0.4, 0.7), True),
+    (1, 2, 2, (0.6, 0.9), True),
+    (1, 2, 3, (0.5, 0.7), True),
+    (1, 3, 2, (0.7, 0.95), True),
+    (1, 3, 3, (0.55, 0.7), False),
+    (2, 1, 2, (0.7, 0.95), True),
+    (2, 1, 3, (0.55, 0.7), True),
+    (2, 2, 2, (0.88, 0.97), False),
+)
+
+
+def _differential_case(seed):
+    rng = random.Random(seed)
+    n, rounds, width, (low, high), brute = DIFFERENTIAL_SHAPES[
+        seed % len(DIFFERENTIAL_SHAPES)
+    ]
+    return _threshold_task(rng, n, rounds, width, rng.uniform(low, high)), brute
+
+
+@pytest.mark.parametrize("seed", range(90))
+def test_learning_search_finds_the_canonical_first_certificate(seed):
+    task, brute = _differential_case(seed)
+    verdict = solve(task)
+    frame = protocol_action_model(task.n, task.rounds).frame
+    expected = ChronologicalSearch(task, frame).solve()
+    assert verdict.solvable == (expected is not None)
+    assert verdict.decision == expected
+    if brute:
+        assert brute_force_first(task) == expected
+
+
+def test_differential_cases_meet_conflicts():
+    # the comparison above says little unless a good share of its cases
+    # backjump and learn
+    learned = [solve(_differential_case(seed)[0]).stats.learned for seed in range(90)]
+    assert sum(1 for count in learned if count) >= 30
+
+
+def test_learning_cuts_the_two_round_two_testset_search():
+    # ten times fewer nodes than the 23,883 of chronological backtracking
+    stats = solve(builtin("two_testset", 2, 2)).stats
+    assert stats.nodes <= 2388
+    assert stats.learned > 0 and stats.backtracks == stats.learned + 1
+
+
+def test_two_round_conflict_core_is_minimal():
+    task = builtin("two_testset", 2, 2)
+    core = conflict_core(task)
+    from epikit.solver import _solve_restricted
+
+    frame = protocol_action_model(2, 2).frame
+    assert len(core) == 71
+    assert not _solve_restricted(task, core, frame)
+    for drop in core:
+        rest = [k for k in core if k != drop]
+        assert _solve_restricted(task, rest, frame)
