@@ -91,25 +91,19 @@ def _resolve_state(token: str, n: int, rounds: int) -> int:
 
 
 def _build_model(args):
-    kind = args.kind
-    if kind == "input":
+    if args.kind == "input":
         return input_model(args.n, args.rounds)
-    if kind == "protocol":
+    if args.kind == "protocol":
         return protocol_model(args.n, args.rounds)
-    if kind == "output":
-        task = _load_task(args)
-        model, _ = output_model(task, args.n, args.rounds)
-        return model
-    raise CliError(f"unknown model kind {kind!r}")
+    model, _ = output_model(_load_task(args), args.n, args.rounds)
+    return model
 
 
 def _build_complex(args):
     if args.kind == "protocol":
         frame = protocol_model(args.n, args.rounds).frame
-    elif args.kind == "output":
-        frame = _load_task(args).output.frame
     else:
-        raise CliError(f"unknown complex kind {args.kind!r}")
+        frame = _load_task(args).output.frame
     if not is_proper(frame):
         raise CliError("frame is not proper; it has no dual complex")
     complex_, _ = frame_to_complex(frame)
@@ -307,10 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

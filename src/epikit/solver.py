@@ -116,7 +116,6 @@ class _Search:
         frame: KripkeFrame,
         keep: Sequence[int] | None = None,
     ):
-        tuples = task.output.tuples
         n_agents = self.agent_count = task.process_count
         self.variables = [
             (a, c)
@@ -125,16 +124,15 @@ class _Search:
         ]
         var_id = {v: i for i, v in enumerate(self.variables)}
         n_vars = len(self.variables)
-        domains = [task.output.values_for(a) for a in range(n_agents)]
-        # per variable: candidate values and the tuple mask of each value
-        self.var_values: list[tuple] = [()] * n_vars
-        self.var_masks: list[tuple[int, ...]] = [()] * n_vars
-        for (a, c), vid in var_id.items():
-            self.var_values[vid] = tuple(domains[a])
-            self.var_masks[vid] = tuple(
-                sum(1 << t for t, out in enumerate(tuples) if out[a] == value)
-                for value in domains[a]
-            )
+        # per variable: candidate values and the tuple mask of each value,
+        # one pair shared by all of an agent's variables (a task without
+        # tuples has no values)
+        by_agent = [
+            (tuple(masks), tuple(masks.values()))
+            for masks in task.output.value_masks or ({},) * n_agents
+        ]
+        self.var_values = [by_agent[a][0] for a, _ in self.variables]
+        self.var_masks = [by_agent[a][1] for a, _ in self.variables]
         kept = range(len(task.delta_table)) if keep is None else keep
         self.sched_ids = list(kept)
         self.live = [
@@ -483,13 +481,12 @@ def verify_certificate(
                 f"classes, simulator found {max(sim_class[a]) + 1}"
             )
 
-    tuple_index = {t: i for i, t in enumerate(task.output.tuples)}
     image = []
     for k in range(len(scheds)):
         out = tuple(decision.value(a, sim_class[a][k]) for a in range(n_agents))
         if not task.allows(k, out):
             return False
-        image.append(tuple_index[out])
+        image.append(task.output.index[out])
     frame = protocol_action_model(n, rounds, abstraction).frame
     return is_morphism(FrameMorphism(tuple(image)), frame, task.output.frame)
 

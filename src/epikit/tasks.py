@@ -37,7 +37,7 @@ class OutputFrame:
     tuples: tuple[OutputTuple, ...]
 
     def __post_init__(self):
-        if len(set(self.tuples)) != len(self.tuples):
+        if len(self.index) != len(self.tuples):
             raise ValueError("output tuples must be pairwise distinct")
         widths = {len(t) for t in self.tuples}
         if len(widths) > 1:
@@ -53,13 +53,27 @@ class OutputFrame:
         partitions = [[t[i] for t in self.tuples] for i in range(n)]
         return new_frame(len(self.tuples), n, partitions)
 
+    @cached_property
+    def index(self) -> dict[OutputTuple, int]:
+        """The position of each tuple in ``tuples``."""
+        return {t: k for k, t in enumerate(self.tuples)}
+
+    @cached_property
+    def value_masks(self) -> tuple[dict[Value, int], ...]:
+        """Per agent, each decision value, in order of first tuple
+        occurrence, with the bitmask of the tuples carrying it (bit k for
+        ``tuples[k]``).  Empty when there are no tuples."""
+        masks: list[dict[Value, int]] = (
+            [{} for _ in self.tuples[0]] if self.tuples else []
+        )
+        for k, t in enumerate(self.tuples):
+            for by_value, value in zip(masks, t):
+                by_value[value] = by_value.get(value, 0) | 1 << k
+        return tuple(masks)
+
     def values_for(self, agent: int) -> list[Value]:
         """The agent's decision domain, ordered by first tuple occurrence."""
-        out: list[Value] = []
-        for t in self.tuples:
-            if t[agent] not in out:
-                out.append(t[agent])
-        return out
+        return list(self.value_masks[agent]) if self.tuples else []
 
 
 class TaskError(ValueError):
@@ -123,11 +137,8 @@ class InputlessTask:
         return tuple(k for k, row in enumerate(self.delta_table) if not row)
 
     def allows(self, schedule_index: int, output: OutputTuple) -> bool:
-        try:
-            t = self.output.tuples.index(output)
-        except ValueError:
-            return False
-        return t in self.delta_table[schedule_index]
+        t = self.output.index.get(output)
+        return t is not None and t in self.delta_table[schedule_index]
 
     def allowed_tuples(self, schedule_index: int) -> tuple[OutputTuple, ...]:
         return tuple(self.output.tuples[t] for t in self.delta_table[schedule_index])
@@ -140,8 +151,7 @@ def make_task(
     tuples: Sequence[OutputTuple],
     delta: DeltaPredicate,
 ) -> InputlessTask:
-    """Tabulate a predicate-form relation over the canonical schedules,
-    asking about every tuple of one schedule before the next schedule."""
+    """Tabulate a predicate-form relation over the canonical schedules."""
     output = OutputFrame(tuple(tuple(t) for t in tuples))
     table = tuple(
         tuple(t for t, out in enumerate(output.tuples) if delta(sched, out))
@@ -177,8 +187,9 @@ def output_model(
 # ---------------------------------------------------------------------------
 # builtins
 
-# The builtins' rules for one schedule at a time.  The builtins themselves
-# read the same facts off the shared schedule context, once per schedule.
+# The builtins' rules for one schedule at a time, the references their
+# tables are tested against.  The builtins themselves read the same facts
+# off the shared schedule context, once per view class.
 
 def never_reads_others(agent: int, sched: Schedule) -> bool:
     """True when nothing of any other process ever reaches the agent.
@@ -201,59 +212,39 @@ def _one_hot_tuples(width: int) -> list[OutputTuple]:
     return [tuple(1 if j == i else 0 for j in range(width)) for i in range(width)]
 
 
-def _per_schedule(facts: Callable[[Schedule], object]) -> Callable[[Schedule], object]:
-    """``facts`` remembered for the schedule it was last asked about.
-    :func:`make_task` asks about every tuple of a schedule before the next
-    one, so a builtin's facts are worked out once per schedule, not once
-    per (schedule, tuple) pair."""
-    last: list = [None, None]
-
-    def get(sched: Schedule):
-        if last[0] is not sched:
-            last[0], last[1] = sched, facts(sched)
-        return last[1]
-
-    return get
-
-
-def _seen_sets(n: int, rounds: int) -> Callable[[Schedule], list[frozenset[int]]]:
-    """Per schedule, the ids seen by each process, read off the shared
-    full-information final states."""
+def _winners_task(
+    name: str,
+    n: int,
+    rounds: int,
+    tuples: list[OutputTuple],
+    pairs: Sequence[tuple[int, int]],
+) -> InputlessTask:
+    """The task whose row for a schedule keeps the tuples in which every
+    process that never reads anyone else outputs 1, and, for each of
+    ``pairs`` that only ever sees itself, both members output 1 and the
+    third process 0.  Equal final states have seen equal ids, so seen sets
+    are worked out once per view class of the shared context's frame."""
+    output = OutputFrame(tuple(tuples))
+    masks = output.value_masks
     ctx = schedule_context(n, rounds)
-    return lambda sched: [seen_ids(state) for state in ctx.finals[ctx.index[sched]]]
-
-
-def _solo(seen: list[frozenset[int]]) -> list[int]:
-    """The processes that never read anyone else; each must win."""
-    return [i for i, ids in enumerate(seen) if ids == {i}]
-
-
-def _testset_delta(n: int, rounds: int) -> DeltaPredicate:
-    seen = _seen_sets(n, rounds)
-    solo = _per_schedule(lambda s: _solo(seen(s)))
-    return lambda sched, out: all(out[i] == 1 for i in solo(sched))
-
-
-def _two_testset_delta(rounds: int) -> DeltaPredicate:
-    seen = _seen_sets(2, rounds)
-
-    def forced(sched: Schedule):
-        ids = seen(sched)
-        # a pair that only ever sees itself wins together
-        pairs = [
-            (i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if ids[i] | ids[j] <= {i, j}
-        ]
-        return _solo(ids), pairs
-
-    facts = _per_schedule(forced)
-
-    def delta(sched: Schedule, out: OutputTuple) -> bool:
-        solo, pairs = facts(sched)
-        return all(out[i] == 1 for i in solo) and all(
-            out[i] == 1 and out[j] == 1 and out[3 - i - j] == 0 for i, j in pairs
-        )
-
-    return delta
+    frame = ctx.frame
+    seen_by_class = [
+        [seen_ids(ctx.finals[members[0]][a]) for members in classes]
+        for a, classes in enumerate(frame.classes_by_agent)
+    ]
+    width = len(output.tuples)
+    rows = []
+    for k in frame.states():
+        seen = [seen_by_class[a][frame.partitions[a][k]] for a in range(n + 1)]
+        live = (1 << width) - 1
+        for i, ids in enumerate(seen):
+            if ids == {i}:
+                live &= masks[i][1]
+        for i, j in pairs:
+            if seen[i] | seen[j] <= {i, j}:
+                live &= masks[i][1] & masks[j][1] & masks[3 - i - j][0]
+        rows.append(tuple(t for t in range(width) if live >> t & 1))
+    return InputlessTask(name, n, rounds, output, tuple(rows))
 
 
 def builtin(name: str, n: int, rounds: int = 1) -> InputlessTask:
@@ -271,26 +262,23 @@ def builtin(name: str, n: int, rounds: int = 1) -> InputlessTask:
     """
     key = name.replace("-", "_")
     if key == "testset":
-        width = n + 1
-        return make_task(
-            "testset", n, rounds, _one_hot_tuples(width), _testset_delta(n, rounds)
-        )
+        return _winners_task("testset", n, rounds, _one_hot_tuples(n + 1), ())
     if key == "two_testset":
         if n + 1 != 3:
             raise TaskError("two_testset is defined for exactly 3 processes")
         tuples = _one_hot_tuples(3) + [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
-        return make_task("two_testset", n, rounds, tuples, _two_testset_delta(rounds))
+        pairs = ((0, 1), (0, 2), (1, 2))
+        return _winners_task("two_testset", n, rounds, tuples, pairs)
     if key == "snapshot":
         if rounds != 1:
             raise TaskError("snapshot is defined for a single round")
-        view_tuple = _per_schedule(
-            lambda s: tuple(tuple(sorted(view1(i, s.rounds[0]))) for i in range(n + 1))
-        )
-        scheds = schedule_context(n, 1).schedules
-        tuples = list(dict.fromkeys(view_tuple(s) for s in scheds))
-        return make_task(
-            "snapshot", n, 1, tuples, lambda s, out: out == view_tuple(s)
-        )
+        views = [
+            tuple(tuple(sorted(view1(i, s.rounds[0]))) for i in range(n + 1))
+            for s in schedule_context(n, 1).schedules
+        ]
+        output = OutputFrame(tuple(dict.fromkeys(views)))
+        rows = tuple((output.index[v],) for v in views)
+        return InputlessTask("snapshot", n, 1, output, rows)
     raise TaskError(f"unknown task {name!r}")
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .kernel import (
+    FormatError,
     FrameMorphism,
     KripkeFrame,
     agent_name,
@@ -157,24 +158,14 @@ def morphism_to_simplicial(
         raise ValueError("not a frame morphism")
     src_complex, _ = frame_to_complex(src)
     dst_complex, _ = frame_to_complex(dst)
-
-    # (agent, class) -> vertex index, matching frame_to_complex's ordering
-    def vertex_table(frame: KripkeFrame) -> dict[tuple[int, int], int]:
-        table = {}
-        counter = 0
-        for a in range(frame.agent_count):
-            for c in range(frame.num_classes(a)):
-                table[(a, c)] = counter
-                counter += 1
-        return table
-
-    src_table = vertex_table(src)
-    dst_table = vertex_table(dst)
+    # facet u is state u's, so its a-colored vertex is (a, class of u)
+    src_vertex = src_complex.facet_vertex_by_color
+    dst_vertex = dst_complex.facet_vertex_by_color
     vertex_map = [0] * len(src_complex.vertices)
     for a in range(src.agent_count):
-        for c, members in enumerate(src.classes_by_agent[a]):
-            image_class = dst.partitions[a][f(members[0])]
-            vertex_map[src_table[(a, c)]] = dst_table[(a, image_class)]
+        for members in src.classes_by_agent[a]:
+            u = members[0]
+            vertex_map[src_vertex[u][a]] = dst_vertex[f(u)][a]
     smap = SimplicialMap(tuple(vertex_map))
     if not validate_simplicial_map(smap, src_complex, dst_complex):
         raise ValueError("induced vertex map is not chromatic simplicial")
@@ -253,9 +244,40 @@ def complex_to_json(complex_: ChromaticComplex) -> dict:
 
 
 def complex_from_json(data: dict) -> ChromaticComplex:
-    vertices = tuple((int(v["color"]), str(v["label"])) for v in data["vertices"])
-    facets = tuple(tuple(sorted(facet)) for facet in data["facets"])
-    return ChromaticComplex(vertices, facets)
+    """The complex :func:`complex_to_json` wrote.  Anything else, such as
+    a missing key, a color that is not an integer, a facet naming a
+    vertex that does not exist or a facet set that is not a pure
+    chromatic complex, raises :class:`~epikit.kernel.FormatError`."""
+    if not isinstance(data, dict):
+        raise FormatError("a complex must be a JSON object")
+    missing = [key for key in ("vertices", "facets") if key not in data]
+    if missing:
+        raise FormatError(f"complex is missing {', '.join(missing)}")
+    vertices, facets = data["vertices"], data["facets"]
+    if not isinstance(vertices, list) or not all(
+        isinstance(v, dict)
+        and type(v.get("color")) is int
+        and isinstance(v.get("label"), str)
+        for v in vertices
+    ):
+        raise FormatError(
+            "vertices must be objects with an integer color and a string label"
+        )
+    if not isinstance(facets, list) or not all(
+        isinstance(facet, list)
+        and all(type(v) is int and 0 <= v < len(vertices) for v in facet)
+        for facet in facets
+    ):
+        raise FormatError(
+            f"facets must be lists of vertex indices 0..{len(vertices) - 1}"
+        )
+    try:
+        return ChromaticComplex(
+            tuple((v["color"], v["label"]) for v in vertices),
+            tuple(tuple(sorted(facet)) for facet in facets),
+        )
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def complex_to_dot(complex_: ChromaticComplex) -> str:

@@ -1,5 +1,9 @@
 """Memory-array simulator and its agreement with the view algebra."""
 
+import random
+
+import pytest
+
 from epikit.schedules import enum_schedules, final_states, parse_schedule
 from epikit.simengine import format_trace, oracle_indist, record_to_json, run
 
@@ -66,6 +70,33 @@ def test_simulator_agrees_with_view_algebra():
     # formula; both paths share only the schedule
     for sched in enum_schedules(2, 1) + enum_schedules(1, 2):
         assert run(sched).finals == final_states(sched)
+
+
+def random_abstraction(rng):
+    """A deterministic abstraction drawn at random: each (round, state,
+    snapshot) gets a fixed (write, new state) pair the first time it is
+    asked for, each part being the snapshot, its ids, the old state or a
+    bit."""
+    table = {}
+
+    def abstraction(rnd, state, snap):
+        key = (rnd, state, snap)
+        if key not in table:
+            parts = [snap, tuple(j for j, _ in snap), state, rng.randrange(2)]
+            table[key] = (rng.choice(parts), rng.choice(parts))
+        return table[key]
+
+    return abstraction
+
+
+@pytest.mark.parametrize("n, rounds", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("seed", range(3))
+def test_simulator_agrees_with_view_algebra_under_random_abstractions(
+    n, rounds, seed
+):
+    abstraction = random_abstraction(random.Random(seed))
+    for sched in enum_schedules(n, rounds):
+        assert run(sched, abstraction).finals == final_states(sched, abstraction)
 
 
 def test_two_round_oracle_example():

@@ -5,6 +5,9 @@ records (which registers ever showed foreign data, transitively), not
 through the view algebra the task module uses.
 """
 
+import random
+from itertools import product
+
 import pytest
 
 from epikit.kernel import is_proper
@@ -231,10 +234,13 @@ def reference_allows(name, sched, out):
     [
         ("testset", 2, 2),
         ("testset", 3, 1),
+        ("testset", 1, 3),
         ("two_testset", 2, 1),
         ("two_testset", 2, 2),
+        ("two_testset", 2, 3),
         ("snapshot", 2, 1),
         ("snapshot", 3, 1),
+        ("snapshot", 4, 1),
     ],
 )
 def test_builtin_table_matches_per_pair_reference(name, n, rounds):
@@ -247,6 +253,33 @@ def test_builtin_table_matches_per_pair_reference(name, n, rounds):
         for sched in enum_schedules(n, rounds)
     )
     assert task.delta_table == expected
+
+
+# ---------------------------------------------------------------------------
+# output frame indexes against a scan
+
+@pytest.mark.parametrize("seed", range(12))
+def test_output_frame_indexes_match_a_scan(seed):
+    rng = random.Random(seed)
+    width = rng.randint(1, 3)
+    values = [0, 1, "x", (0, 1)][: rng.randint(1, 4)]
+    every = list(product(values, repeat=width))
+    # seed 0 draws no tuples
+    tuples = tuple(rng.sample(every, rng.randint(0, len(every)) if seed else 0))
+    output = OutputFrame(tuples)
+    assert output.index == {t: tuples.index(t) for t in tuples}
+    domains = [[] for _ in range(width)]
+    for t in tuples:
+        for a, value in enumerate(t):
+            if value not in domains[a]:
+                domains[a].append(value)
+    masks = tuple(
+        {v: sum(1 << k for k, t in enumerate(tuples) if t[a] == v) for v in domain}
+        for a, domain in enumerate(domains)
+    )
+    assert output.value_masks == (masks if tuples else ())
+    # values in first-occurrence order
+    assert [output.values_for(a) for a in range(width)] == domains
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from epikit.kernel import (
+    FormatError,
     FrameMorphism,
     are_isomorphic,
     identity_morphism,
@@ -234,6 +235,40 @@ def test_simplicial_model_rejects_undecided_atoms():
 def test_complex_json_roundtrip():
     complex_, _ = frame_to_complex(protocol_model(2, 1).frame)
     assert complex_from_json(complex_to_json(complex_)) == complex_
+
+
+EDGE = {"vertices": [{"color": 0, "label": "a"}, {"color": 1, "label": "b"}],
+        "facets": [[0, 1]]}
+
+
+@pytest.mark.parametrize("data", [
+    [EDGE["vertices"], EDGE["facets"]],
+    {"vertices": EDGE["vertices"]},
+    {"facets": EDGE["facets"]},
+    {**EDGE, "vertices": {"0": {"color": 0, "label": "a"}}},
+    {**EDGE, "vertices": [0, 1]},
+    {**EDGE, "vertices": [{"color": 0}, {"color": 1, "label": "b"}]},
+    {**EDGE, "vertices": [{"color": "0", "label": "a"}, {"color": 1, "label": "b"}]},
+    {**EDGE, "vertices": [{"color": True, "label": "a"}, {"color": 1, "label": "b"}]},
+    {**EDGE, "vertices": [{"color": 0.0, "label": "a"}, {"color": 1, "label": "b"}]},
+    {**EDGE, "facets": {"0": [0, 1]}},
+    {**EDGE, "facets": [0, 1]},
+    {**EDGE, "facets": [[0, 2]]},
+    {**EDGE, "facets": [[-1, 1]]},
+    {**EDGE, "facets": [[0, "1"]]},
+    {**EDGE, "facets": [[0, 1.0]]},
+    {**EDGE, "facets": [[0]]},  # not pure
+    {**EDGE, "facets": [[0, 1], [1, 0]]},  # the same facet twice
+], ids=[
+    "not an object", "no facets", "no vertices", "vertices not a list",
+    "vertex not an object", "vertex without label", "string color",
+    "boolean color", "float color", "facets not a list", "facet not a list",
+    "vertex out of range", "negative vertex", "string vertex", "float vertex",
+    "facet missing a color", "duplicate facet",
+])
+def test_complex_from_json_rejects_malformed_data(data):
+    with pytest.raises(FormatError):
+        complex_from_json(data)
 
 
 def test_complex_dot_mentions_shared_colors():
