@@ -23,7 +23,6 @@ from .logic import (
     parse_formula,
 )
 from .schedules import (
-    enum_schedules,
     input_model,
     parse_schedule,
     protocol_model,
@@ -84,9 +83,10 @@ def _resolve_state(token: str, n: int, rounds: int) -> int:
     """A state is an index or, for schedule-indexed models, schedule text."""
     if token.isdigit():
         return int(token)
-    k = schedule_context(n, rounds).index.get(parse_schedule(token))
-    if k is not None:
-        return k
+    texts = schedule_context(n, rounds).texts
+    text = parse_schedule(token).text()
+    if text in texts:
+        return texts.index(text)
     raise CliError(f"schedule {token!r} is not a state of this model")
 
 
@@ -116,7 +116,8 @@ def _render(args, what: str, dot: bool) -> str:
     if what == "schedules":
         if dot:
             raise CliError("schedules export only as --json")
-        data = [schedule_to_json(s) for s in enum_schedules(args.n, args.rounds)]
+        scheds = schedule_context(args.n, args.rounds).schedules
+        data = [schedule_to_json(s) for s in scheds]
     elif what == "task":
         if dot:
             raise CliError("tasks export only as --json")
@@ -141,12 +142,10 @@ def _render(args, what: str, dot: bool) -> str:
 
 def cmd_schedules(args) -> int:
     _check_n(args)
-    scheds = enum_schedules(args.n, args.rounds)
     if args.json:
-        print(json.dumps([schedule_to_json(s) for s in scheds], indent=2))
+        sys.stdout.write(_render(args, "schedules", False))
     else:
-        for s in scheds:
-            print(s.text())
+        print("\n".join(schedule_context(args.n, args.rounds).texts))
     return EXIT_OK
 
 

@@ -37,14 +37,26 @@ class BlockAction:
         if seen != set(range(len(seen))) or not seen:
             raise ValueError("classes must cover the id set 0..n exactly")
 
-    @property
+    @cached_property
     def process_count(self) -> int:
         return sum(len(c) for c in self.classes)
 
     def view(self, agent: int) -> frozenset[int]:
         return view1(agent, self)
 
+    @cached_property
+    def views(self) -> tuple[tuple[int, ...], ...]:
+        """``views[i]``: agent i's view (:func:`view1`) as a sorted id
+        tuple, worked out once per action."""
+        return tuple(
+            tuple(sorted(view1(i, self))) for i in range(self.process_count)
+        )
+
     def text(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         return "|".join(",".join(str(i) for i in cls) for cls in self.classes)
 
 
@@ -175,26 +187,86 @@ def full_information(rnd: int, state, snapshot: tuple) -> tuple[object, object]:
     return new_state, new_state
 
 
-def final_states(sched: Schedule, abstraction: Abstraction | None = None) -> tuple:
+def _cut_to_shared_prefix(path: list, rounds: tuple[BlockAction, ...]) -> None:
+    """Cut ``path``, whose entry r holds a round-r prefix with its last
+    action first, back to the longest proper prefix of ``rounds`` in it."""
+    depth = 1
+    while depth < len(path) and depth < len(rounds):
+        act = path[depth][0]
+        if not (act is rounds[depth - 1] or act == rounds[depth - 1]):
+            break
+        depth += 1
+    del path[depth:]
+
+
+class PrefixTable:
+    """Work that :func:`final_states` calls over one abstraction share.
+
+    ``path[r]`` is the round-r prefix of the last schedule asked for: its
+    last action (None for r = 0), every process's (write, state) pair
+    after it, and per process the steps already taken from it, keyed by
+    the next round's view.  A schedule that starts with the same actions
+    reuses them, so over schedules in canonical order, where the ones
+    that share a prefix are adjacent, each distinct (prefix, process,
+    view) step calls the abstraction once.  ``distinct`` keeps one object
+    per distinct state or write.  The path holds one entry per round, not
+    one per schedule; a call over another abstraction or id set starts it
+    afresh.
+    """
+
+    def __init__(self):
+        self.key: tuple | None = None  # (abstraction, process count)
+        self.path: list[tuple] = []
+        self.distinct: dict = {}
+
+
+def final_states(
+    sched: Schedule,
+    abstraction: Abstraction | None = None,
+    *,
+    prefixes: PrefixTable | None = None,
+) -> tuple:
     """Per-process local states after running all rounds of a schedule.
 
     Derived from the view structure alone: round r hands agent i the
     written values of everyone in its round-r view.  The memory-array
     simulator recomputes the same thing operationally and the two must
     agree; keep this path free of simulator code.
+
+    Calls that pass one ``prefixes`` table share the rounds their
+    schedules start with, and equal states or writes they produce are one
+    object (so both must be hashable); a call without one works alone.
     """
     abstraction = abstraction or full_information
     n_proc = sched.process_count
-    states: list = list(range(n_proc))
-    writes: list = list(range(n_proc))  # first round writes the initial state
-    for rnd, act in enumerate(sched.rounds, start=1):
-        new_states: list = [None] * n_proc
-        new_writes: list = [None] * n_proc
-        for i in range(n_proc):
-            snap = tuple((j, writes[j]) for j in sorted(view1(i, act)))
-            new_writes[i], new_states[i] = abstraction(rnd, states[i], snap)
-        states, writes = new_states, new_writes
-    return tuple(states)
+    table = PrefixTable() if prefixes is None else prefixes
+    distinct = None if prefixes is None else prefixes.distinct
+    path = table.path
+    if table.key != (abstraction, n_proc):
+        table.key = (abstraction, n_proc)
+        # the first round writes the initial state
+        start = [(i, i) for i in range(n_proc)]
+        path[:] = [(None, start, [{} for _ in range(n_proc)])]
+    rounds = sched.rounds
+    _cut_to_shared_prefix(path, rounds)
+    for rnd in range(len(path), len(rounds) + 1):
+        _, before, taken = path[-1]
+        act = rounds[rnd - 1]
+        steps = [memo.get(view) for memo, view in zip(taken, act.views)]
+        if None in steps:
+            for i, view in enumerate(act.views):
+                if steps[i] is None:
+                    snap = tuple((j, before[j][0]) for j in view)
+                    write, state = abstraction(rnd, before[i][1], snap)
+                    if distinct is not None:
+                        # full information writes its state: hash it once
+                        same = state is write
+                        write = distinct.setdefault(write, write)
+                        state = write if same else distinct.setdefault(state, state)
+                    steps[i] = taken[i][view] = (write, state)
+        if rnd == len(rounds):
+            return tuple([state for _, state in steps])
+        path.append((act, steps, [{} for _ in range(n_proc)]))
 
 
 def seen_ids(state) -> frozenset[int]:
@@ -219,9 +291,9 @@ class ScheduleContext:
     Get it from :func:`schedule_context`, which builds one per key and
     process, so the model builders, the task tabulation and the solver
     share it instead of enumerating again.  Final states (through
-    :func:`final_states`) and the frame are worked out on first use.  (A
-    plain class, not a dataclass: building a dataclass costs about a
-    millisecond at import, which every command pays.)
+    :func:`final_states`), schedule texts and the frame are worked out
+    on first use.  (A plain class, not a dataclass: building a dataclass
+    costs about a millisecond at import, which every command pays.)
     """
 
     def __init__(self, abstraction: Abstraction, schedules: tuple[Schedule, ...]):
@@ -234,12 +306,29 @@ class ScheduleContext:
 
         Equal states are kept as one object: there are far fewer distinct
         local states than (schedule, process) pairs, and the nested
-        full-information states are large."""
-        distinct: dict = {}
+        full-information states are large.  The calls share one
+        :class:`PrefixTable`, so each round step is worked out once per
+        prefix, and drop it when done."""
+        prefixes = PrefixTable()
         return tuple(
-            tuple(distinct.setdefault(x, x) for x in final_states(s, self.abstraction))
+            final_states(s, self.abstraction, prefixes=prefixes)
             for s in self.schedules
         )
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        """``texts[k]`` is ``schedules[k].text()``: the text of the
+        schedule's prefix, joined once per prefix along the canonical
+        order, then its last action's."""
+        # entry r: a round-r prefix's last action and its text plus ";"
+        path: list[tuple] = [(None, "")]
+        out = []
+        for s in self.schedules:
+            _cut_to_shared_prefix(path, s.rounds)
+            for act in s.rounds[len(path) - 1:-1]:
+                path.append((act, path[-1][1] + act.text() + ";"))
+            out.append(path[-1][1] + s.rounds[-1].text())
+        return tuple(out)
 
     @cached_property
     def frame(self) -> KripkeFrame:
@@ -247,13 +336,10 @@ class ScheduleContext:
         final states under them are equal: the frame of the schedule
         action model, whose classes are the solver's view classes."""
         n_agents = self.schedules[0].process_count
-        partitions = [[f[a] for f in self.finals] for a in range(n_agents)]
+        # equal final states are one object, so ids label the classes and
+        # no nested state is hashed again
+        partitions = [[id(f[a]) for f in self.finals] for a in range(n_agents)]
         return new_frame(len(self.schedules), n_agents, partitions)
-
-    @cached_property
-    def index(self) -> dict[Schedule, int]:
-        """Canonical position of each schedule."""
-        return {s: k for k, s in enumerate(self.schedules)}
 
 
 @lru_cache(maxsize=16)
@@ -272,10 +358,6 @@ def schedule_context(
 # ---------------------------------------------------------------------------
 # models
 
-def sched_atom(sched: Schedule) -> str:
-    return f"sched_{sched.text()}"
-
-
 def protocol_action_model(
     n: int, rounds: int, abstraction: Abstraction | None = None
 ) -> ActionModel:
@@ -291,11 +373,7 @@ def protocol_action_model(
     scheds = ctx.schedules
     preconditions = tuple(frozenset((k,)) for k in range(len(scheds)))
     # who observes whom depends only on the last round's block action
-    observed = {
-        act: tuple(tuple(sorted(view1(a, act))) for a in range(n + 1))
-        for act in enum_block_actions(n)
-    }
-    sees = tuple(observed[s.rounds[-1]] for s in scheds)
+    sees = tuple(s.rounds[-1].views for s in scheds)
     return ActionModel(ctx.frame, preconditions, sees)
 
 
@@ -303,11 +381,11 @@ def input_model(n: int, rounds: int) -> KripkeModel:
     """The initial model: one state per schedule, all states alike to every
     process (only the environment knows the schedule).  State atoms name
     the schedule; id atoms hold everywhere."""
-    scheds = schedule_context(n, rounds).schedules
-    frame = new_frame(len(scheds), n + 1, [[0] * len(scheds)] * (n + 1))
-    ap = tuple(sched_atom(s) for s in scheds) + tuple(f"id_{i}" for i in range(n + 1))
-    ids = frozenset(range(len(scheds), len(scheds) + n + 1))
-    valuation = tuple(frozenset((k,)) | ids for k in range(len(scheds)))
+    texts = schedule_context(n, rounds).texts
+    frame = new_frame(len(texts), n + 1, [[0] * len(texts)] * (n + 1))
+    ap = tuple(f"sched_{t}" for t in texts) + tuple(f"id_{i}" for i in range(n + 1))
+    ids = frozenset(range(len(texts), len(texts) + n + 1))
+    valuation = tuple(frozenset((k,)) | ids for k in range(len(texts)))
     return KripkeModel(frame, ap, valuation)
 
 

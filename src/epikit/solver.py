@@ -465,7 +465,8 @@ def verify_certificate(
         raise SolverError(
             f"task {task.name!r} is tabulated for n={task.n}, rounds={task.rounds}"
         )
-    scheds = schedule_context(n, rounds).schedules
+    ctx = schedule_context(n, rounds, abstraction)
+    scheds = ctx.schedules
     n_agents = task.process_count
     # simulator-side classes, numbered by first occurrence
     index: list[dict[object, int]] = [{} for _ in range(n_agents)]
@@ -487,8 +488,7 @@ def verify_certificate(
         if not task.allows(k, out):
             return False
         image.append(task.output.index[out])
-    frame = protocol_action_model(n, rounds, abstraction).frame
-    return is_morphism(FrameMorphism(tuple(image)), frame, task.output.frame)
+    return is_morphism(FrameMorphism(tuple(image)), ctx.frame, task.output.frame)
 
 
 def _solve_restricted(
@@ -545,15 +545,15 @@ def verdict_report(
 ) -> dict:
     """The :func:`solve_report` of a verdict already found for the task;
     only an unsolvable verdict searches again, for its conflict core."""
-    scheds = schedule_context(task.n, task.rounds).schedules
+    texts = schedule_context(task.n, task.rounds).texts
     report = {
         "task": task.name,
         "n": task.n,
         "rounds": task.rounds,
         "solvable": verdict.solvable,
-        "states": len(scheds),
+        "states": len(texts),
         "class_counts": [len(by_agent) for by_agent in verdict.classes],
-        "classes": _class_texts(scheds, verdict),
+        "classes": _class_texts(texts, verdict),
         "search_nodes": verdict.stats.nodes,
         "search_backtracks": verdict.stats.backtracks,
         "search_assignments": verdict.stats.assignments,
@@ -562,13 +562,13 @@ def verdict_report(
         report["decision"] = _decision_values(verdict)
     else:
         core = conflict_core(task, abstraction)
-        report["conflict_core"] = [scheds[k].text() for k in core]
+        report["conflict_core"] = [texts[k] for k in core]
     return report
 
 
-def _class_texts(scheds, verdict: Verdict) -> list:
+def _class_texts(texts: tuple[str, ...], verdict: Verdict) -> list:
     return [
-        [[scheds[k].text() for k in members] for members in by_agent]
+        [[texts[k] for k in members] for members in by_agent]
         for by_agent in verdict.classes
     ]
 
@@ -584,11 +584,11 @@ def decision_to_json(task: InputlessTask, verdict: Verdict) -> dict:
     in canonical schedule order."""
     if not verdict.solvable:
         raise SolverError("no certificate for an unsolvable task")
-    scheds = schedule_context(task.n, task.rounds).schedules
+    texts = schedule_context(task.n, task.rounds).texts
     return {
         "task": task.name,
         "n": task.n,
         "N": task.rounds,
         "decision": _decision_values(verdict),
-        "classes": _class_texts(scheds, verdict),
+        "classes": _class_texts(texts, verdict),
     }

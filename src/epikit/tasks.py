@@ -22,7 +22,6 @@ from .schedules import (
     schedule_context,
     schedule_count,
     seen_ids,
-    view1,
 )
 
 Value = object
@@ -45,6 +44,8 @@ class OutputFrame:
 
     @property
     def process_count(self) -> int:
+        if not self.tuples:
+            raise TaskError("the task has no output tuples, so no output frame")
         return len(self.tuples[0])
 
     @cached_property
@@ -272,10 +273,7 @@ def builtin(name: str, n: int, rounds: int = 1) -> InputlessTask:
     if key == "snapshot":
         if rounds != 1:
             raise TaskError("snapshot is defined for a single round")
-        views = [
-            tuple(tuple(sorted(view1(i, s.rounds[0]))) for i in range(n + 1))
-            for s in schedule_context(n, 1).schedules
-        ]
+        views = [s.rounds[0].views for s in schedule_context(n, 1).schedules]
         output = OutputFrame(tuple(dict.fromkeys(views)))
         rows = tuple((output.index[v],) for v in views)
         return InputlessTask("snapshot", n, 1, output, rows)

@@ -276,6 +276,30 @@ def test_check_report_on_a_task_without_tuples(capsys, tmp_path):
     assert json.loads(out)["conflict_core"] == ["0"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["model", "output"],
+    ["complex", "output"],
+    ["export", "output-model", "--json"],
+])
+def test_output_objects_of_a_task_without_tuples_are_refused(argv, tmp_path):
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps({"n": 0, "N": 1, "tuples": [], "delta": [[]]}))
+    export = tmp_path / "model.json"
+    if argv[0] == "export":
+        argv = argv + [str(export)]
+    argv += ["--n", "0", "--task-file", str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "epikit.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the task has no output tuples, so no output frame\n"
+    assert not export.exists()
+
+
 def test_check_deep_search_without_recursion(capsys, tmp_path):
     # every binary tuple at every schedule: 1,124 class variables, one
     # branching level each

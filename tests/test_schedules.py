@@ -6,6 +6,7 @@ deduplicated, and the counts are cross-checked against the binomial
 recurrence.  Nothing in this file reuses the generator's recursion.
 """
 
+import random
 from itertools import permutations
 from math import comb
 
@@ -17,6 +18,7 @@ from epikit.schedules import (
     block_action,
     enum_block_actions,
     enum_schedules,
+    PrefixTable,
     final_states,
     fubini,
     indist_1,
@@ -32,6 +34,7 @@ from epikit.schedules import (
     seen_ids,
     view1,
 )
+from epikit.simengine import run
 
 P, Q, R = 0, 1, 2
 
@@ -228,6 +231,87 @@ def test_seen_ids_transitive():
     s = parse_schedule("1|0,2;1,0|2")
     assert R not in view1(Q, s.rounds[0])
     assert R in seen_ids(final_states(s)[Q])
+
+
+# ---------------------------------------------------------------------------
+# final states shared along schedule prefixes
+
+def seeded_abstraction(seed):
+    """A deterministic abstraction drawn from the seed: its answer depends
+    on the seed and the arguments only, not on the order of the calls.
+    The write is tagged apart from the new state, so it never equals it.
+    ``calls`` counts the calls."""
+
+    def abstraction(rnd, state, snap):
+        abstraction.calls += 1
+        rng = random.Random(repr((seed, rnd, state, snap)))
+        parts = [snap, tuple(j for j, _ in snap), state, rng.randrange(2)]
+        return ("w", rng.choice(parts)), ("s", rng.choice(parts))
+
+    abstraction.calls = 0
+    return abstraction
+
+
+def distinct_steps(n, rounds):
+    """(prefix, process, view) triples over (n, rounds): every proper
+    prefix, n + 1 processes, 2**n views holding the process."""
+    return sum(fubini(n + 1) ** r for r in range(rounds)) * (n + 1) * 2**n
+
+
+CONTEXT_SIZES = [(n, r) for n in range(3) for r in (1, 2, 3)] + [(3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
+def test_context_finals_match_lone_runs_under_seeded_abstractions(n, rounds):
+    abstraction = seeded_abstraction(100 * n + rounds)
+    ctx = schedule_context(n, rounds, abstraction)
+    finals = ctx.finals
+    # one call per distinct step, although each schedule ran through
+    # final_states on its own
+    assert abstraction.calls == distinct_steps(n, rounds)
+    assert ctx.texts == tuple(s.text() for s in ctx.schedules)
+    one_object: dict = {}
+    for sched, states in zip(ctx.schedules, finals):
+        assert states == final_states(sched, abstraction)
+        assert states == run(sched, abstraction).finals
+        for state in states:
+            assert one_object.setdefault(state, state) is state
+
+
+@pytest.mark.parametrize("n, rounds", [(1, 3), (2, 2)])
+def test_full_information_context_finals_match_lone_runs(n, rounds):
+    ctx = schedule_context(n, rounds)
+    one_object: dict = {}
+    for sched, states in zip(ctx.schedules, ctx.finals):
+        assert states == final_states(sched) == run(sched).finals
+        for state in states:
+            assert one_object.setdefault(state, state) is state
+
+
+def test_contexts_that_differ_in_abstraction_share_no_work():
+    first, second = seeded_abstraction(1), seeded_abstraction(2)
+    one = schedule_context(2, 2, first)
+    other = schedule_context(2, 2, second)
+    assert one.finals != other.finals
+    assert first.calls == second.calls == distinct_steps(2, 2)
+    for sched, a, b in zip(one.schedules, one.finals, other.finals):
+        assert a == final_states(sched, first)
+        assert b == final_states(sched, second)
+
+
+def test_prefix_table_holds_one_entry_per_round_and_restarts_on_a_new_key():
+    first, second = seeded_abstraction(3), seeded_abstraction(4)
+    table = PrefixTable()
+    scheds = enum_schedules(1, 3)
+    # in a shuffled order too, where a prefix comes back after others
+    for sched in scheds + random.Random(0).sample(scheds, len(scheds)):
+        shared = final_states(sched, first, prefixes=table)
+        assert shared == final_states(sched, first)
+        assert len(table.path) <= 3
+    for sched in enum_schedules(2, 2):
+        shared = final_states(sched, second, prefixes=table)
+        assert shared == final_states(sched, second)
+        assert len(table.path) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,9 @@ def test_task_from_json_allows_no_tuples():
     task = task_from_json({"n": 0, "N": 1, "tuples": [], "delta": [[]]})
     assert task.output.tuples == ()
     assert task.empty_schedules == (0,)
+    # such a task is refused only where an output frame is needed
+    with pytest.raises(TaskError, match="no output tuples"):
+        task.output.frame
 
 
 def test_tuple_width_checked_for_made_tasks():
