@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .kernel import agent_name, frame_to_dot, is_proper
@@ -134,7 +135,48 @@ def _render(args, what: str, dot: bool) -> str:
             if dot:
                 return complex_to_dot(complex_)
             data = complex_to_json(complex_)
-    return json.dumps(data, indent=2) + "\n"
+    return json_text(data) + "\n"
+
+
+def json_text(data) -> str:
+    """``json.dumps(data, indent=2)``, byte for byte, in a fraction of
+    the time: the library takes its pure-Python encoder for any indent.
+    Lists of ints or strings are joined in one call; values of other
+    kinds, and dicts with keys that are not strings, go to ``json.dumps``
+    and have their lines indented to their depth (JSON text holds no
+    raw newline inside a string)."""
+    return _indented(data, "\n")
+
+
+# the element types of the lists that _indented joins in one call
+_INTS = {int}
+_STRS = {str}
+
+
+def _indented(obj, newline: str) -> str:
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if (kind is list or kind is tuple) and obj:
+        inner = newline + "  "
+        kinds = set(map(type, obj))
+        if kinds == _INTS:
+            body = ("," + inner).join(map(int.__repr__, obj))
+        elif kinds == _STRS:
+            body = ("," + inner).join(map(encode_basestring_ascii, obj))
+        else:
+            body = ("," + inner).join([_indented(item, inner) for item in obj])
+        return f"[{inner}{body}{newline}]"
+    if kind is dict and obj and set(map(type, obj)) == _STRS:
+        inner = newline + "  "
+        body = ("," + inner).join([
+            f"{encode_basestring_ascii(key)}: {_indented(value, inner)}"
+            for key, value in obj.items()
+        ])
+        return f"{{{inner}{body}{newline}}}"
+    return json.dumps(obj, indent=2).replace("\n", newline)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +195,7 @@ def cmd_run(args) -> int:
     sched = parse_schedule(args.schedule)
     record = run(sched)
     if args.json:
-        print(json.dumps(record_to_json(record), indent=2))
+        print(json_text(record_to_json(record)))
     else:
         sys.stdout.write(format_trace(record))
     return EXIT_OK
@@ -205,13 +247,12 @@ def cmd_check(args) -> int:
     task = _load_task(args)
     verdict = solve(task, args.n, args.rounds)
     if args.report:
-        print(json.dumps(verdict_report(task, verdict), indent=2))
+        print(json_text(verdict_report(task, verdict)))
     else:
         print("solvable" if verdict.solvable else "unsolvable")
     if verdict.solvable and args.certificate:
         with open(args.certificate, "w") as fh:
-            json.dump(decision_to_json(task, verdict), fh, indent=2)
-            fh.write("\n")
+            fh.write(json_text(decision_to_json(task, verdict)) + "\n")
     return EXIT_OK if verdict.solvable else EXIT_UNSOLVABLE
 
 

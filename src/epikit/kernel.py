@@ -8,13 +8,13 @@ structures are immutable; every operation here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Hashable, Sequence
 from functools import cached_property
-from typing import Hashable, Sequence
+
+from .record import Record
 
 
-@dataclass(frozen=True)
-class KripkeFrame:
+class KripkeFrame(Record):
     """States plus one equivalence partition per agent.
 
     Labels are dense per agent (0..num_classes-1, numbered by first
@@ -50,8 +50,7 @@ class KripkeFrame:
         return range(self.state_count)
 
 
-@dataclass(frozen=True)
-class FrameMorphism:
+class FrameMorphism(Record):
     """A total map of states, ``mapping[u]`` = image of state ``u``."""
 
     mapping: tuple[int, ...]

@@ -14,9 +14,7 @@ action point is enabled at an explicitly known set of input states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 from .kernel import (
     FormatError,
@@ -27,45 +25,40 @@ from .kernel import (
     is_morphism,
     new_frame,
 )
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
 # formulas
 
-class Formula:
+class Formula(Record):
     """Base class for formula AST nodes. Equality is structural."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Know(Formula):
     agent: int
     sub: Formula
 
 
-@dataclass(frozen=True)
 class AfterAction(Formula):
     """``[A, point] sub``: if the point's precondition holds here, then
     sub holds at the corresponding state of the product update."""
@@ -90,8 +83,7 @@ def Implies(left: Formula, right: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # models
 
-@dataclass(frozen=True)
-class KripkeModel:
+class KripkeModel(Record):
     """A frame plus an atomic-proposition valuation.
 
     ``ap`` is the ordered atom universe; ``valuation[s]`` holds the indices
@@ -122,11 +114,10 @@ class KripkeModel:
         return idx in self.valuation[state]
 
 
-Precondition = Union[Formula, frozenset]
+Precondition = Formula | frozenset
 
 
-@dataclass(frozen=True)
-class ActionModel:
+class ActionModel(Record):
     """Action points with per-agent indistinguishability and preconditions.
 
     ``sees``, when present, records for each point and agent which agents'
@@ -150,8 +141,7 @@ class ActionModel:
         return self.frame.state_count
 
 
-@dataclass(frozen=True)
-class ModelMorphism:
+class ModelMorphism(Record):
     """Frame morphism between models that never grows valuations."""
 
     mapping: FrameMorphism

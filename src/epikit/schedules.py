@@ -9,17 +9,16 @@ is a sequence of N block actions, each applied to a fresh array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import combinations, islice, product as iproduct
-from typing import Callable, Iterator, Sequence
 
 from .kernel import KripkeFrame, new_frame
 from .logic import ActionModel, KripkeModel, product_update
+from .record import Record
 
 
-@dataclass(frozen=True)
-class BlockAction:
+class BlockAction(Record):
     """Ordered partition of {0..n} into non-empty concurrency classes."""
 
     classes: tuple[tuple[int, ...], ...]
@@ -60,18 +59,21 @@ class BlockAction:
         return "|".join(",".join(str(i) for i in cls) for cls in self.classes)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """A sequence of block actions, one per round, over one id set."""
 
     rounds: tuple[BlockAction, ...]
 
     def __post_init__(self):
-        if not self.rounds:
+        rounds = self.rounds
+        if not rounds:
             raise ValueError("a schedule needs at least one round")
-        counts = {act.process_count for act in self.rounds}
-        if len(counts) != 1:
-            raise ValueError("every round must schedule the same id set")
+        # a loop, not a set of the counts: every schedule of an
+        # enumeration passes through here
+        count = rounds[0].process_count
+        for act in rounds:
+            if act.process_count != count:
+                raise ValueError("every round must schedule the same id set")
 
     @property
     def process_count(self) -> int:
@@ -292,8 +294,8 @@ class ScheduleContext:
     process, so the model builders, the task tabulation and the solver
     share it instead of enumerating again.  Final states (through
     :func:`final_states`), schedule texts and the frame are worked out
-    on first use.  (A plain class, not a dataclass: building a dataclass
-    costs about a millisecond at import, which every command pays.)
+    on first use.  A plain class, not a :class:`Record`: it is a cache
+    shared by identity, not a value compared by its fields.
     """
 
     def __init__(self, abstraction: Abstraction, schedules: tuple[Schedule, ...]):

@@ -11,13 +11,11 @@ makes this module an oracle for the view-based relation computed in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import Record
 from .schedules import Abstraction, Schedule, full_information
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(Record):
     """Everything observable about one simulated execution."""
 
     schedule: Schedule

@@ -12,17 +12,16 @@ the first satisfying assignment is the certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import simengine
 from .kernel import FrameMorphism, KripkeFrame, is_morphism
+from .record import Record
 from .schedules import Abstraction, protocol_action_model, schedule_context
 from .tasks import InputlessTask, Value, _value_to_json
 
 
-@dataclass(frozen=True)
-class DecisionMap:
+class DecisionMap(Record):
     """Per agent, one output value for each of its view-classes."""
 
     values: tuple[tuple[Value, ...], ...]  # [agent][class] -> value
@@ -31,8 +30,7 @@ class DecisionMap:
         return self.values[agent][cls]
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(Record):
     """What one search did.  ``nodes`` counts decisions, ``backtracks``
     counts conflicts (each ends in a backjump, or at the root in the
     verdict Unsolvable), ``assignments`` counts variables given a value,
@@ -44,8 +42,7 @@ class SearchStats:
     learned: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     solvable: bool
     decision: DecisionMap | None
     classes: tuple[tuple[tuple[int, ...], ...], ...]  # [agent][class] -> schedules
@@ -117,12 +114,10 @@ class _Search:
         keep: Sequence[int] | None = None,
     ):
         n_agents = self.agent_count = task.process_count
+        class_counts = [frame.num_classes(a) for a in range(n_agents)]
         self.variables = [
-            (a, c)
-            for a in range(n_agents)
-            for c in range(len(frame.classes_by_agent[a]))
+            (a, c) for a in range(n_agents) for c in range(class_counts[a])
         ]
-        var_id = {v: i for i, v in enumerate(self.variables)}
         n_vars = len(self.variables)
         # per variable: candidate values and the tuple mask of each value,
         # one pair shared by all of an agent's variables (a task without
@@ -138,10 +133,14 @@ class _Search:
         self.live = [
             sum(1 << t for t in task.delta_table[k]) for k in self.sched_ids
         ]
-        self.sched_vars = [
-            tuple(var_id[(a, frame.partitions[a][k])] for a in range(n_agents))
-            for k in self.sched_ids
-        ]
+        # variable (a, c) is number c after the variables of agents 0..a-1
+        columns = []
+        offset = 0
+        for a in range(n_agents):
+            row = frame.partitions[a]
+            columns.append([offset + row[k] for k in self.sched_ids])
+            offset += class_counts[a]
+        self.sched_vars = list(zip(*columns))
         self.touching: list[list[int]] = [[] for _ in range(n_vars)]
         for pos, svars in enumerate(self.sched_vars):
             for vid in svars:

@@ -9,12 +9,12 @@ frame and enables each tuple at the input states whose schedule allows it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from functools import cached_property
-from typing import Callable, Sequence
 
 from .kernel import KripkeFrame, new_frame
 from .logic import ActionModel, KripkeModel, product_update
+from .record import Record
 from .schedules import (
     Schedule,
     final_states,
@@ -29,8 +29,7 @@ OutputTuple = tuple[Value, ...]
 DeltaPredicate = Callable[[Schedule, OutputTuple], bool]
 
 
-@dataclass(frozen=True)
-class OutputFrame:
+class OutputFrame(Record):
     """Distinct output tuples plus the per-coordinate equality frame."""
 
     tuples: tuple[OutputTuple, ...]
@@ -81,8 +80,7 @@ class TaskError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class InputlessTask:
+class InputlessTask(Record):
     """Output tuples plus the schedule->tuples relation, tabulated eagerly.
 
     ``delta_table[k]`` lists the indices of the tuples acceptable for the

@@ -9,7 +9,6 @@ closure and never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .kernel import (
@@ -22,10 +21,10 @@ from .kernel import (
     new_frame,
 )
 from .logic import KripkeModel
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ChromaticComplex:
+class ChromaticComplex(Record):
     """Pure chromatic complex given by colored vertices and its facets.
 
     Every facet must have one vertex of each color 0..dimension, and no
@@ -69,8 +68,7 @@ class ChromaticComplex:
         )
 
 
-@dataclass(frozen=True)
-class SimplicialMap:
+class SimplicialMap(Record):
     """Vertex map between complexes; validated color-preserving and
     facet-preserving (chromatic, hence dimension-preserving)."""
 
@@ -172,8 +170,7 @@ def morphism_to_simplicial(
     return smap
 
 
-@dataclass(frozen=True)
-class SimplicialModel:
+class SimplicialModel(Record):
     """Complex with literal sets on vertices; facet labels are unions.
 
     A literal is an atom name or ``!name``.  Construction checks that

@@ -1,6 +1,7 @@
 """Command-line behavior: verdicts, exit codes, exports, determinism."""
 
 import json
+import random
 import subprocess
 import sys
 from itertools import product
@@ -417,6 +418,80 @@ def test_model_stdout_matches_export(capsys, tmp_path):
     path = tmp_path / "m.json"
     run_cli(capsys, "export", "input-model", "--n", "1", "--json", str(path))
     assert json.loads(out) == json.loads(path.read_text())
+
+
+# ---------------------------------------------------------------------------
+# indented JSON
+
+_TEXTS = ["", "p", "sched_0|1,2", 'quote " and \\ back', "tab\tline\nend\r",
+          "\x00\x1f\x7f", "caf\u00e9", "\u2028\u2029", "\U0001f600 snow \u2603", "/"]
+
+
+def _random_json(rng, depth):
+    """A random value built from what ``json.dumps`` accepts, leaning on
+    the nested lists and dicts of the exports."""
+    kinds = ["int", "str", "bool", "none", "float"]
+    if depth:
+        kinds += ["list", "int_list", "str_list", "dict", "tuple", "empty"] * 2
+    kind = rng.choice(kinds)
+    if kind == "int":
+        return rng.choice([0, 1, -1, 7, 5625, -(2**70), 2**64])
+    if kind == "str":
+        return rng.choice(_TEXTS)
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "none":
+        return None
+    if kind == "float":
+        return rng.choice([0.5, -2.0, 1e300, float("inf"), float("nan")])
+    if kind == "int_list":
+        return [rng.randrange(-3, 10**4) for _ in range(rng.randrange(1, 6))]
+    if kind == "str_list":
+        return [rng.choice(_TEXTS) for _ in range(rng.randrange(1, 5))]
+    if kind == "empty":
+        return rng.choice([[], {}, ()])
+    size = rng.randrange(0, 5)
+    if kind == "list":
+        return [_random_json(rng, depth - 1) for _ in range(size)]
+    if kind == "tuple":
+        return tuple(_random_json(rng, depth - 1) for _ in range(size))
+    # mostly string keys; now and then keys json.dumps converts
+    keys = [rng.choice(_TEXTS) + str(k) for k in range(size)]
+    if rng.random() < 0.2:
+        keys.append(rng.choice([3, -1, True, None, 2.5]))
+    return {key: _random_json(rng, depth - 1) for key in keys}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_json_text_matches_json_dumps(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        data = _random_json(rng, 4)
+        assert cli.json_text(data) == json.dumps(data, indent=2)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[], {}, [[]], {"a": {}}, [[], [1, [2, []]], {}], {"k": [True, False, None, 1]},
+     [1, True], ["a", 1], {"\u00e9\n": "\U0001f600"}, {1: [1], "1": [2]}],
+)
+def test_json_text_matches_json_dumps_on_edge_cases(data):
+    assert cli.json_text(data) == json.dumps(data, indent=2)
+
+
+def test_json_exports_are_those_of_json_dumps(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    code, out, _ = run_cli(capsys, "check", "--n", "2", "--task", "snapshot",
+                           "--certificate", str(cert))
+    assert code == 0
+    text = cert.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    for argv in (["model", "protocol", "--n", "2"],
+                 ["complex", "protocol", "--n", "2"],
+                 ["check", "--n", "1", "--task", "testset", "--report"],
+                 ["run", "--schedule", "0|1,2;0,1,2", "--json"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 # ---------------------------------------------------------------------------
