@@ -37,7 +37,10 @@ from .tasks import builtin, output_model, task_from_json, task_to_json
 from .topology import complex_to_dot, complex_to_json, frame_to_complex
 
 DEFAULT_MAX_N = 5
-# schedule counts above this are not worked out for the --n cap's message
+# more schedules than this are refused unless --max-n-override is given;
+# two_testset at four rounds has 28,561
+MAX_SCHEDULES = 10**6
+# schedule counts above this are not worked out for the caps' messages
 ESTIMATE_LIMIT = 10**18
 
 EXIT_OK = 0
@@ -60,13 +63,20 @@ class _Parser(argparse.ArgumentParser):
 def _check_n(args) -> None:
     if args.n < 0:
         raise CliError("--n must be >= 0")
-    if args.n > DEFAULT_MAX_N and not args.max_n_override:
-        estimate = schedule_count(args.n, args.rounds, ESTIMATE_LIMIT)
-        if estimate is None:
-            estimate = f"more than {ESTIMATE_LIMIT}"
+    if args.max_n_override:
+        return
+    count = schedule_count(args.n, args.rounds, ESTIMATE_LIMIT)
+    estimate = f"more than {ESTIMATE_LIMIT}" if count is None else count
+    if args.n > DEFAULT_MAX_N:
         raise CliError(
             f"--n {args.n} exceeds the default cap of {DEFAULT_MAX_N}; the "
             f"run would enumerate {estimate} schedules. Pass "
+            "--max-n-override to proceed."
+        )
+    if count is None or count > MAX_SCHEDULES:
+        raise CliError(
+            f"--n {args.n} --rounds {args.rounds} would enumerate {estimate} "
+            f"schedules, more than the default cap of {MAX_SCHEDULES}. Pass "
             "--max-n-override to proceed."
         )
 
@@ -78,6 +88,16 @@ def _load_task(args):
     if args.task:
         return builtin(args.task, args.n, args.rounds)
     raise CliError("supply --task or --task-file")
+
+
+def _sized_task(args):
+    """The task, which must be tabulated for --n and --rounds."""
+    task = _load_task(args)
+    if task.n != args.n or task.rounds != args.rounds:
+        raise CliError(
+            f"task {task.name!r} is tabulated for n={task.n}, rounds={task.rounds}"
+        )
+    return task
 
 
 def _resolve_state(token: str, n: int, rounds: int) -> int:
@@ -96,7 +116,7 @@ def _build_model(args):
         return input_model(args.n, args.rounds)
     if args.kind == "protocol":
         return protocol_model(args.n, args.rounds)
-    model, _ = output_model(_load_task(args), args.n, args.rounds)
+    model, _ = output_model(_sized_task(args))
     return model
 
 
@@ -194,10 +214,19 @@ def cmd_schedules(args) -> int:
 def cmd_run(args) -> int:
     sched = parse_schedule(args.schedule)
     record = run(sched)
-    if args.json:
-        print(json_text(record_to_json(record)))
-    else:
-        sys.stdout.write(format_trace(record))
+    # both forms build the whole text, by recursion over the nested local
+    # states, before any of it is written
+    try:
+        if args.json:
+            text = json_text(record_to_json(record)) + "\n"
+        else:
+            text = format_trace(record)
+    except RecursionError:
+        raise CliError(
+            f"the local states of a {sched.round_count}-round run nest too "
+            "deeply to print"
+        )
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -244,8 +273,8 @@ def cmd_mc(args) -> int:
 
 def cmd_check(args) -> int:
     _check_n(args)
-    task = _load_task(args)
-    verdict = solve(task, args.n, args.rounds)
+    task = _sized_task(args)
+    verdict = solve(task)
     if args.report:
         print(json_text(verdict_report(task, verdict)))
     else:
@@ -273,7 +302,7 @@ def _add_shared(parser, need_task=False):
     parser.add_argument("--n", type=int, default=2, help="largest process id (n+1 processes)")
     parser.add_argument("--rounds", type=int, default=1, help="number of rounds N")
     parser.add_argument("--max-n-override", action="store_true",
-                        help="lift the default cap on --n")
+                        help="lift the default caps on --n and on the schedule count")
     if need_task:
         parser.add_argument("--task", choices=["testset", "two-testset", "two_testset", "snapshot"],
                             help="built-in task name")

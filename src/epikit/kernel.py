@@ -192,7 +192,7 @@ def find_isomorphism(f: KripkeFrame, g: KripkeFrame) -> FrameMorphism | None:
     """Search for a bijective morphism whose inverse is a morphism.
 
     Color refinement plus per-agent class signatures prune the search;
-    intended for desk-scale frames (a few hundred states).  Returns the
+    intended for desk-scale frames (a few thousand states).  Returns the
     witness map or None.
     """
     if f.state_count != g.state_count or f.agent_count != g.agent_count:
@@ -241,11 +241,16 @@ def find_isomorphism(f: KripkeFrame, g: KripkeFrame) -> FrameMorphism | None:
             del cls_rev[a][cls_fwd[a].pop(cs)]
         return None
 
-    def search(pos: int) -> bool:
-        if pos == len(order):
-            return True
+    # a loop over an explicit stack, so the frame size is not bounded by
+    # the recursion limit: tried[i] holds the candidate index taken at
+    # order[i] and the class pairings its assignment added
+    tried: list[tuple[int, list[tuple[int, int]]]] = []
+    pos = start = 0
+    while pos < len(order):
         s = order[pos]
-        for t in by_color.get(cf[s], ()):
+        candidates = by_color.get(cf[s], ())
+        for i in range(start, len(candidates)):
+            t = candidates[i]
             if used[t]:
                 continue
             added = assign(s, t)
@@ -253,17 +258,21 @@ def find_isomorphism(f: KripkeFrame, g: KripkeFrame) -> FrameMorphism | None:
                 continue
             mapping[s] = t
             used[t] = True
-            if search(pos + 1):
-                return True
-            used[t] = False
+            tried.append((i, added))
+            pos, start = pos + 1, 0
+            break
+        else:
+            if not tried:
+                return None
+            pos -= 1
+            i, added = tried.pop()
+            s = order[pos]
+            used[mapping[s]] = False
             mapping[s] = -1
             for a, cs in added:
                 del cls_rev[a][cls_fwd[a].pop(cs)]
-        return False
-
-    if search(0):
-        return FrameMorphism(tuple(mapping))
-    return None
+            start = i + 1
+    return FrameMorphism(tuple(mapping))
 
 
 def are_isomorphic(f: KripkeFrame, g: KripkeFrame) -> bool:
@@ -319,13 +328,12 @@ def frame_from_json(data: dict) -> KripkeFrame:
     return new_frame(states, agents, partitions)
 
 
-def frame_to_dot(frame: KripkeFrame, node_labels: Sequence[str] | None = None) -> str:
+def frame_to_dot(frame: KripkeFrame) -> str:
     """DOT rendering: one node per state, one undirected edge per related
     pair, edge labels the comma-joined names of the relating agents."""
     lines = ["graph frame {", "  node [shape=circle];"]
     for s in frame.states():
-        text = node_labels[s] if node_labels is not None else str(s)
-        lines.append(f'  s{s} [label="{text}"];')
+        lines.append(f'  s{s} [label="{s}"];')
     for u in frame.states():
         for v in range(u + 1, frame.state_count):
             agents = [

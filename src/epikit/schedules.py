@@ -189,18 +189,6 @@ def full_information(rnd: int, state, snapshot: tuple) -> tuple[object, object]:
     return new_state, new_state
 
 
-def _cut_to_shared_prefix(path: list, rounds: tuple[BlockAction, ...]) -> None:
-    """Cut ``path``, whose entry r holds a round-r prefix with its last
-    action first, back to the longest proper prefix of ``rounds`` in it."""
-    depth = 1
-    while depth < len(path) and depth < len(rounds):
-        act = path[depth][0]
-        if not (act is rounds[depth - 1] or act == rounds[depth - 1]):
-            break
-        depth += 1
-    del path[depth:]
-
-
 class PrefixTable:
     """Work that :func:`final_states` calls over one abstraction share.
 
@@ -250,7 +238,14 @@ def final_states(
         start = [(i, i) for i in range(n_proc)]
         path[:] = [(None, start, [{} for _ in range(n_proc)])]
     rounds = sched.rounds
-    _cut_to_shared_prefix(path, rounds)
+    # cut the path back to the longest proper prefix of rounds it holds
+    depth = 1
+    while depth < len(path) and depth < len(rounds):
+        act = path[depth][0]
+        if not (act is rounds[depth - 1] or act == rounds[depth - 1]):
+            break
+        depth += 1
+    del path[depth:]
     for rnd in range(len(path), len(rounds) + 1):
         _, before, taken = path[-1]
         act = rounds[rnd - 1]
@@ -319,18 +314,14 @@ class ScheduleContext:
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
-        """``texts[k]`` is ``schedules[k].text()``: the text of the
-        schedule's prefix, joined once per prefix along the canonical
-        order, then its last action's."""
-        # entry r: a round-r prefix's last action and its text plus ";"
-        path: list[tuple] = [(None, "")]
-        out = []
-        for s in self.schedules:
-            _cut_to_shared_prefix(path, s.rounds)
-            for act in s.rounds[len(path) - 1:-1]:
-                path.append((act, path[-1][1] + act.text() + ";"))
-            out.append(path[-1][1] + s.rounds[-1].text())
-        return tuple(out)
+        """``texts[k]`` is ``schedules[k].text()``.  The canonical order is
+        the cartesian power of the block-action order, so the texts are
+        that power of the actions' texts."""
+        first = self.schedules[0]
+        acts = enum_block_actions(first.process_count - 1)
+        return tuple(
+            map(";".join, iproduct([a.text() for a in acts], repeat=first.round_count))
+        )
 
     @cached_property
     def frame(self) -> KripkeFrame:

@@ -104,7 +104,8 @@ class _Search:
       ends with is S.
 
     The view classes are those of ``frame``, the schedule action model's
-    frame.
+    frame.  With ``keep``, only the kept schedules constrain them (the
+    trials of :func:`conflict_core`); the others impose nothing.
     """
 
     def __init__(
@@ -359,6 +360,8 @@ class _Search:
     def run(self) -> bool:
         """True when a complete assignment exists; :meth:`decision` reads
         it off."""
+        if not all(self.live):
+            return False  # a kept schedule allows no tuple
         self.queue = list(range(len(self.sched_ids)))
         ok = self._propagate()
         order = self.branch_order
@@ -398,29 +401,15 @@ class _Search:
         return DecisionMap(tuple(tuple(v) for v in values))
 
 
-def solve(
-    task: InputlessTask,
-    n: int | None = None,
-    rounds: int | None = None,
-    abstraction: Abstraction | None = None,
-) -> Verdict:
+def solve(task: InputlessTask, *, abstraction: Abstraction | None = None) -> Verdict:
     """Complete search over decision maps, learning a nogood from every
     conflict (see :class:`_Search`).
 
     A Solvable verdict carries the canonically first certificate and is
     re-verified through the simulator path before being returned.
     """
-    n = task.n if n is None else n
-    rounds = task.rounds if rounds is None else rounds
-    if n != task.n or rounds != task.rounds:
-        raise SolverError(
-            f"task {task.name!r} is tabulated for n={task.n}, rounds={task.rounds}"
-        )
     frame = protocol_action_model(task.n, task.rounds, abstraction).frame
     classes = frame.classes_by_agent
-    if task.empty_schedules:
-        return Verdict(False, None, classes, SearchStats(0, 0, 0, 0))
-
     search = _Search(task, frame)
     solvable = search.run()
     stats = SearchStats(
@@ -429,16 +418,15 @@ def solve(
     if not solvable:
         return Verdict(False, None, classes, stats)
     decision = search.decision()
-    if not verify_certificate(task, n, rounds, decision, abstraction):
+    if not verify_certificate(task, decision, abstraction=abstraction):
         raise SolverError("internal error: found certificate failed verification")
     return Verdict(True, decision, classes, stats)
 
 
 def verify_certificate(
     task: InputlessTask,
-    n: int,
-    rounds: int,
     decision: DecisionMap,
+    *,
     abstraction: Abstraction | None = None,
 ) -> bool:
     """Re-check a decision map through the simulator.
@@ -460,11 +448,7 @@ def verify_certificate(
     makes the two agree.  Raises on partial maps or class-count
     mismatches.
     """
-    if n != task.n or rounds != task.rounds:
-        raise SolverError(
-            f"task {task.name!r} is tabulated for n={task.n}, rounds={task.rounds}"
-        )
-    ctx = schedule_context(n, rounds, abstraction)
+    ctx = schedule_context(task.n, task.rounds, abstraction)
     scheds = ctx.schedules
     n_agents = task.process_count
     # simulator-side classes, numbered by first occurrence
@@ -490,17 +474,6 @@ def verify_certificate(
     return is_morphism(FrameMorphism(tuple(image)), ctx.frame, task.output.frame)
 
 
-def _solve_restricted(
-    task: InputlessTask, keep: Sequence[int], frame: KripkeFrame
-) -> bool:
-    """Solvability over a subset of schedules (used for conflict cores).
-    Classes stay those of the full model; dropped schedules impose no
-    constraint."""
-    if any(not task.delta_table[k] for k in keep):
-        return False
-    return _Search(task, frame, keep).run()
-
-
 def conflict_core(
     task: InputlessTask, abstraction: Abstraction | None = None
 ) -> tuple[int, ...]:
@@ -513,7 +486,7 @@ def conflict_core(
     """
     frame = protocol_action_model(task.n, task.rounds, abstraction).frame
     everything = range(len(task.delta_table))
-    if _solve_restricted(task, everything, frame):
+    if _Search(task, frame).run():
         raise SolverError("conflict core requested for a solvable task")
     core = list(everything)
     chunk = max(1, len(core) // 2)
@@ -521,7 +494,7 @@ def conflict_core(
         pos = 0
         while pos < len(core):
             trial = core[:pos] + core[pos + chunk:]
-            if not _solve_restricted(task, trial, frame):
+            if not _Search(task, frame, trial).run():
                 core = trial
             else:
                 pos += chunk
@@ -529,14 +502,9 @@ def conflict_core(
     return tuple(core)
 
 
-def solve_report(
-    task: InputlessTask,
-    n: int | None = None,
-    rounds: int | None = None,
-    abstraction: Abstraction | None = None,
-) -> dict:
+def solve_report(task: InputlessTask, *, abstraction: Abstraction | None = None) -> dict:
     """Verdict plus class inventories and search statistics, JSON-ready."""
-    return verdict_report(task, solve(task, n, rounds, abstraction), abstraction)
+    return verdict_report(task, solve(task, abstraction=abstraction), abstraction)
 
 
 def verdict_report(

@@ -170,17 +170,11 @@ def task_action_model(task: InputlessTask) -> ActionModel:
     return ActionModel(task.output.frame, preconditions)
 
 
-def output_model(
-    task: InputlessTask, n: int, rounds: int
-) -> tuple[KripkeModel, dict[tuple[int, int], int]]:
+def output_model(task: InputlessTask) -> tuple[KripkeModel, dict[tuple[int, int], int]]:
     """Product update of the input model with the task action model.
     States are (schedule, tuple) pairs related for i iff the i-th
     decisions agree."""
-    if n != task.n or rounds != task.rounds:
-        raise TaskError(
-            f"task {task.name!r} is tabulated for n={task.n}, rounds={task.rounds}"
-        )
-    return product_update(input_model(n, rounds), task_action_model(task))
+    return product_update(input_model(task.n, task.rounds), task_action_model(task))
 
 
 # ---------------------------------------------------------------------------

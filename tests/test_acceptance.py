@@ -202,7 +202,7 @@ def test_criterion_8_snapshot_positive_control():
     task = builtin("snapshot", 2)
     verdict = solve(task)
     ok = verdict.solvable
-    ok &= verify_certificate(task, 2, 1, verdict.decision)
+    ok &= verify_certificate(task, verdict.decision)
     # explicit simplicial translation of the projected certificate
     proto = protocol_model(2, 1).frame
     tuple_index = {t: i for i, t in enumerate(task.output.tuples)}
@@ -241,7 +241,7 @@ def test_criterion_9_knowledge_loss():
 
     task = builtin("snapshot", 2)
     verdict = solve(task)
-    out_model, pairing = output_model(task, 2, 1)
+    out_model, pairing = output_model(task)
     action = protocol_action_model(2, 1)
     tuple_index = {t: i for i, t in enumerate(task.output.tuples)}
     cert_map = tuple(
@@ -301,8 +301,8 @@ def test_criterion_10_s5_validities(two_step):
         input_model(2, 1),
         protocol_model(2, 1),
         product_update(input_model(2, 2), two_step)[0],
-        output_model(builtin("two_testset", 2), 2, 1)[0],
-        output_model(builtin("snapshot", 2), 2, 1)[0],
+        output_model(builtin("two_testset", 2))[0],
+        output_model(builtin("snapshot", 2))[0],
     ]
     violations = 0
     for model in models:

@@ -24,6 +24,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _cli(*argv, timeout=10):
+    return subprocess.run(
+        [sys.executable, "-m", "epikit.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 # ---------------------------------------------------------------------------
 # schedules
 
@@ -59,6 +68,36 @@ def test_schedules_cap_override(capsys):
     assert len(out.strip().splitlines()) == 47293
 
 
+def test_schedule_count_cap_and_its_override(capsys, monkeypatch):
+    # two_testset at four rounds is under the default cap
+    args = cli.build_parser().parse_args(["schedules", "--n", "2", "--rounds", "4"])
+    assert cli._check_n(args) is None
+    monkeypatch.setattr(cli, "MAX_SCHEDULES", 26)
+    code, out, err = run_cli(capsys, "schedules", "--n", "1", "--rounds", "3")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: --n 1 --rounds 3 would enumerate 27 schedules, more than the "
+        "default cap of 26. Pass --max-n-override to proceed.\n"
+    )
+    code, out, _ = run_cli(
+        capsys, "schedules", "--n", "1", "--rounds", "3", "--max-n-override"
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 27
+
+
+def test_cap_message_for_many_rounds_is_immediate():
+    # 13**8 schedules do not fit in memory; the count is refused before
+    # any of them is enumerated
+    proc = _cli("check", "--n", "2", "--rounds", "8", "--task", "testset", timeout=5)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: --n 2 --rounds 8 would enumerate 815730721 schedules, more than "
+        "the default cap of 1000000. Pass --max-n-override to proceed.\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -73,6 +112,16 @@ def test_run_json(capsys):
     data = json.loads(out)
     assert data["schedule"] == "0|1,2;0,1,2"
     assert len(data["snapshots"]) == 2
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["trace", "json"])
+def test_run_refuses_a_schedule_too_deep_to_print(form):
+    proc = _cli("run", "--schedule", ";".join(["0"] * 1200), *form)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: the local states of a 1200-round run nest too deeply to print\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +348,57 @@ def test_output_objects_of_a_task_without_tuples_are_refused(argv, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == "error: the task has no output tuples, so no output frame\n"
     assert not export.exists()
+
+
+@pytest.fixture
+def testset_file(tmp_path):
+    """The builtin testset for two processes and one round, as a file."""
+    path = tmp_path / "testset.json"
+    proc = _cli("export", "task", "--n", "1", "--task", "testset", "--json", str(path))
+    assert proc.returncode == 0
+    return path
+
+
+@pytest.mark.parametrize("size", [("1", "2"), ("2", "1")], ids=["rounds", "n"])
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["check", "--report"],
+    ["model", "output"],
+    ["mc", "output", "--state", "0", "--formula", "true"],
+    ["export", "output-model", "--json"],
+], ids=lambda argv: " ".join(argv))
+def test_size_mismatched_task_file_is_refused(argv, size, testset_file, tmp_path):
+    export = tmp_path / "out.json"
+    if argv[0] == "export":
+        argv = argv + [str(export)]
+    n, rounds = size
+    proc = _cli(*argv, "--n", n, "--rounds", rounds, "--task-file", str(testset_file))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: task 'testset' is tabulated for n=1, rounds=1\n"
+    assert not export.exists()
+
+
+def test_size_mismatched_task_file_for_objects_of_the_task_alone(testset_file, tmp_path):
+    # the output complex and the task export read the task alone, so the
+    # size options do not matter to them
+    same = _cli("complex", "output", "--n", "1", "--task-file", str(testset_file))
+    other = _cli(
+        "complex", "output", "--n", "1", "--rounds", "2", "--task-file", str(testset_file)
+    )
+    assert (other.returncode, other.stdout, other.stderr) == (0, same.stdout, "")
+    assert same.returncode == 0 and same.stdout.startswith("{")
+    for what in ("task", "output-complex"):
+        path = tmp_path / f"{what}.json"
+        proc = _cli(
+            "export", what, "--n", "2", "--rounds", "2",
+            "--task-file", str(testset_file), "--json", str(path),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert (tmp_path / "task.json").read_text() == testset_file.read_text()
+    assert json.loads((tmp_path / "output-complex.json").read_text()) == json.loads(
+        same.stdout
+    )
 
 
 def test_check_deep_search_without_recursion(capsys, tmp_path):

@@ -123,10 +123,18 @@ def test_empty_delta_is_unsolvable():
     assert not verdict.solvable
 
 
-def test_dimension_mismatch_rejected():
-    task = builtin("two_testset", 2)
-    with pytest.raises(SolverError):
-        solve(task, 2, 2)
+def test_the_task_fixes_the_size():
+    # a call that still passes n and rounds fails at the call
+    task = builtin("snapshot", 2)
+    decision = solve(task).decision
+    for call in (
+        lambda: solve(task, 2, 1),
+        lambda: solve_report(task, 2, 1),
+        lambda: verify_certificate(task, 2, 1, decision),
+        lambda: output_model(task, 2, 1),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +143,7 @@ def test_dimension_mismatch_rejected():
 def test_certificate_survives_verification():
     task = builtin("snapshot", 2)
     verdict = solve(task)
-    assert verify_certificate(task, 2, 1, verdict.decision)
+    assert verify_certificate(task, verdict.decision)
 
 
 def test_verification_runs_each_schedule_once(monkeypatch):
@@ -149,7 +157,7 @@ def test_verification_runs_each_schedule_once(monkeypatch):
     monkeypatch.setattr(simengine, "run", counting_run)
     task = builtin("snapshot", 2)
     verdict = solve(task)
-    assert verify_certificate(task, 2, 1, verdict.decision)
+    assert verify_certificate(task, verdict.decision)
     assert runs == enum_schedules(2, 1) * 2  # once in solve, once here
 
 
@@ -159,20 +167,20 @@ def test_perturbed_certificate_fails():
     values = [list(per_agent) for per_agent in verdict.decision.values]
     values[0][0] = (1, 2)  # any different view leaves the functional relation
     broken = DecisionMap(tuple(tuple(v) for v in values))
-    assert not verify_certificate(task, 2, 1, broken)
+    assert not verify_certificate(task, broken)
 
 
 def test_constant_winner_map_fails_two_testset():
     task = builtin("two_testset", 2)
     all_ones = DecisionMap(tuple(tuple(1 for _ in range(4)) for _ in range(3)))
-    assert not verify_certificate(task, 2, 1, all_ones)
+    assert not verify_certificate(task, all_ones)
 
 
 def test_partial_certificate_rejected():
     task = builtin("snapshot", 2)
     stub = DecisionMap(((0,), (0,), (0,)))
     with pytest.raises(SolverError):
-        verify_certificate(task, 2, 1, stub)
+        verify_certificate(task, stub)
 
 
 def test_certificate_json_lists_classes():
@@ -205,7 +213,7 @@ def test_abstracted_solution_transfers_to_full_information():
             for a, per_agent in enumerate(fine.decision.values)
         )
     )
-    assert verify_certificate(task, 2, 1, composed)
+    assert verify_certificate(task, composed)
 
 
 def test_snapshot_solvable_under_view_preserving_abstraction():
@@ -243,13 +251,13 @@ def test_conflict_core_is_minimal():
     task = builtin("two_testset", 2)
     scheds = [s.text() for s in enum_schedules(2, 1)]
     core = conflict_core(task)
-    from epikit.solver import _solve_restricted
+    from epikit.solver import _Search
 
     frame = protocol_action_model(2, 1).frame
-    assert not _solve_restricted(task, core, frame)
+    assert not _Search(task, frame, core).run()
     for drop in core:
         rest = [k for k in core if k != drop]
-        assert _solve_restricted(task, rest, frame)
+        assert _Search(task, frame, rest).run()
 
 
 def test_snapshot_report_zero_backtracks():
@@ -285,7 +293,7 @@ def reference_verify(task, decision, abstraction=None):
     if not all(task.allows(k, out) for k, out in enumerate(outs)):
         return False
     proto = protocol_model(task.n, task.rounds, abstraction)
-    out_model, pairing = output_model(task, task.n, task.rounds)
+    out_model, pairing = output_model(task)
     tuple_index = {t: i for i, t in enumerate(task.output.tuples)}
     h = FrameMorphism(
         tuple(pairing[(k, tuple_index[out])] for k, out in enumerate(outs))
@@ -362,9 +370,9 @@ def _candidate_maps(rng, task, planted, abstraction):
     return maps
 
 
-def _verdict_or_error(check, *args):
+def _verdict_or_error(check, *args, **kwargs):
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except SolverError:
         return SolverError
 
@@ -379,7 +387,7 @@ def test_verifier_agrees_with_three_check_reference(seed):
     for decision in _candidate_maps(rng, task, planted, abstraction):
         expected = _verdict_or_error(reference_verify, task, decision, abstraction)
         got = _verdict_or_error(
-            verify_certificate, task, n, rounds, decision, abstraction
+            verify_certificate, task, decision, abstraction=abstraction
         )
         assert got == expected
 
@@ -399,7 +407,7 @@ def test_verifier_catches_a_simulator_that_disagrees(monkeypatch):
         simengine, "run", lambda sched, abstraction=None: real_run(shifted[sched])
     )
     assert not reference_verify(anything, verdict.decision)
-    assert not verify_certificate(anything, 2, 1, verdict.decision)
+    assert not verify_certificate(anything, verdict.decision)
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +629,11 @@ def test_learning_cuts_the_two_round_two_testset_search():
 def test_two_round_conflict_core_is_minimal():
     task = builtin("two_testset", 2, 2)
     core = conflict_core(task)
-    from epikit.solver import _solve_restricted
+    from epikit.solver import _Search
 
     frame = protocol_action_model(2, 2).frame
     assert len(core) == 71
-    assert not _solve_restricted(task, core, frame)
+    assert not _Search(task, frame, core).run()
     for drop in core:
         rest = [k for k in core if k != drop]
-        assert _solve_restricted(task, rest, frame)
+        assert _Search(task, frame, rest).run()

@@ -313,17 +313,17 @@ def test_winner_tuple_enabled_only_without_conflicting_forcings():
 
 def test_output_model_counts():
     snapshot = builtin("snapshot", 2)
-    model, _ = output_model(snapshot, 2, 1)
+    model, _ = output_model(snapshot)
     assert model.frame.state_count == 13  # functional relation: one per schedule
 
     two = builtin("two_testset", 2)
-    model, _ = output_model(two, 2, 1)
+    model, _ = output_model(two)
     assert model.frame.state_count == 24  # sum of the delta table sizes
 
 
 def test_output_model_relation_is_decision_equality():
     task = builtin("two_testset", 2)
-    model, pairing = output_model(task, 2, 1)
+    model, pairing = output_model(task)
     reverse = {v: k for k, v in pairing.items()}
     for u in range(model.frame.state_count):
         for v in range(model.frame.state_count):
@@ -338,14 +338,8 @@ def test_all_tuples_everywhere_gives_full_product():
     task = make_task(
         "anything", 2, 1, builtin("two_testset", 2).output.tuples, lambda s, out: True
     )
-    model, _ = output_model(task, 2, 1)
+    model, _ = output_model(task)
     assert model.frame.state_count == 13 * 6
-
-
-def test_output_model_dimension_check():
-    task = builtin("two_testset", 2)
-    with pytest.raises(TaskError):
-        output_model(task, 2, 2)
 
 
 def test_empty_delta_reported():

@@ -11,7 +11,7 @@ from epikit.kernel import (
     product,
 )
 from epikit.logic import KripkeModel
-from epikit.schedules import protocol_model
+from epikit.schedules import protocol_action_model, protocol_model
 from epikit.tasks import builtin
 from epikit.topology import (
     ChromaticComplex,
@@ -109,6 +109,11 @@ def test_roundtrip_check_on_suite_frames():
     ]
     for frame in frames:
         assert roundtrip_check(frame)
+
+
+def test_roundtrip_check_on_a_frame_larger_than_the_recursion_limit():
+    # 2,197 states, one step of the isomorphism search each
+    assert roundtrip_check(protocol_action_model(2, 3).frame)
 
 
 def test_roundtrip_check_rejects_improper():
