@@ -1,5 +1,6 @@
 """Command-line behavior: verdicts, exit codes, exports, determinism."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -503,6 +504,37 @@ def test_export_json_only_objects_refuse_dot(capsys, tmp_path, what, message):
     assert out == ""
     assert err == f"error: {message}\n"
     assert not path.exists()
+
+
+# sha256 of the exact bytes each export had before the DOT writers shared
+# one walk over the related pairs; the writers must keep them
+PINNED_EXPORTS = {
+    "model protocol --n 2 --rounds 2 --dot":
+        "b346f5ca1ccac09af2f64542f03ac347c5fd724efd37164061d6723469289d27",
+    "complex protocol --n 2 --rounds 2 --dot":
+        "f6b404dacec7766362e2034f3260db0186d9ce9dca497df5bca9151810cbd1ad",
+    "complex protocol --n 2 --rounds 2":
+        "649d318d90ee18c6da415c1fed87073aea77afd739b19ebf7272182815a7f38b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_EXPORTS))
+def test_export_bytes_are_pinned(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_EXPORTS[command]
+
+
+def test_exported_output_complex_dot_is_pinned(capsys, tmp_path):
+    path = tmp_path / "ring.dot"
+    code, _, err = run_cli(
+        capsys, "export", "output-complex", "--n", "2", "--task", "two-testset",
+        "--dot", str(path),
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "0415fde5744caf6e6f893851bc808c08079a1d1e28682d7f8f2862b21783e7b4"
+    )
 
 
 def test_exports_are_deterministic(capsys, tmp_path):
