@@ -14,7 +14,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .kernel import agent_name, frame_to_dot, is_proper
+from .kernel import agent_name, frame_to_dot
 from .logic import (
     FormulaParseError,
     Know,
@@ -122,11 +122,9 @@ def _build_model(args):
 
 def _build_complex(args):
     if args.kind == "protocol":
-        frame = protocol_model(args.n, args.rounds).frame
+        frame = schedule_context(args.n, args.rounds).frame
     else:
         frame = _load_task(args).output.frame
-    if not is_proper(frame):
-        raise CliError("frame is not proper; it has no dual complex")
     complex_, _ = frame_to_complex(frame)
     return complex_
 

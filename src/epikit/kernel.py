@@ -8,7 +8,8 @@ structures are immutable; every operation here is a pure function.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from bisect import bisect_right
+from collections.abc import Hashable, Iterator, Sequence
 from functools import cached_property
 
 from .record import Record
@@ -118,14 +119,10 @@ def product(
     nf, ng = f.state_count, g.state_count
     partitions = []
     for a in range(f.agent_count):
-        row = [
-            f.partitions[a][s] * g.num_classes(a) + g.partitions[a][t]
-            if g.num_classes(a)
-            else 0
-            for s in range(nf)
-            for t in range(ng)
-        ]
-        partitions.append(row)
+        width, row_g = g.num_classes(a), g.partitions[a]
+        partitions.append(
+            [c * width + d for c in f.partitions[a] for d in row_g]
+        )
     prod = new_frame(nf * ng, f.agent_count, partitions)
     proj_f = FrameMorphism(tuple(s for s in range(nf) for _ in range(ng)))
     proj_g = FrameMorphism(tuple(t for _ in range(nf) for t in range(ng)))
@@ -228,9 +225,8 @@ def find_isomorphism(f: KripkeFrame, g: KripkeFrame) -> FrameMorphism | None:
                 if bound != ct:
                     break
                 continue
+            # s and t share a color, so their classes have one size
             if ct in cls_rev[a]:
-                break
-            if len(f.classes_by_agent[a][cs]) != len(g.classes_by_agent[a][ct]):
                 break
             cls_fwd[a][cs] = ct
             cls_rev[a][ct] = cs
@@ -328,20 +324,32 @@ def frame_from_json(data: dict) -> KripkeFrame:
     return new_frame(states, agents, partitions)
 
 
+def _related_pairs(frame: KripkeFrame) -> Iterator[tuple[int, int, list[int]]]:
+    """``(u, v, agents)`` for every related pair u < v in (u, v) order,
+    ``agents`` the relating agents in ascending order.  Each state's
+    classes are walked once, from the state onward, so the time is linear
+    in the related pairs (up to sorting each state's later partners), not
+    quadratic in the states."""
+    classes, rows = frame.classes_by_agent, frame.partitions
+    for u in frame.states():
+        agents_of: dict[int, list[int]] = {}
+        for a in range(frame.agent_count):
+            members = classes[a][rows[a][u]]
+            for v in members[bisect_right(members, u):]:
+                agents_of.setdefault(v, []).append(a)
+        for v in sorted(agents_of):
+            yield u, v, agents_of[v]
+
+
 def frame_to_dot(frame: KripkeFrame) -> str:
     """DOT rendering: one node per state, one undirected edge per related
     pair, edge labels the comma-joined names of the relating agents."""
+    names = [agent_name(a) for a in range(frame.agent_count)]
     lines = ["graph frame {", "  node [shape=circle];"]
     for s in frame.states():
         lines.append(f'  s{s} [label="{s}"];')
-    for u in frame.states():
-        for v in range(u + 1, frame.state_count):
-            agents = [
-                agent_name(a)
-                for a in range(frame.agent_count)
-                if frame.related(a, u, v)
-            ]
-            if agents:
-                lines.append(f'  s{u} -- s{v} [label="{",".join(agents)}"];')
+    for u, v, agents in _related_pairs(frame):
+        relating = ",".join(names[a] for a in agents)
+        lines.append(f'  s{u} -- s{v} [label="{relating}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -267,14 +267,27 @@ def final_states(
 
 
 def seen_ids(state) -> frozenset[int]:
-    """All process ids occurring anywhere in a nested local state."""
+    """All process ids occurring anywhere in a nested local state.
+
+    A loop over an explicit stack, so the nesting (one level per round)
+    is not bounded by the recursion limit.  Full-information states share
+    their sub-states, so a sub-state already walked is skipped by
+    identity; all of them live as long as ``state`` does."""
     if isinstance(state, int):
         return frozenset((state,))
-    own, snap = state
-    out = {own}
-    for j, sub in snap:
-        out.add(j)
-        out |= seen_ids(sub)
+    out: set[int] = set()
+    walked = {id(state)}
+    stack = [state]
+    while stack:
+        own, snap = stack.pop()
+        out.add(own)
+        for j, sub in snap:
+            out.add(j)
+            if isinstance(sub, int):
+                out.add(sub)
+            elif id(sub) not in walked:
+                walked.add(id(sub))
+                stack.append(sub)
     return frozenset(out)
 
 

@@ -15,6 +15,7 @@ from .kernel import (
     FormatError,
     FrameMorphism,
     KripkeFrame,
+    _related_pairs,
     agent_name,
     is_morphism,
     is_proper,
@@ -284,13 +285,12 @@ def complex_to_dot(complex_: ChromaticComplex) -> str:
     for k, facet in enumerate(complex_.facets):
         label = " ".join(complex_.vertices[v][1] for v in facet)
         lines.append(f'  f{k} [label="{label}"];')
-    for i in range(complex_.facet_count):
-        for j in range(i + 1, complex_.facet_count):
-            shared = set(complex_.facets[i]) & set(complex_.facets[j])
-            if shared:
-                names = ",".join(
-                    sorted(agent_name(complex_.vertices[v][0]) for v in shared)
-                )
-                lines.append(f'  f{i} -- f{j} [label="{names}"];')
+    # a vertexless complex has at most one (empty) facet, so no edges; in
+    # the dual frame, facets are related by the colors of shared vertices
+    if complex_.vertices:
+        names = [agent_name(c) for c in range(complex_.color_count)]
+        for i, j, colors in _related_pairs(complex_to_frame(complex_)):
+            shared = ",".join(sorted(names[c] for c in colors))
+            lines.append(f'  f{i} -- f{j} [label="{shared}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

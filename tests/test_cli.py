@@ -417,6 +417,14 @@ def test_check_deep_search_without_recursion(capsys, tmp_path):
     assert out == "solvable\n"
 
 
+def test_check_many_rounds_without_recursion():
+    # one schedule per round count at n=0, so only the nesting of the
+    # local states grows: 1,200 rounds are past the recursion limit
+    proc = _cli("check", "--n", "0", "--rounds", "1200", "--task", "testset",
+                timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "solvable\n", "")
+
+
 def test_check_report_solves_once(capsys, monkeypatch):
     calls = []
 

@@ -1,11 +1,13 @@
 """Frame construction, morphisms, products, and isomorphism search."""
 
 import random
+from itertools import permutations
 
 import pytest
 
 from epikit.kernel import (
     FrameMorphism,
+    agent_name,
     are_isomorphic,
     compose_morphisms,
     find_isomorphism,
@@ -19,6 +21,7 @@ from epikit.kernel import (
     new_frame,
     product,
 )
+from epikit.schedules import protocol_action_model
 
 
 def all_maps(src_states, dst_states):
@@ -142,6 +145,25 @@ def test_projections_are_morphisms():
     assert is_morphism(pg, h, g)
 
 
+def test_product_partitions_match_a_per_pair_reference():
+    rng = random.Random(4021)
+    for _ in range(60):
+        agents = rng.randint(1, 3)
+        f = random_frame(rng, rng.randint(0, 5), agents)
+        g = random_frame(rng, rng.randint(0, 5), agents)
+        h, pf, pg = product(f, g)
+        ng = g.state_count
+        pairs = [divmod(u, ng) for u in h.states()]
+        assert h.state_count == len(pairs) == f.state_count * ng
+        assert pf.mapping == tuple(s for s, _ in pairs)
+        assert pg.mapping == tuple(t for _, t in pairs)
+        for a in range(agents):
+            for u, (s, t) in enumerate(pairs):
+                for v, (s2, t2) in enumerate(pairs):
+                    expected = f.related(a, s, s2) and g.related(a, t, t2)
+                    assert h.related(a, u, v) == expected
+
+
 def test_product_agent_count_mismatch():
     f = new_frame(1, 2, [[0], [0]])
     g = new_frame(1, 3, [[0], [0], [0]])
@@ -255,6 +277,99 @@ def test_same_class_counts_different_wiring():
     assert not are_isomorphic(f, g)
 
 
+def permuted(frame, perm):
+    """The frame whose state s is ``frame``'s state ``perm[s]``."""
+    return new_frame(
+        frame.state_count,
+        frame.agent_count,
+        [[row[perm[s]] for s in frame.states()] for row in frame.partitions],
+    )
+
+
+def regular_frame(rng, states, agents):
+    """Every agent's classes have one size, so color refinement gives all
+    states one color and only the search can tell such frames apart."""
+    size = rng.choice([k for k in range(1, states + 1) if states % k == 0])
+    partitions = []
+    for _ in range(agents):
+        order = list(range(states))
+        rng.shuffle(order)
+        row = [0] * states
+        for i, s in enumerate(order):
+            row[s] = i // size
+        partitions.append(row)
+    return new_frame(states, agents, partitions)
+
+
+def brute_isomorphic(f, g):
+    """Some bijection carries g's partitions onto f's."""
+    if (f.state_count, f.agent_count) != (g.state_count, g.agent_count):
+        return False
+    return any(permuted(g, perm) == f for perm in permutations(g.states()))
+
+
+def is_isomorphism(witness, f, g):
+    inverse = [0] * f.state_count
+    for s, t in enumerate(witness.mapping):
+        inverse[t] = s
+    return (
+        sorted(witness.mapping) == list(g.states())
+        and is_morphism(witness, f, g)
+        and is_morphism(FrameMorphism(tuple(inverse)), g, f)
+    )
+
+
+def test_isomorphism_search_matches_brute_force():
+    rng = random.Random(5150)
+    found = {True: 0, False: 0}
+    for _ in range(240):
+        states, agents = rng.randint(0, 7), rng.randint(1, 3)
+        make = rng.choice([random_frame, regular_frame]) if states else random_frame
+        f = make(rng, states, agents)
+        perm = list(range(states))
+        rng.shuffle(perm)
+        g = permuted(f, perm) if rng.random() < 0.4 else make(rng, states, agents)
+        witness = find_isomorphism(f, g)
+        assert (witness is not None) == brute_isomorphic(f, g)
+        if witness is not None:
+            assert is_isomorphism(witness, f, g)
+        found[witness is not None] += 1
+    assert min(found.values()) > 50
+
+
+def cycles_frame(lengths):
+    """Two agents whose classes are the alternate edges of disjoint even
+    cycles of the given lengths."""
+    rows: list[list[int]] = [[], []]
+    start = 0
+    for length in lengths:
+        for i in range(length):
+            rows[0].append(start + i // 2)
+            rows[1].append(start + (i + 1) % length // 2)
+        start += length
+    return new_frame(start, 2, rows)
+
+
+def test_isomorphism_search_backtracks_on_cycles():
+    # every state lies in one two-state class per agent, so color
+    # refinement cannot separate one 12-cycle from two 6-cycles
+    one, two = cycles_frame([12]), cycles_frame([6, 6])
+    assert find_isomorphism(one, two) is None
+    assert find_isomorphism(two, one) is None
+    assert is_isomorphism(find_isomorphism(one, one), one, one)
+    assert is_isomorphism(find_isomorphism(two, two), two, two)
+
+
+def test_isomorphism_on_a_shuffled_protocol_frame():
+    frame = protocol_action_model(2, 3).frame  # 2,197 states
+    perm = list(frame.states())
+    random.Random(7).shuffle(perm)
+    shuffled = permuted(frame, perm)
+    witness = find_isomorphism(shuffled, frame)
+    assert witness is not None
+    assert is_isomorphism(witness, shuffled, frame)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -273,6 +388,38 @@ def test_frame_json_roundtrip():
 def test_frame_from_json_rejects_malformed_data(data):
     with pytest.raises(FormatError):
         frame_from_json(data)
+
+
+def all_pairs_frame_to_dot(frame):
+    """The frame writer as it was before the related-pairs walk: every
+    pair of states, every agent."""
+    lines = ["graph frame {", "  node [shape=circle];"]
+    for s in frame.states():
+        lines.append(f'  s{s} [label="{s}"];')
+    for u in frame.states():
+        for v in range(u + 1, frame.state_count):
+            agents = [
+                agent_name(a)
+                for a in range(frame.agent_count)
+                if frame.related(a, u, v)
+            ]
+            if agents:
+                lines.append(f'  s{u} -- s{v} [label="{",".join(agents)}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_frame_dot_matches_the_all_pairs_writer():
+    rng = random.Random(1704)
+    for _ in range(320):
+        states, agents = rng.randint(0, 25), rng.randint(1, 13)
+        labels = rng.randint(1, max(1, states))
+        frame = new_frame(
+            states,
+            agents,
+            [[rng.randrange(labels) for _ in range(states)] for _ in range(agents)],
+        )
+        assert frame_to_dot(frame) == all_pairs_frame_to_dot(frame)
 
 
 def test_frame_dot_is_stable():

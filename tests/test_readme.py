@@ -1,6 +1,9 @@
 """The README's code runs as written and says what it computes."""
 
+import shlex
 from pathlib import Path
+
+from epikit.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,3 +24,27 @@ def test_library_quick_tour_runs_and_its_comment_holds():
     assert complex_.facet_count == 13
     colors = [color for color, _ in complex_.vertices]
     assert [colors.count(c) for c in range(3)] == [4, 4, 4]
+
+
+def command_lines() -> list[str]:
+    """The ``epikit`` lines of the command-line block, continuations
+    joined."""
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    start = section.index("```sh\n") + len("```sh\n")
+    block = section[start:section.index("```", start)]
+    return block.replace("\\\n", " ").splitlines()
+
+
+def test_command_line_block_exit_codes(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # two lines write files
+    codes = []
+    for line in command_lines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "epikit"
+        codes.append(main(argv[1:]))
+        assert capsys.readouterr().err == "", line
+    # the two unsolvable checks exit 2
+    assert codes == [0, 0, 0, 0, 0, 2, 0, 2, 0]
+    assert (tmp_path / "cert.json").exists()
+    assert (tmp_path / "ring.dot").exists()

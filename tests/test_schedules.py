@@ -233,6 +233,28 @@ def test_seen_ids_transitive():
     assert R in seen_ids(final_states(s)[Q])
 
 
+def recursive_seen_ids(state):
+    if isinstance(state, int):
+        return {state}
+    own, snap = state
+    out = {own}
+    for j, sub in snap:
+        out |= {j} | recursive_seen_ids(sub)
+    return out
+
+
+def test_seen_ids_matches_a_recursive_walk():
+    for finals in schedule_context(2, 2).finals:
+        for state in finals:
+            assert seen_ids(state) == recursive_seen_ids(state)
+
+
+def test_seen_ids_of_a_state_deeper_than_the_recursion_limit():
+    s = parse_schedule(";".join(["0|1"] * 1500))
+    assert seen_ids(final_states(s)[0]) == {0}
+    assert seen_ids(final_states(s)[1]) == {0, 1}
+
+
 # ---------------------------------------------------------------------------
 # final states shared along schedule prefixes
 

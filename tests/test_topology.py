@@ -1,12 +1,16 @@
 """Frame/complex duality, simplicial maps, and simplicial models."""
 
+import random
+
 import pytest
 
 from epikit.kernel import (
     FormatError,
     FrameMorphism,
+    agent_name,
     are_isomorphic,
     identity_morphism,
+    is_proper,
     new_frame,
     product,
 )
@@ -282,3 +286,50 @@ def test_complex_dot_mentions_shared_colors():
     assert dot == complex_to_dot(complex_)
     assert "graph complex {" in dot
     assert '[label="p"]' in dot or '[label="q"]' in dot
+
+
+def all_pairs_complex_to_dot(complex_):
+    """The complex writer as it was before the related-pairs walk: the
+    shared vertices of every pair of facets."""
+    lines = ["graph complex {", "  node [shape=box];"]
+    for k, facet in enumerate(complex_.facets):
+        label = " ".join(complex_.vertices[v][1] for v in facet)
+        lines.append(f'  f{k} [label="{label}"];')
+    for i in range(complex_.facet_count):
+        for j in range(i + 1, complex_.facet_count):
+            shared = set(complex_.facets[i]) & set(complex_.facets[j])
+            if shared:
+                names = ",".join(
+                    sorted(agent_name(complex_.vertices[v][0]) for v in shared)
+                )
+                lines.append(f'  f{i} -- f{j} [label="{names}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_complex_dot_matches_the_all_pairs_writer():
+    # the dual complexes of random proper frames with up to 13 colors,
+    # so agent names past z (a11, a12) sort before p in edge labels
+    rng = random.Random(7883)
+    compared = 0
+    while compared < 300:
+        states, agents = rng.randint(0, 25), rng.randint(1, 13)
+        labels = rng.randint(1, max(1, states))
+        frame = new_frame(
+            states,
+            agents,
+            [[rng.randrange(labels) for _ in range(states)] for _ in range(agents)],
+        )
+        if is_proper(frame):
+            complex_, _ = frame_to_complex(frame)
+            assert complex_to_dot(complex_) == all_pairs_complex_to_dot(complex_)
+            compared += 1
+
+
+@pytest.mark.parametrize("complex_", [
+    ChromaticComplex((), ()),
+    ChromaticComplex((), ((),)),
+    ChromaticComplex(((0, "p0"), (1, "q0"), (1, "q1")), ()),
+], ids=["empty", "one empty facet", "vertices without facets"])
+def test_complex_dot_of_degenerate_complexes(complex_):
+    assert complex_to_dot(complex_) == all_pairs_complex_to_dot(complex_)
