@@ -189,81 +189,55 @@ def full_information(rnd: int, state, snapshot: tuple) -> tuple[object, object]:
     return new_state, new_state
 
 
-class PrefixTable:
-    """Work that :func:`final_states` calls over one abstraction share.
-
-    ``path[r]`` is the round-r prefix of the last schedule asked for: its
-    last action (None for r = 0), every process's (write, state) pair
-    after it, and per process the steps already taken from it, keyed by
-    the next round's view.  A schedule that starts with the same actions
-    reuses them, so over schedules in canonical order, where the ones
-    that share a prefix are adjacent, each distinct (prefix, process,
-    view) step calls the abstraction once.  ``distinct`` keeps one object
-    per distinct state or write.  The path holds one entry per round, not
-    one per schedule; a call over another abstraction or id set starts it
-    afresh.
-    """
-
-    def __init__(self):
-        self.key: tuple | None = None  # (abstraction, process count)
-        self.path: list[tuple] = []
-        self.distinct: dict = {}
-
-
 def final_states(
-    sched: Schedule,
-    abstraction: Abstraction | None = None,
-    *,
-    prefixes: PrefixTable | None = None,
-) -> tuple:
-    """Per-process local states after running all rounds of a schedule.
+    n: int, rounds: int, abstraction: Abstraction | None = None
+) -> tuple[tuple, ...]:
+    """``final_states(n, rounds)[k][i]``: process i's local state after
+    all rounds of the k-th schedule of :func:`enum_schedules`.
 
     Derived from the view structure alone: round r hands agent i the
     written values of everyone in its round-r view.  The memory-array
     simulator recomputes the same thing operationally and the two must
-    agree; keep this path free of simulator code.
-
-    Calls that pass one ``prefixes`` table share the rounds their
-    schedules start with, and equal states or writes they produce are one
-    object (so both must be hashable); a call without one works alone.
+    agree; keep this path free of simulator code.  The schedule tree is
+    walked round by round, each prefix's (write, state) pairs stepped by
+    every block action with one abstraction call per (prefix, process,
+    view).  Equal states or writes are one object (so both must be
+    hashable).
     """
+    acts = enum_block_actions(n)
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
     abstraction = abstraction or full_information
-    n_proc = sched.process_count
-    table = PrefixTable() if prefixes is None else prefixes
-    distinct = None if prefixes is None else prefixes.distinct
-    path = table.path
-    if table.key != (abstraction, n_proc):
-        table.key = (abstraction, n_proc)
-        # the first round writes the initial state
-        start = [(i, i) for i in range(n_proc)]
-        path[:] = [(None, start, [{} for _ in range(n_proc)])]
-    rounds = sched.rounds
-    # cut the path back to the longest proper prefix of rounds it holds
-    depth = 1
-    while depth < len(path) and depth < len(rounds):
-        act = path[depth][0]
-        if not (act is rounds[depth - 1] or act == rounds[depth - 1]):
-            break
-        depth += 1
-    del path[depth:]
-    for rnd in range(len(path), len(rounds) + 1):
-        _, before, taken = path[-1]
-        act = rounds[rnd - 1]
-        steps = [memo.get(view) for memo, view in zip(taken, act.views)]
-        if None in steps:
-            for i, view in enumerate(act.views):
-                if steps[i] is None:
+    # per process, its distinct views in order of first occurrence, and
+    # per action where each process's view stands among them
+    views: list[dict] = [{} for _ in range(n + 1)]
+    picks = [
+        tuple(views[i].setdefault(v, len(views[i])) for i, v in enumerate(act.views))
+        for act in acts
+    ]
+    distinct: dict = {}
+    level = [tuple((i, i) for i in range(n + 1))]  # round 1 writes the ids
+    for rnd in range(1, rounds + 1):
+        after = []
+        for before in level:
+            steps = []
+            for i, own_views in enumerate(views):
+                stepped = []
+                for view in own_views:
                     snap = tuple((j, before[j][0]) for j in view)
                     write, state = abstraction(rnd, before[i][1], snap)
-                    if distinct is not None:
-                        # full information writes its state: hash it once
-                        same = state is write
-                        write = distinct.setdefault(write, write)
-                        state = write if same else distinct.setdefault(state, state)
-                    steps[i] = taken[i][view] = (write, state)
-        if rnd == len(rounds):
-            return tuple([state for _, state in steps])
-        path.append((act, steps, [{} for _ in range(n_proc)]))
+                    if rnd == rounds:  # nothing reads the last writes
+                        stepped.append(distinct.setdefault(state, state))
+                        continue
+                    # full information writes its state: hash it once
+                    same = state is write
+                    write = distinct.setdefault(write, write)
+                    state = write if same else distinct.setdefault(state, state)
+                    stepped.append((write, state))
+                steps.append(stepped)
+            after.extend(tuple(map(list.__getitem__, steps, pick)) for pick in picks)
+        level = after
+    return tuple(level)
 
 
 def seen_ids(state) -> frozenset[int]:
@@ -300,15 +274,18 @@ class ScheduleContext:
 
     Get it from :func:`schedule_context`, which builds one per key and
     process, so the model builders, the task tabulation and the solver
-    share it instead of enumerating again.  Final states (through
-    :func:`final_states`), schedule texts and the frame are worked out
-    on first use.  A plain class, not a :class:`Record`: it is a cache
-    shared by identity, not a value compared by its fields.
+    share it instead of enumerating again.  The schedules are enumerated
+    when the context is made; final states (one :func:`final_states`
+    call), schedule texts and the frame are worked out on first use.  A
+    plain class, not a :class:`Record`: it is a cache shared by identity,
+    not a value compared by its fields.
     """
 
-    def __init__(self, abstraction: Abstraction, schedules: tuple[Schedule, ...]):
+    def __init__(self, n: int, rounds: int, abstraction: Abstraction):
+        self.n = n
+        self.rounds = rounds
         self.abstraction = abstraction
-        self.schedules = schedules
+        self.schedules = tuple(enum_schedules(n, rounds))
 
     @cached_property
     def finals(self) -> tuple[tuple, ...]:
@@ -316,24 +293,17 @@ class ScheduleContext:
 
         Equal states are kept as one object: there are far fewer distinct
         local states than (schedule, process) pairs, and the nested
-        full-information states are large.  The calls share one
-        :class:`PrefixTable`, so each round step is worked out once per
-        prefix, and drop it when done."""
-        prefixes = PrefixTable()
-        return tuple(
-            final_states(s, self.abstraction, prefixes=prefixes)
-            for s in self.schedules
-        )
+        full-information states are large."""
+        return final_states(self.n, self.rounds, self.abstraction)
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
         """``texts[k]`` is ``schedules[k].text()``.  The canonical order is
         the cartesian power of the block-action order, so the texts are
         that power of the actions' texts."""
-        first = self.schedules[0]
-        acts = enum_block_actions(first.process_count - 1)
+        acts = enum_block_actions(self.n)
         return tuple(
-            map(";".join, iproduct([a.text() for a in acts], repeat=first.round_count))
+            map(";".join, iproduct([a.text() for a in acts], repeat=self.rounds))
         )
 
     @cached_property
@@ -341,16 +311,15 @@ class ScheduleContext:
         """One state per schedule, two alike for an agent iff the agent's
         final states under them are equal: the frame of the schedule
         action model, whose classes are the solver's view classes."""
-        n_agents = self.schedules[0].process_count
         # equal final states are one object, so ids label the classes and
         # no nested state is hashed again
-        partitions = [[id(f[a]) for f in self.finals] for a in range(n_agents)]
-        return new_frame(len(self.schedules), n_agents, partitions)
+        partitions = [[id(f[a]) for f in self.finals] for a in range(self.n + 1)]
+        return new_frame(len(self.schedules), self.n + 1, partitions)
 
 
 @lru_cache(maxsize=16)
 def _cached_context(n: int, rounds: int, abstraction: Abstraction) -> ScheduleContext:
-    return ScheduleContext(abstraction, tuple(enum_schedules(n, rounds)))
+    return ScheduleContext(n, rounds, abstraction)
 
 
 def schedule_context(

@@ -17,12 +17,12 @@ from .logic import ActionModel, KripkeModel, product_update
 from .record import Record
 from .schedules import (
     Schedule,
-    final_states,
     input_model,
     schedule_context,
     schedule_count,
     seen_ids,
 )
+from .simengine import run
 
 Value = object
 OutputTuple = tuple[Value, ...]
@@ -86,8 +86,9 @@ class InputlessTask(Record):
     ``delta_table[k]`` lists the indices of the tuples acceptable for the
     k-th schedule of the canonical enumeration for (n, rounds); every
     entry is an index into ``output.tuples``.  Schedules with an empty
-    entry make the task vacuously unsolvable; they are kept and reported
-    through ``empty_schedules`` rather than rejected.
+    entry make the task vacuously unsolvable; they are kept rather than
+    rejected, and ``solve`` returns Unsolvable before it searches, so the
+    report's conflict core is one such schedule.
     """
 
     name: str
@@ -181,23 +182,24 @@ def output_model(task: InputlessTask) -> tuple[KripkeModel, dict[tuple[int, int]
 # builtins
 
 # The builtins' rules for one schedule at a time, the references their
-# tables are tested against.  The builtins themselves read the same facts
-# off the shared schedule context, once per view class.
+# tables are tested against.  They read a simulated run, so they stay
+# independent of the view algebra; the builtins themselves read the same
+# facts off the shared schedule context, once per view class.
 
 def never_reads_others(agent: int, sched: Schedule) -> bool:
     """True when nothing of any other process ever reaches the agent.
 
-    Checked on the full-information final state: any foreign id in it
-    means some snapshot carried another process's data, directly or
-    through an intermediary.
+    Checked on the full-information final state of a simulated run: any
+    foreign id in it means some snapshot carried another process's data,
+    directly or through an intermediary.
     """
-    return seen_ids(final_states(sched)[agent]) == frozenset((agent,))
+    return seen_ids(run(sched).finals[agent]) == frozenset((agent,))
 
 
 def reads_only(agents: frozenset[int], sched: Schedule) -> bool:
     """True when the given processes jointly never acquire data from
     outside the group."""
-    finals = final_states(sched)
+    finals = run(sched).finals
     return all(seen_ids(finals[i]) <= agents for i in agents)
 
 

@@ -289,8 +289,13 @@ def complex_to_dot(complex_: ChromaticComplex) -> str:
     # the dual frame, facets are related by the colors of shared vertices
     if complex_.vertices:
         names = [agent_name(c) for c in range(complex_.color_count)]
+        # names sort apart from colors (a11 before p): sort each color set once
+        labels: dict[tuple[int, ...], str] = {}
         for i, j, colors in _related_pairs(complex_to_frame(complex_)):
-            shared = ",".join(sorted(names[c] for c in colors))
+            key = tuple(colors)
+            shared = labels.get(key)
+            if shared is None:
+                shared = labels[key] = ",".join(sorted(names[c] for c in colors))
             lines.append(f'  f{i} -- f{j} [label="{shared}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

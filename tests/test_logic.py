@@ -258,6 +258,26 @@ def test_after_action_operator():
         eval_formula(model, k, AfterAction(action, 99, TRUE))
 
 
+def test_after_action_with_formula_preconditions():
+    # agent 0 privately learns whether x holds: point 0 needs x, point 1
+    # needs !x, and only agent 0 tells the points apart
+    m = tiny_model()
+    action = ActionModel(new_frame(2, 2, [[0, 1], [0, 0]]), (Atom("x"), Not(Atom("x"))))
+    # worked out by hand: (0, 0) and (1, 1) survive; agent 0 now separates
+    # them by the point, agent 1 by the state as before
+    updated, pairing = product_update(m, action)
+    assert pairing == {(0, 0): 0, (1, 1): 1}
+    by_hand = KripkeModel(new_frame(2, 2, [[0, 1], [0, 1]]), ("x",), m.valuation)
+    assert updated == by_hand
+    assert not eval_formula(m, 0, Know(P, Atom("x")))
+    assert eval_formula(by_hand, 0, Know(P, Atom("x")))
+    assert eval_formula(m, 0, AfterAction(action, 0, Know(P, Atom("x"))))
+    assert eval_formula(m, 1, AfterAction(action, 1, Know(P, Not(Atom("x")))))
+    # vacuously true where the precondition fails
+    assert eval_formula(m, 1, AfterAction(action, 0, FALSE))
+    assert not eval_formula(m, 0, AfterAction(action, 0, FALSE))
+
+
 # ---------------------------------------------------------------------------
 # composition
 
@@ -337,6 +357,19 @@ def test_coarsening_identity_is_model_morphism():
     for name in full.ap:
         for agent in range(3):
             assert knowledge_loss_check(ident, full, coarse, Atom(name), agent)
+
+
+def test_image_that_knows_more_is_knowledge_loss():
+    # one agent confusing a state with x and one without: it does not know
+    # !x; the image drops x, a legal model morphism, and knows !x there
+    src = KripkeModel(new_frame(2, 1, [[0, 0]]), ("x",), (frozenset((0,)), frozenset()))
+    dst = KripkeModel(new_frame(1, 1, [[0]]), ("x",), (frozenset(),))
+    collapse = ModelMorphism(FrameMorphism((0, 0)))
+    assert is_model_morphism(collapse, src, dst)
+    assert eval_formula(dst, 0, Know(P, Not(Atom("x"))))
+    assert not eval_formula(src, 1, Know(P, Not(Atom("x"))))
+    assert not knowledge_loss_check(collapse, src, dst, Not(Atom("x")), P)
+    assert knowledge_loss_check(collapse, src, dst, Atom("x"), P)
 
 
 def test_valuation_growth_rejected():

@@ -18,7 +18,6 @@ from epikit.schedules import (
     block_action,
     enum_block_actions,
     enum_schedules,
-    PrefixTable,
     final_states,
     fubini,
     indist_1,
@@ -37,6 +36,13 @@ from epikit.schedules import (
 from epikit.simengine import run
 
 P, Q, R = 0, 1, 2
+
+
+def finals_of(sched):
+    """One schedule's final states from the view algebra: its row of the
+    full-information context of its size, found by its text."""
+    ctx = schedule_context(sched.process_count - 1, sched.round_count)
+    return ctx.finals[ctx.texts.index(sched.text())]
 
 
 def brute_force_block_actions(n):
@@ -206,7 +212,7 @@ def test_one_round_view_determines_view_set():
         for a in acts:
             for b in acts:
                 same_state = (
-                    final_states(schedule(a))[i] == final_states(schedule(b))[i]
+                    finals_of(schedule(a))[i] == finals_of(schedule(b))[i]
                 )
                 assert same_state == (view1(i, a) == view1(i, b))
 
@@ -214,15 +220,15 @@ def test_one_round_view_determines_view_set():
 def test_two_round_distinction_travels_through_q():
     u = parse_schedule("0|1,2;0,1,2")
     v = parse_schedule("0|1,2;0,2|1")
-    assert final_states(u)[Q] == final_states(v)[Q]
-    assert final_states(u)[P] != final_states(v)[P]
-    assert final_states(u)[R] != final_states(v)[R]
+    assert finals_of(u)[Q] == finals_of(v)[Q]
+    assert finals_of(u)[P] != finals_of(v)[P]
+    assert finals_of(u)[R] != finals_of(v)[R]
 
 
 def test_view_equals_itself_across_rounds():
     s = parse_schedule("0|2|1;0|2|1")
     for i in range(3):
-        assert final_states(s)[i] == final_states(s)[i]
+        assert finals_of(s)[i] == finals_of(s)[i]
 
 
 def test_seen_ids_transitive():
@@ -230,7 +236,7 @@ def test_seen_ids_transitive():
     # from p in round 2 once p has seen r
     s = parse_schedule("1|0,2;1,0|2")
     assert R not in view1(Q, s.rounds[0])
-    assert R in seen_ids(final_states(s)[Q])
+    assert R in seen_ids(finals_of(s)[Q])
 
 
 def recursive_seen_ids(state):
@@ -251,12 +257,12 @@ def test_seen_ids_matches_a_recursive_walk():
 
 def test_seen_ids_of_a_state_deeper_than_the_recursion_limit():
     s = parse_schedule(";".join(["0|1"] * 1500))
-    assert seen_ids(final_states(s)[0]) == {0}
-    assert seen_ids(final_states(s)[1]) == {0, 1}
+    assert seen_ids(run(s).finals[0]) == {0}
+    assert seen_ids(run(s).finals[1]) == {0, 1}
 
 
 # ---------------------------------------------------------------------------
-# final states shared along schedule prefixes
+# final states in one walk of the schedule tree
 
 def seeded_abstraction(seed):
     """A deterministic abstraction drawn from the seed: its answer depends
@@ -288,13 +294,13 @@ def test_context_finals_match_lone_runs_under_seeded_abstractions(n, rounds):
     abstraction = seeded_abstraction(100 * n + rounds)
     ctx = schedule_context(n, rounds, abstraction)
     finals = ctx.finals
-    # one call per distinct step, although each schedule ran through
-    # final_states on its own
+    # one call per distinct (prefix, process, view) step, although every
+    # schedule extends each prefix it starts with
     assert abstraction.calls == distinct_steps(n, rounds)
     assert ctx.texts == tuple(s.text() for s in ctx.schedules)
+    assert finals == final_states(n, rounds, abstraction)
     one_object: dict = {}
     for sched, states in zip(ctx.schedules, finals):
-        assert states == final_states(sched, abstraction)
         assert states == run(sched, abstraction).finals
         for state in states:
             assert one_object.setdefault(state, state) is state
@@ -303,9 +309,10 @@ def test_context_finals_match_lone_runs_under_seeded_abstractions(n, rounds):
 @pytest.mark.parametrize("n, rounds", [(1, 3), (2, 2)])
 def test_full_information_context_finals_match_lone_runs(n, rounds):
     ctx = schedule_context(n, rounds)
+    assert ctx.finals == final_states(n, rounds)
     one_object: dict = {}
     for sched, states in zip(ctx.schedules, ctx.finals):
-        assert states == final_states(sched) == run(sched).finals
+        assert states == run(sched).finals
         for state in states:
             assert one_object.setdefault(state, state) is state
 
@@ -316,24 +323,15 @@ def test_contexts_that_differ_in_abstraction_share_no_work():
     other = schedule_context(2, 2, second)
     assert one.finals != other.finals
     assert first.calls == second.calls == distinct_steps(2, 2)
-    for sched, a, b in zip(one.schedules, one.finals, other.finals):
-        assert a == final_states(sched, first)
-        assert b == final_states(sched, second)
+    assert one.finals == final_states(2, 2, first)
+    assert other.finals == final_states(2, 2, second)
 
 
-def test_prefix_table_holds_one_entry_per_round_and_restarts_on_a_new_key():
-    first, second = seeded_abstraction(3), seeded_abstraction(4)
-    table = PrefixTable()
-    scheds = enum_schedules(1, 3)
-    # in a shuffled order too, where a prefix comes back after others
-    for sched in scheds + random.Random(0).sample(scheds, len(scheds)):
-        shared = final_states(sched, first, prefixes=table)
-        assert shared == final_states(sched, first)
-        assert len(table.path) <= 3
-    for sched in enum_schedules(2, 2):
-        shared = final_states(sched, second, prefixes=table)
-        assert shared == final_states(sched, second)
-        assert len(table.path) <= 2
+def test_final_states_reject_a_negative_n_and_no_rounds():
+    with pytest.raises(ValueError):
+        final_states(-1, 1)
+    with pytest.raises(ValueError):
+        final_states(1, 0)
 
 
 # ---------------------------------------------------------------------------

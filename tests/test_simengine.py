@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from epikit.schedules import enum_schedules, final_states, parse_schedule
+from epikit.schedules import enum_schedules, parse_schedule, schedule_context
 from epikit.simengine import format_trace, oracle_indist, record_to_json, run
 
 P, Q, R = 0, 1, 2
@@ -68,8 +68,9 @@ def test_freshness_round_values_do_not_leak():
 def test_simulator_agrees_with_view_algebra():
     # the same final states arise from array mechanics and from the view
     # formula; both paths share only the schedule
-    for sched in enum_schedules(2, 1) + enum_schedules(1, 2):
-        assert run(sched).finals == final_states(sched)
+    for ctx in (schedule_context(2, 1), schedule_context(1, 2)):
+        for sched, finals in zip(ctx.schedules, ctx.finals):
+            assert run(sched).finals == finals
 
 
 def random_abstraction(rng):
@@ -95,8 +96,9 @@ def test_simulator_agrees_with_view_algebra_under_random_abstractions(
     n, rounds, seed
 ):
     abstraction = random_abstraction(random.Random(seed))
-    for sched in enum_schedules(n, rounds):
-        assert run(sched, abstraction).finals == final_states(sched, abstraction)
+    ctx = schedule_context(n, rounds, abstraction)
+    for sched, finals in zip(ctx.schedules, ctx.finals):
+        assert run(sched, abstraction).finals == finals
 
 
 def test_two_round_oracle_example():

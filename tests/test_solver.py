@@ -192,6 +192,14 @@ def test_certificate_json_lists_classes():
     assert len(data["classes"][0]) == 4
 
 
+def test_no_certificate_json_for_an_unsolvable_verdict():
+    task = builtin("testset", 1)
+    verdict = solve(task)
+    assert not verdict.solvable
+    with pytest.raises(SolverError, match="unsolvable"):
+        decision_to_json(task, verdict)
+
+
 # ---------------------------------------------------------------------------
 # full-information dominance
 
@@ -258,6 +266,13 @@ def test_conflict_core_is_minimal():
     for drop in core:
         rest = [k for k in core if k != drop]
         assert _Search(task, frame, rest).run()
+
+
+def test_no_conflict_core_for_a_solvable_task():
+    task = builtin("snapshot", 2)
+    assert solve(task).solvable
+    with pytest.raises(SolverError, match="solvable task"):
+        conflict_core(task)
 
 
 def test_snapshot_report_zero_backtracks():
@@ -600,7 +615,9 @@ def _differential_case(seed):
     return _threshold_task(rng, n, rounds, width, rng.uniform(low, high)), brute
 
 
-@pytest.mark.parametrize("seed", range(90))
+# seed 97 is the first case whose search meets a learned nogood with
+# every literal already holding (the conflict branch of _Search._watch)
+@pytest.mark.parametrize("seed", [*range(90), 97])
 def test_learning_search_finds_the_canonical_first_certificate(seed):
     task, brute = _differential_case(seed)
     verdict = solve(task)
