@@ -212,13 +212,13 @@ def cmd_schedules(args) -> int:
 def cmd_run(args) -> int:
     sched = parse_schedule(args.schedule)
     record = run(sched)
-    # both forms build the whole text, by recursion over the nested local
+    if not args.json:
+        sys.stdout.write(format_trace(record))
+        return EXIT_OK
+    # the JSON text is built whole, by recursion over the nested local
     # states, before any of it is written
     try:
-        if args.json:
-            text = json_text(record_to_json(record)) + "\n"
-        else:
-            text = format_trace(record)
+        text = json_text(record_to_json(record)) + "\n"
     except RecursionError:
         raise CliError(
             f"the local states of a {sched.round_count}-round run nest too "

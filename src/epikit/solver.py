@@ -443,31 +443,42 @@ def verify_certificate(
     the output complex (the duality of :mod:`epikit.topology`).
 
     View classes are re-derived by running every schedule once in the
-    memory simulator and grouping final states, not by reusing the view
-    algebra; the morphism check against the view algebra's frame is what
-    makes the two agree.  Raises on partial maps or class-count
+    memory simulator, in one :func:`simengine.runs` call, and grouping
+    final states, not by reusing the view algebra; the morphism check
+    against the view algebra's frame is what makes the two agree.  Equal
+    final states are one object within the call, so an agent's classes
+    are numbered, by first occurrence, by the identity of its final
+    state: an interning that failed could only split a class, which the
+    class-count check refuses.  Raises on partial maps or class-count
     mismatches.
     """
     ctx = schedule_context(task.n, task.rounds, abstraction)
-    scheds = ctx.schedules
     n_agents = task.process_count
-    # simulator-side classes, numbered by first occurrence
-    index: list[dict[object, int]] = [{} for _ in range(n_agents)]
+    index: list[dict[int, int]] = [{} for _ in range(n_agents)]
+    # one final state per class, so that no id in ``index`` is reused
+    kept: list = []
     sim_class: list[list[int]] = [[] for _ in range(n_agents)]
-    for sched in scheds:
-        finals = simengine.run(sched, abstraction).finals
-        for a in range(n_agents):
-            sim_class[a].append(index[a].setdefault(finals[a], len(index[a])))
+    for record in simengine.runs(ctx.schedules, abstraction):
+        for a, final in enumerate(record.finals):
+            cls = index[a].get(id(final))
+            if cls is None:
+                cls = index[a][id(final)] = len(index[a])
+                kept.append(final)
+            sim_class[a].append(cls)
     for a in range(n_agents):
-        if len(decision.values[a]) != max(sim_class[a]) + 1:
+        if len(decision.values[a]) != len(index[a]):
             raise SolverError(
                 f"decision map for agent {a} covers {len(decision.values[a])} "
-                f"classes, simulator found {max(sim_class[a]) + 1}"
+                f"classes, simulator found {len(index[a])}"
             )
 
+    # per agent, its decided value at every schedule
+    decided = [
+        list(map(decision.values[a].__getitem__, sim_class[a]))
+        for a in range(n_agents)
+    ]
     image = []
-    for k in range(len(scheds)):
-        out = tuple(decision.value(a, sim_class[a][k]) for a in range(n_agents))
+    for k, out in enumerate(zip(*decided)):
         if not task.allows(k, out):
             return False
         image.append(task.output.index[out])

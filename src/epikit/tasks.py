@@ -132,10 +132,6 @@ class InputlessTask(Record):
     def process_count(self) -> int:
         return self.n + 1
 
-    @cached_property
-    def empty_schedules(self) -> tuple[int, ...]:
-        return tuple(k for k, row in enumerate(self.delta_table) if not row)
-
     def allows(self, schedule_index: int, output: OutputTuple) -> bool:
         t = self.output.index.get(output)
         return t is not None and t in self.delta_table[schedule_index]

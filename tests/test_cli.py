@@ -115,7 +115,8 @@ def test_run_json(capsys):
     assert len(data["snapshots"]) == 2
 
 
-@pytest.mark.parametrize("form", [[], ["--json"]], ids=["trace", "json"])
+# only the JSON form still recurses once per nesting level
+@pytest.mark.parametrize("form", [["--json"]], ids=["json"])
 def test_run_refuses_a_schedule_too_deep_to_print(form):
     proc = _cli("run", "--schedule", ";".join(["0"] * 1200), *form)
     assert proc.returncode == 1
@@ -123,6 +124,14 @@ def test_run_refuses_a_schedule_too_deep_to_print(form):
     assert proc.stderr == (
         "error: the local states of a 1200-round run nest too deeply to print\n"
     )
+
+
+def test_run_trace_prints_a_schedule_past_the_recursion_limit():
+    proc = _cli("run", "--schedule", ";".join(["0"] * 1200), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "schedule " + ";".join(["0"] * 1200)
+    assert lines[-1] == "final 0: " + "(0 saw {0:" * 1200 + "0" + "})" * 1200
 
 
 # ---------------------------------------------------------------------------

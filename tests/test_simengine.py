@@ -1,11 +1,26 @@
 """Memory-array simulator and its agreement with the view algebra."""
 
 import random
+from itertools import chain
 
 import pytest
 
-from epikit.schedules import enum_schedules, parse_schedule, schedule_context
-from epikit.simengine import format_trace, oracle_indist, record_to_json, run
+from epikit.schedules import (
+    Schedule,
+    enum_block_actions,
+    enum_schedules,
+    full_information,
+    parse_schedule,
+    schedule_context,
+)
+from epikit.simengine import (
+    RunRecord,
+    format_trace,
+    oracle_indist,
+    record_to_json,
+    run,
+    runs,
+)
 
 P, Q, R = 0, 1, 2
 
@@ -99,6 +114,80 @@ def test_simulator_agrees_with_view_algebra_under_random_abstractions(
     ctx = schedule_context(n, rounds, abstraction)
     for sched, finals in zip(ctx.schedules, ctx.finals):
         assert run(sched, abstraction).finals == finals
+
+
+def reference_run(sched, abstraction=None):
+    """The simulator before :func:`runs`, kept as it was: every schedule
+    simulated from scratch, the abstraction called for every process in
+    every round."""
+    abstraction = abstraction or full_information
+    n_proc = sched.process_count
+    states: list = list(range(n_proc))
+    pending: list = list(range(n_proc))
+    all_snaps: list[tuple] = []
+    for rnd, act in enumerate(sched.rounds, start=1):
+        mem: list = [None] * n_proc  # fresh single-writer array
+        snaps: list = [None] * n_proc
+        for cls in act.classes:
+            for i in cls:
+                mem[i] = pending[i]
+            for i in cls:
+                snaps[i] = tuple((j, mem[j]) for j in range(n_proc) if mem[j] is not None)
+        for i in range(n_proc):
+            pending[i], states[i] = abstraction(rnd, states[i], snaps[i])
+        all_snaps.append(tuple(snaps))
+    return RunRecord(sched, tuple(all_snaps), tuple(states))
+
+
+def mixed_batch(rng, size):
+    """Random schedules over n = 0..3 and 1..3 rounds; about half share a
+    random prefix with the schedule before them."""
+    acts = [enum_block_actions(n) for n in range(4)]
+    batch = []
+    for _ in range(size):
+        head = ()
+        n, rounds = rng.randrange(4), rng.randint(1, 3)
+        if batch and rng.random() < 0.5:
+            prev = batch[-1]
+            head = prev.rounds[: rng.randrange(prev.round_count + 1)]
+            n, rounds = prev.process_count - 1, rng.randint(max(len(head), 1), 3)
+        tail = tuple(rng.choice(acts[n]) for _ in range(rounds - len(head)))
+        batch.append(Schedule(head + tail))
+    return batch
+
+
+def batches(rng):
+    canonical = list(chain.from_iterable(
+        enum_schedules(n, rounds) for n, rounds in ((0, 3), (1, 3), (2, 2))
+    ))
+    shuffled = rng.sample(canonical, len(canonical))
+    doubled = [s for s in shuffled[:200] for _ in range(2)] + shuffled[:200]
+    return {
+        "canonical": canonical,
+        "shuffled": shuffled,
+        "duplicated": doubled,
+        "mixed": mixed_batch(rng, 400),
+    }
+
+
+@pytest.mark.parametrize("order", ["canonical", "shuffled", "duplicated", "mixed"])
+@pytest.mark.parametrize("seed", range(3))
+def test_runs_agrees_with_the_per_schedule_reference(order, seed):
+    rng = random.Random(seed)
+    batch = batches(rng)[order]
+    # seed 0 runs full information, the others a seeded abstraction that
+    # both simulators share, so an entry fixed by one is read by the other
+    abstraction = random_abstraction(rng) if seed else None
+    records = list(runs(batch, abstraction))
+    assert records == [reference_run(s, abstraction) for s in batch]
+    # equal final states and written values of one call are one object
+    canon: dict = {}
+    for record in records:
+        for state in record.finals:
+            assert canon.setdefault(state, state) is state
+        for snap in chain.from_iterable(record.snapshots):
+            for _, value in snap:
+                assert canon.setdefault(value, value) is value
 
 
 def test_two_round_oracle_example():

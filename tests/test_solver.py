@@ -147,18 +147,19 @@ def test_certificate_survives_verification():
 
 
 def test_verification_runs_each_schedule_once(monkeypatch):
-    runs = []
+    simulated = []
 
-    def counting_run(sched, abstraction=None):
-        runs.append(sched)
-        return real_run(sched, abstraction)
+    def counting_runs(scheds, abstraction=None):
+        scheds = list(scheds)
+        simulated.extend(scheds)
+        return real_runs(scheds, abstraction)
 
-    real_run = simengine.run
-    monkeypatch.setattr(simengine, "run", counting_run)
+    real_runs = simengine.runs
+    monkeypatch.setattr(simengine, "runs", counting_runs)
     task = builtin("snapshot", 2)
     verdict = solve(task)
     assert verify_certificate(task, verdict.decision)
-    assert runs == enum_schedules(2, 1) * 2  # once in solve, once here
+    assert simulated == enum_schedules(2, 1) * 2  # once in solve, once here
 
 
 def test_perturbed_certificate_fails():
@@ -416,10 +417,12 @@ def test_verifier_catches_a_simulator_that_disagrees(monkeypatch):
     combos = list(iproduct(*(task.output.values_for(a) for a in range(3))))
     anything = make_task("anything", 2, 1, combos, lambda s, out: True)
     scheds = enum_schedules(2, 1)
-    real_run = simengine.run
+    real_runs = simengine.runs
     shifted = {s: scheds[(k + 1) % len(scheds)] for k, s in enumerate(scheds)}
     monkeypatch.setattr(
-        simengine, "run", lambda sched, abstraction=None: real_run(shifted[sched])
+        simengine,
+        "runs",
+        lambda batch, abstraction=None: real_runs([shifted[s] for s in batch]),
     )
     assert not reference_verify(anything, verdict.decision)
     assert not verify_certificate(anything, verdict.decision)

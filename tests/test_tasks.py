@@ -173,7 +173,7 @@ def test_two_testset_pair_tuple():
 
 def test_two_testset_nonempty_for_two_rounds():
     task = builtin("two_testset", 2, rounds=2)
-    assert task.empty_schedules == ()
+    assert all(task.delta_table)
     assert len(task.delta_table) == 169
 
 
@@ -344,7 +344,7 @@ def test_all_tuples_everywhere_gives_full_product():
 
 def test_empty_delta_reported():
     task = make_task("impossible", 1, 1, ((0, 0), (1, 1)), lambda s, out: False)
-    assert task.empty_schedules == (0, 1, 2)
+    assert task.delta_table == ((), (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +400,7 @@ def test_task_from_json_rejects_malformed_files(case):
 def test_task_from_json_allows_no_tuples():
     task = task_from_json({"n": 0, "N": 1, "tuples": [], "delta": [[]]})
     assert task.output.tuples == ()
-    assert task.empty_schedules == (0,)
+    assert task.delta_table == ((),)
     # such a task is refused only where an output frame is needed
     with pytest.raises(TaskError, match="no output tuples"):
         task.output.frame
