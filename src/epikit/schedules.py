@@ -136,14 +136,16 @@ def _ordered_partitions(ids: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...],
                 yield (first,) + tail
 
 
-def enum_block_actions(n: int) -> list[BlockAction]:
+@lru_cache(maxsize=16)
+def enum_block_actions(n: int) -> tuple[BlockAction, ...]:
     """All block actions over {0..n}, shortest first, then lexicographic
     on the class sequence.  The order is the state numbering used by
-    every schedule-indexed model, so it must never change."""
+    every schedule-indexed model, so it must never change.  Built once
+    per n and process, so each action's views and text are worked out once."""
     if n < 0:
         raise ValueError("n must be >= 0")
     parts = sorted(_ordered_partitions(tuple(range(n + 1))), key=lambda p: (len(p), p))
-    return [BlockAction(p) for p in parts]
+    return tuple(BlockAction(p) for p in parts)
 
 
 def enum_schedules(n: int, rounds: int) -> list[Schedule]:
@@ -274,18 +276,23 @@ class ScheduleContext:
 
     Get it from :func:`schedule_context`, which builds one per key and
     process, so the model builders, the task tabulation and the solver
-    share it instead of enumerating again.  The schedules are enumerated
-    when the context is made; final states (one :func:`final_states`
-    call), schedule texts and the frame are worked out on first use.  A
-    plain class, not a :class:`Record`: it is a cache shared by identity,
-    not a value compared by its fields.
+    share it instead of enumerating again.  Its four tables (schedule
+    records, final states from one :func:`final_states` call, texts and
+    the frame) are each built on first use.  A plain class, not a
+    :class:`Record`: it is a cache shared by identity, not a value
+    compared by its fields.
     """
 
     def __init__(self, n: int, rounds: int, abstraction: Abstraction):
+        if rounds < 1:
+            raise ValueError("rounds must be >= 1")
         self.n = n
         self.rounds = rounds
         self.abstraction = abstraction
-        self.schedules = tuple(enum_schedules(n, rounds))
+
+    @cached_property
+    def schedules(self) -> tuple[Schedule, ...]:
+        return tuple(enum_schedules(self.n, self.rounds))
 
     @cached_property
     def finals(self) -> tuple[tuple, ...]:
@@ -314,7 +321,7 @@ class ScheduleContext:
         # equal final states are one object, so ids label the classes and
         # no nested state is hashed again
         partitions = [[id(f[a]) for f in self.finals] for a in range(self.n + 1)]
-        return new_frame(len(self.schedules), self.n + 1, partitions)
+        return new_frame(len(self.finals), self.n + 1, partitions)
 
 
 @lru_cache(maxsize=16)
@@ -344,12 +351,12 @@ def protocol_action_model(
     state carrying the same schedule.  Points record who observes whom in
     the last round, which is what sequential composition needs.
     """
-    ctx = schedule_context(n, rounds, abstraction)
-    scheds = ctx.schedules
-    preconditions = tuple(frozenset((k,)) for k in range(len(scheds)))
-    # who observes whom depends only on the last round's block action
-    sees = tuple(s.rounds[-1].views for s in scheds)
-    return ActionModel(ctx.frame, preconditions, sees)
+    frame = schedule_context(n, rounds, abstraction).frame
+    preconditions = tuple(frozenset((k,)) for k in range(frame.state_count))
+    # who observes whom depends only on the last round, which varies fastest
+    acts = enum_block_actions(n)
+    sees = tuple(a.views for a in acts) * len(acts) ** (rounds - 1)
+    return ActionModel(frame, preconditions, sees)
 
 
 def input_model(n: int, rounds: int) -> KripkeModel:

@@ -228,17 +228,9 @@ def format_trace(record: RunRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(value):
-    if isinstance(value, (int, str)) or value is None:
-        return value
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    return str(value)
-
-
 def record_to_json(record: RunRecord) -> dict:
     return {
         "schedule": record.schedule.text(),
-        "snapshots": _jsonable(record.snapshots),
-        "finals": _jsonable(record.finals),
+        "snapshots": record.snapshots,
+        "finals": record.finals,
     }

@@ -17,6 +17,7 @@ from .logic import ActionModel, KripkeModel, product_update
 from .record import Record
 from .schedules import (
     Schedule,
+    enum_block_actions,
     input_model,
     schedule_context,
     schedule_count,
@@ -263,7 +264,7 @@ def builtin(name: str, n: int, rounds: int = 1) -> InputlessTask:
     if key == "snapshot":
         if rounds != 1:
             raise TaskError("snapshot is defined for a single round")
-        views = [s.rounds[0].views for s in schedule_context(n, 1).schedules]
+        views = [a.views for a in enum_block_actions(n)]
         output = OutputFrame(tuple(dict.fromkeys(views)))
         rows = tuple((output.index[v],) for v in views)
         return InputlessTask("snapshot", n, 1, output, rows)

@@ -377,14 +377,23 @@ def test_identity_preconditions():
         assert model.preconditions[k] == frozenset((k,))
 
 
-def test_action_model_reads_the_context_frame_and_last_round_views():
-    ctx = schedule_context(2, 2)
-    model = protocol_action_model(2, 2)
+# (3, 3) is left out: its 421,875 records take about 7 s and 410 MB
+@pytest.mark.parametrize(
+    "n,rounds", [(n, r) for n in range(4) for r in (1, 2, 3) if (n, r) != (3, 3)]
+)
+def test_action_model_reads_the_context_frame_and_last_round_views(n, rounds):
+    ctx = schedule_context(n, rounds)
+    model = protocol_action_model(n, rounds)
     assert model.frame is ctx.frame
     assert model.sees == tuple(
-        tuple(tuple(sorted(view1(a, s.rounds[-1]))) for a in range(3))
+        tuple(tuple(sorted(view1(a, s.rounds[-1]))) for a in range(n + 1))
         for s in ctx.schedules
     )
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_block_actions_are_built_once_per_n(n):
+    assert enum_block_actions(n) is enum_block_actions(n)
 
 
 def test_constant_abstraction_collapses_everything():

@@ -11,10 +11,12 @@ from itertools import product as iproduct
 
 import pytest
 
-from epikit import simengine
+from epikit import schedules, simengine
 from epikit.kernel import FrameMorphism, is_morphism, is_proper
 from epikit.logic import ModelMorphism, is_model_morphism
 from epikit.schedules import (
+    BlockAction,
+    Schedule,
     enum_schedules,
     protocol_action_model,
     protocol_model,
@@ -160,6 +162,37 @@ def test_verification_runs_each_schedule_once(monkeypatch):
     verdict = solve(task)
     assert verify_certificate(task, verdict.decision)
     assert simulated == enum_schedules(2, 1) * 2  # once in solve, once here
+
+
+def count_records(monkeypatch, cls):
+    """A list that grows by one for every ``cls`` record built."""
+    built = []
+    real_init = cls.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return built
+
+
+def test_search_and_models_build_no_schedule_record(monkeypatch):
+    schedules._cached_context.cache_clear()
+    built = count_records(monkeypatch, Schedule)
+    assert not solve(builtin("testset", 3, 2)).solvable
+    protocol_model(3, 2)
+    assert built == []
+
+
+def test_snapshot_certificate_builds_actions_and_records_once(monkeypatch):
+    schedules._cached_context.cache_clear()
+    schedules.enum_block_actions.cache_clear()
+    actions = count_records(monkeypatch, BlockAction)
+    records = count_records(monkeypatch, Schedule)
+    task = builtin("snapshot", 4)
+    assert verify_certificate(task, solve(task).decision)
+    assert len(actions) == len(records) == 541
 
 
 def test_perturbed_certificate_fails():

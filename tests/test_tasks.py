@@ -199,6 +199,13 @@ def test_snapshot_delta_is_the_view_tuple():
     assert task.allowed_tuples(k) == (((0,), (0, 1, 2), (0, 1, 2)),)
 
 
+def test_snapshot_rows_are_those_of_the_schedule_records():
+    views = [s.rounds[0].views for s in enum_schedules(4, 1)]
+    task = builtin("snapshot", 4)
+    assert task.output.tuples == tuple(dict.fromkeys(views))
+    assert [task.allowed_tuples(k) for k in range(len(views))] == [(v,) for v in views]
+
+
 def test_snapshot_single_round_only():
     with pytest.raises(TaskError):
         builtin("snapshot", 2, rounds=2)
@@ -212,21 +219,23 @@ def test_snapshot_tuple_count():
 # ---------------------------------------------------------------------------
 # builtin tables against a per-pair tabulation
 
-def reference_allows(name, sched, out):
-    """The builtin relations by definition, worked out from scratch for
-    every (schedule, tuple) pair."""
+def reference_row(name, sched, tuples):
+    """A builtin's row for one schedule by definition, worked out from
+    scratch: each reference is asked once per agent or pair, then every
+    tuple is tested against the answers."""
     n = sched.process_count
     if name == "snapshot":
-        return out == tuple(tuple(sorted(view1(i, sched.rounds[0]))) for i in range(n))
-    if any(never_reads_others(i, sched) and out[i] != 1 for i in range(n)):
-        return False
+        views = tuple(tuple(sorted(view1(i, sched.rounds[0]))) for i in range(n))
+        return tuple(t for t, out in enumerate(tuples) if out == views)
+    solos = [i for i in range(n) if never_reads_others(i, sched)]
+    pairs = []
     if name == "two_testset":
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            if reads_only(frozenset((i, j)), sched) and not (
-                out[i] == 1 and out[j] == 1 and out[3 - i - j] == 0
-            ):
-                return False
-    return True
+        pairs = [p for p in ((0, 1), (0, 2), (1, 2)) if reads_only(frozenset(p), sched)]
+    return tuple(
+        t for t, out in enumerate(tuples)
+        if all(out[i] == 1 for i in solos)
+        and all(out[i] == 1 and out[j] == 1 and out[3 - i - j] == 0 for i, j in pairs)
+    )
 
 
 @pytest.mark.parametrize(
@@ -246,10 +255,7 @@ def reference_allows(name, sched, out):
 def test_builtin_table_matches_per_pair_reference(name, n, rounds):
     task = builtin(name, n, rounds)
     expected = tuple(
-        tuple(
-            t for t, out in enumerate(task.output.tuples)
-            if reference_allows(name, sched, out)
-        )
+        reference_row(name, sched, task.output.tuples)
         for sched in enum_schedules(n, rounds)
     )
     assert task.delta_table == expected
