@@ -100,15 +100,18 @@ def _sized_task(args):
     return task
 
 
-def _resolve_state(token: str, n: int, rounds: int) -> int:
-    """A state is an index or, for schedule-indexed models, schedule text."""
-    if token.isdigit():
-        return int(token)
-    texts = schedule_context(n, rounds).texts
-    text = parse_schedule(token).text()
+def _resolve_state(args) -> int:
+    """A state is an index or, for the schedule-indexed input and protocol
+    models built here, schedule text."""
+    if args.state.isdigit():
+        return int(args.state)
+    if args.model_file or args.kind == "output":
+        raise CliError("schedule text names a state of the input and protocol models only")
+    texts = schedule_context(args.n, args.rounds).texts
+    text = parse_schedule(args.state).text()
     if text in texts:
         return texts.index(text)
-    raise CliError(f"schedule {token!r} is not a state of this model")
+    raise CliError(f"schedule {args.state!r} is not a state of this model")
 
 
 def _build_model(args):
@@ -228,26 +231,21 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_model(args) -> int:
+def cmd_show(args) -> int:
+    """``model`` and ``complex``: print the object of that kind."""
     _check_n(args)
-    sys.stdout.write(_render(args, f"{args.kind}-model", args.dot))
-    return EXIT_OK
-
-
-def cmd_complex(args) -> int:
-    _check_n(args)
-    sys.stdout.write(_render(args, f"{args.kind}-complex", args.dot))
+    sys.stdout.write(_render(args, f"{args.kind}-{args.command}", args.dot))
     return EXIT_OK
 
 
 def cmd_mc(args) -> int:
     _check_n(args)
+    state = _resolve_state(args)
     if args.model_file:
         with open(args.model_file) as fh:
             model = model_from_json(json.load(fh))
     else:
         model = _build_model(args)
-    state = _resolve_state(args.state, args.n, args.rounds)
     if not 0 <= state < model.frame.state_count:
         raise CliError(f"state {state} out of range")
     try:
@@ -326,13 +324,13 @@ def build_parser() -> _Parser:
     p.add_argument("kind", choices=["input", "protocol", "output"])
     _add_shared(p, need_task=True)
     p.add_argument("--dot", action="store_true", help="emit the frame as DOT")
-    p.set_defaults(func=cmd_model)
+    p.set_defaults(func=cmd_show)
 
     p = sub.add_parser("complex", help="print a dual chromatic complex")
     p.add_argument("kind", choices=["protocol", "output"])
     _add_shared(p, need_task=True)
     p.add_argument("--dot", action="store_true", help="emit facet adjacency as DOT")
-    p.set_defaults(func=cmd_complex)
+    p.set_defaults(func=cmd_show)
 
     p = sub.add_parser("mc", help="evaluate a formula at a state")
     p.add_argument("kind", choices=["input", "protocol", "output"], nargs="?",

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, islice, product as iproduct
 
 from .kernel import KripkeFrame, new_frame
-from .logic import ActionModel, KripkeModel, product_update
+from .logic import ActionModel, KripkeModel
 from .record import Record
 
 
@@ -359,26 +359,31 @@ def protocol_action_model(
     return ActionModel(frame, preconditions, sees)
 
 
+def _schedule_atoms(ctx: ScheduleContext) -> tuple[tuple, tuple]:
+    """The input atoms and valuation: state k has ``sched_<its text>`` and each ``id_i``."""
+    ap = tuple(f"sched_{t}" for t in ctx.texts) + tuple(f"id_{i}" for i in range(ctx.n + 1))
+    ids = frozenset(range(len(ctx.texts), len(ap)))
+    return ap, tuple(frozenset((k,)) | ids for k in range(len(ctx.texts)))
+
+
 def input_model(n: int, rounds: int) -> KripkeModel:
     """The initial model: one state per schedule, all states alike to every
     process (only the environment knows the schedule).  State atoms name
     the schedule; id atoms hold everywhere."""
-    texts = schedule_context(n, rounds).texts
-    frame = new_frame(len(texts), n + 1, [[0] * len(texts)] * (n + 1))
-    ap = tuple(f"sched_{t}" for t in texts) + tuple(f"id_{i}" for i in range(n + 1))
-    ids = frozenset(range(len(texts), len(texts) + n + 1))
-    valuation = tuple(frozenset((k,)) | ids for k in range(len(texts)))
-    return KripkeModel(frame, ap, valuation)
+    ctx = schedule_context(n, rounds)
+    frame = new_frame(len(ctx.texts), n + 1, [[0] * len(ctx.texts)] * (n + 1))
+    return KripkeModel(frame, *_schedule_atoms(ctx))
 
 
 def protocol_model(
     n: int, rounds: int, abstraction: Abstraction | None = None
 ) -> KripkeModel:
-    """Product update of the input model with the schedule action model.
-    The identity preconditions collapse the product to one state per
-    schedule, numbered like the canonical enumeration."""
-    model, _ = product_update(input_model(n, rounds), protocol_action_model(n, rounds, abstraction))
-    return model
+    """The product update of the input model with the schedule action
+    model, read off the schedule context.  Point k's precondition {k}
+    keeps exactly the pairs (k, k), and the input frame relates every
+    state, so the product is the context's frame with the input atoms."""
+    ctx = schedule_context(n, rounds, abstraction)
+    return KripkeModel(ctx.frame, *_schedule_atoms(ctx))
 
 
 def _fubini_numbers() -> Iterator[int]:

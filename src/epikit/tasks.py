@@ -10,7 +10,7 @@ frame and enables each tuple at the input states whose schedule allows it.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .kernel import KripkeFrame, new_frame
 from .logic import ActionModel, KripkeModel, product_update
@@ -205,38 +205,35 @@ def _one_hot_tuples(width: int) -> list[OutputTuple]:
 
 
 def _winners_task(
-    name: str,
-    n: int,
-    rounds: int,
-    tuples: list[OutputTuple],
-    pairs: Sequence[tuple[int, int]],
+    name: str, n: int, rounds: int, tuples: list[OutputTuple], pairs: Sequence[tuple[int, int]]
 ) -> InputlessTask:
     """The task whose row for a schedule keeps the tuples in which every
     process that never reads anyone else outputs 1, and, for each of
     ``pairs`` that only ever sees itself, both members output 1 and the
-    third process 0.  Equal final states have seen equal ids, so seen sets
-    are worked out once per view class of the shared context's frame."""
+    third process 0.  Equal final states have seen equal ids, so each
+    agent's key is worked out once per view class of the shared context's
+    frame: its bit g says the agent is outside groups[g] or has seen only
+    it, so groups[g] sees only itself where bit g survives the AND of all
+    agents' keys.  Each distinct key's row is built once."""
     output = OutputFrame(tuple(tuples))
     masks = output.value_masks
+    # the groups that may see only themselves, and the tuples each keeps
+    groups = [frozenset((i,)) for i in range(n + 1)] + [frozenset(p) for p in pairs]
+    kept = [masks[i][1] for i in range(n + 1)] + [
+        masks[i][1] & masks[j][1] & masks[3 - i - j][0] for i, j in pairs
+    ]
     ctx = schedule_context(n, rounds)
     frame = ctx.frame
-    seen_by_class = [
-        [seen_ids(ctx.finals[members[0]][a]) for members in classes]
-        for a, classes in enumerate(frame.classes_by_agent)
-    ]
-    width = len(output.tuples)
-    rows = []
-    for k in frame.states():
-        seen = [seen_by_class[a][frame.partitions[a][k]] for a in range(n + 1)]
-        live = (1 << width) - 1
-        for i, ids in enumerate(seen):
-            if ids == {i}:
-                live &= masks[i][1]
-        for i, j in pairs:
-            if seen[i] | seen[j] <= {i, j}:
-                live &= masks[i][1] & masks[j][1] & masks[3 - i - j][0]
-        rows.append(tuple(t for t in range(width) if live >> t & 1))
-    return InputlessTask(name, n, rounds, output, tuple(rows))
+    keys = [(1 << len(groups)) - 1] * frame.state_count
+    for a, classes in enumerate(frame.classes_by_agent):
+        seen = [seen_ids(ctx.finals[members[0]][a]) for members in classes]
+        key = [sum(1 << g for g, G in enumerate(groups) if a not in G or ids <= G) for ids in seen]
+        keys = list(map(int.__and__, keys, map(key.__getitem__, frame.partitions[a])))
+    rows = {}
+    for key in set(keys):
+        live = reduce(int.__and__, (m for g, m in enumerate(kept) if key >> g & 1), -1)
+        rows[key] = tuple(t for t in range(len(tuples)) if live >> t & 1)
+    return InputlessTask(name, n, rounds, output, tuple(map(rows.__getitem__, keys)))
 
 
 def builtin(name: str, n: int, rounds: int = 1) -> InputlessTask:

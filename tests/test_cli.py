@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from epikit import cli, solver
+from epikit import cli, logic, schedules, solver, tasks
 from epikit.cli import main
 from epikit.logic import MAX_FORMULA_DEPTH, model_from_json
 from epikit.tasks import make_task, task_from_json, task_to_json
@@ -206,6 +206,71 @@ def test_mc_formula_depth_bound(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "deeper than" in err
+
+
+@pytest.mark.parametrize("kind", ["input", "protocol"])
+def test_mc_schedule_text_names_a_state_of_schedule_indexed_models(kind):
+    argv = ["mc", kind, "--n", "2", "--rounds", "2", "--formula", "sched_0|1,2;2|0,1"]
+    by_text = _cli(*argv, "--state", "0|1,2 ; 2|0,1")
+    # 0|1,2 is the block action at index 1 of 13, and 2|0,1 the one at 6
+    by_index = _cli(*argv, "--state", str(1 * 13 + 6))
+    assert (by_text.returncode, by_text.stdout, by_text.stderr) == (0, "true\n", "")
+    assert (by_index.returncode, by_index.stdout, by_index.stderr) == (0, "true\n", "")
+
+
+def test_mc_schedule_text_is_refused_on_the_output_model():
+    # output state 1 is (schedule 0,1,2, tuple 1), not a state of 0|1,2
+    argv = ["mc", "output", "--n", "2", "--task", "testset", "--formula", "sched_0|1,2"]
+    proc = _cli(*argv, "--state", "0|1,2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: schedule text names a state of the input and protocol models only\n"
+    )
+    # index states behave as before
+    proc = _cli(*argv, "--state", "1")
+    assert (proc.returncode, proc.stdout.splitlines()[0]) == (2, "false")
+
+
+def test_mc_schedule_text_is_refused_on_a_model_file(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    code, _, _ = run_cli(
+        capsys, "export", "protocol-model", "--n", "1", "--json", str(path)
+    )
+    assert code == 0
+    argv = ["mc", "--model-file", str(path), "--formula", "true"]
+    proc = _cli(*argv, "--state", "0|1,2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: schedule text names a state of the input and protocol models only\n"
+    )
+    proc = _cli(*argv, "--state", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "true\n", "")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["model", "protocol"], []),
+    (["mc", "protocol", "--state", "0|1|2;0,1,2", "--formula", "K[0] id_0"], []),
+    (["mc", "input", "--state", "0", "--formula", "true"], ["input_model"]),
+    (["model", "output", "--task", "testset"], ["input_model", "product_update"]),
+], ids=lambda value: " ".join(value[:2]) if value else "none")
+def test_protocol_commands_build_no_input_model_or_product_update(
+    capsys, monkeypatch, argv, expected
+):
+    # every module's binding is counted, so a new import cannot slip past
+    calls = []
+    for module in (logic, schedules, tasks, cli):
+        for name in ("input_model", "product_update"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+
+                def counting(*args, real=real, name=name):
+                    calls.append(name)
+                    return real(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    code, _, err = run_cli(capsys, *argv, "--n", "2", "--rounds", "2")
+    assert (code, err) == (0, "")
+    assert calls == expected
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from math import comb
 import pytest
 
 from epikit.kernel import FrameMorphism, is_morphism
-from epikit.logic import Atom, Know, eval_formula
+from epikit.logic import Atom, Know, eval_formula, product_update
 from epikit.schedules import (
     block_action,
     enum_block_actions,
@@ -454,3 +454,37 @@ def test_protocol_model_states_follow_schedules():
     # valuation survives the update: state k still carries its sched atom
     for k in range(13):
         assert model.satisfies_atom(k, model.ap[k])
+
+
+PROTOCOL_ABSTRACTIONS = {
+    "full information": lambda: None,
+    "collapsing": lambda: lambda rnd, state, snap: (0, 0),
+    "seeded 1": lambda: seeded_abstraction(1),
+    "seeded 2": lambda: seeded_abstraction(2),
+}
+
+
+# (3, 3) is left out, as above: its reference builds 421,875 schedule
+# records, point-set preconditions and product pairs
+@pytest.mark.parametrize("kind", sorted(PROTOCOL_ABSTRACTIONS))
+@pytest.mark.parametrize(
+    "n, rounds", [(n, r) for n in range(4) for r in (1, 2, 3) if (n, r) != (3, 3)]
+)
+def test_protocol_model_is_the_papers_product_update(n, rounds, kind):
+    # the paper's construction: the input model updated by the schedule
+    # action model, whose point k is enabled at input state k alone
+    abstraction = PROTOCOL_ABSTRACTIONS[kind]()
+    reference, pairing = product_update(
+        input_model(n, rounds), protocol_action_model(n, rounds, abstraction)
+    )
+    assert pairing == {(k, k): k for k in range(reference.frame.state_count)}
+    model = protocol_model(n, rounds, abstraction)
+    assert model == reference
+    ctx = schedule_context(n, rounds, abstraction)
+    assert model.frame is ctx.frame
+    # the atoms, by name, from the schedule records
+    ids = {f"id_{i}" for i in range(n + 1)}
+    assert len(model.ap) == len(ctx.schedules) + n + 1
+    assert [{model.ap[i] for i in atoms} for atoms in model.valuation] == [
+        {f"sched_{s.text()}"} | ids for s in ctx.schedules
+    ]
