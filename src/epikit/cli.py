@@ -14,27 +14,12 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .kernel import agent_name, frame_to_dot
-from .logic import (
-    FormulaParseError,
-    Know,
-    eval_formula,
-    model_from_json,
-    model_to_json,
-    parse_formula,
-)
-from .schedules import (
-    input_model,
-    parse_schedule,
-    protocol_model,
-    schedule_context,
-    schedule_count,
-    schedule_to_json,
-)
-from .simengine import format_trace, record_to_json, run
-from .solver import decision_to_json, solve, verdict_report
-from .tasks import builtin, output_model, task_from_json, task_to_json
-from .topology import complex_to_dot, complex_to_json, frame_to_complex
+
+# Only the standard library is imported up front.  Each command imports
+# the epikit modules it runs where it runs them, so a process compiles no
+# module its command does not use: --version loads none, model protocol
+# and mc protocol load record, kernel, logic and schedules, and check
+# everything but topology.
 
 DEFAULT_MAX_N = 5
 # more schedules than this are refused unless --max-n-override is given;
@@ -42,10 +27,23 @@ DEFAULT_MAX_N = 5
 MAX_SCHEDULES = 10**6
 # schedule counts above this are not worked out for the caps' messages
 ESTIMATE_LIMIT = 10**18
+# run --json refuses to print more bytes than this; eight rounds of
+# 0,1,2 take 18.8 MB
+MAX_RUN_JSON_BYTES = 32 * 2**20
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSOLVABLE = 2
+
+
+def __getattr__(name: str):
+    # ``cli.solve`` is still read as an attribute (perfbench's tracer test
+    # compares it before and after tracing); it is the package's ``solve``
+    if name == "solve":
+        from . import solve
+
+        return solve
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
@@ -65,6 +63,8 @@ def _check_n(args) -> None:
         raise CliError("--n must be >= 0")
     if args.max_n_override:
         return
+    from .schedules import schedule_count
+
     count = schedule_count(args.n, args.rounds, ESTIMATE_LIMIT)
     estimate = f"more than {ESTIMATE_LIMIT}" if count is None else count
     if args.n > DEFAULT_MAX_N:
@@ -82,6 +82,8 @@ def _check_n(args) -> None:
 
 
 def _load_task(args):
+    from .tasks import builtin, task_from_json
+
     if args.task_file:
         with open(args.task_file) as fh:
             return task_from_json(json.load(fh))
@@ -107,6 +109,8 @@ def _resolve_state(args) -> int:
         return int(args.state)
     if args.model_file or args.kind == "output":
         raise CliError("schedule text names a state of the input and protocol models only")
+    from .schedules import parse_schedule, schedule_context
+
     texts = schedule_context(args.n, args.rounds).texts
     text = parse_schedule(args.state).text()
     if text in texts:
@@ -116,15 +120,25 @@ def _resolve_state(args) -> int:
 
 def _build_model(args):
     if args.kind == "input":
+        from .schedules import input_model
+
         return input_model(args.n, args.rounds)
     if args.kind == "protocol":
+        from .schedules import protocol_model
+
         return protocol_model(args.n, args.rounds)
+    from .tasks import output_model
+
     model, _ = output_model(_sized_task(args))
     return model
 
 
 def _build_complex(args):
+    from .topology import frame_to_complex
+
     if args.kind == "protocol":
+        from .schedules import schedule_context
+
         frame = schedule_context(args.n, args.rounds).frame
     else:
         frame = _load_task(args).output.frame
@@ -138,20 +152,30 @@ def _render(args, what: str, dot: bool) -> str:
     if what == "schedules":
         if dot:
             raise CliError("schedules export only as --json")
+        from .schedules import schedule_context, schedule_to_json
+
         scheds = schedule_context(args.n, args.rounds).schedules
         data = [schedule_to_json(s) for s in scheds]
     elif what == "task":
         if dot:
             raise CliError("tasks export only as --json")
+        from .tasks import task_to_json
+
         data = task_to_json(_load_task(args))
     else:
         args.kind, obj = what.split("-")
         if obj == "model":
             model = _build_model(args)
             if dot:
+                from .kernel import frame_to_dot
+
                 return frame_to_dot(model.frame)
+            from .logic import model_to_json
+
             data = model_to_json(model)
         else:
+            from .topology import complex_to_dot, complex_to_json
+
             complex_ = _build_complex(args)
             if dot:
                 return complex_to_dot(complex_)
@@ -200,6 +224,46 @@ def _indented(obj, newline: str) -> str:
     return json.dumps(obj, indent=2).replace("\n", newline)
 
 
+def json_text_size(data) -> int:
+    """``len(json_text(data))``, worked out without building the text.
+
+    Indented one level deeper, a value's text gains two spaces after
+    each of its newlines, so each container's (length, newlines) at depth
+    0 is worked out once and then serves every place it occurs.  Shared
+    containers (the sub-states of full-information runs) are sized once,
+    by ``id``, in a loop over an explicit stack: the time is linear in
+    the distinct containers, however large the text."""
+    sizes: dict[int, tuple[int, int]] = {}
+    stack = [data]
+    while stack:
+        obj = stack.pop()
+        kind = type(obj)
+        if (kind is list or kind is tuple) and obj:
+            keys, values = (), obj
+        elif kind is dict and obj and set(map(type, obj)) == _STRS:
+            keys, values = obj.keys(), obj.values()
+        else:
+            text = _indented(obj, "\n")
+            sizes[id(obj)] = (len(text), text.count("\n"))
+            continue
+        todo = [value for value in values if id(value) not in sizes]
+        if todo:
+            # come back once every item is sized
+            stack.append(obj)
+            stack.extend(todo)
+            continue
+        # "[" or "{", then per item a newline and two spaces (and a comma
+        # before all but the first), then a newline and "]" or "}"
+        length = 4 * len(values) + 2 + sum(len(encode_basestring_ascii(k)) + 2 for k in keys)
+        newlines = len(values) + 1
+        for value in values:
+            item_length, item_newlines = sizes[id(value)]
+            length += item_length + 2 * item_newlines
+            newlines += item_newlines
+        sizes[id(obj)] = (length, newlines)
+    return sizes[id(data)][0]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -208,20 +272,35 @@ def cmd_schedules(args) -> int:
     if args.json:
         sys.stdout.write(_render(args, "schedules", False))
     else:
+        from .schedules import schedule_context
+
         print("\n".join(schedule_context(args.n, args.rounds).texts))
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
+    from .schedules import parse_schedule
+    from .simengine import format_trace, record_to_json, run
+
     sched = parse_schedule(args.schedule)
     record = run(sched)
     if not args.json:
         sys.stdout.write(format_trace(record))
         return EXIT_OK
+    # the local states are shared, but the JSON writes each occurrence out
+    # in full, so it grows with the cube of the rounds at one process and
+    # faster at more: its size is checked before any of it is built
+    data = record_to_json(record)
+    size = json_text_size(data) + 1
+    if size > MAX_RUN_JSON_BYTES:
+        raise CliError(
+            f"the JSON of a {sched.round_count}-round run would take {size} "
+            f"bytes, more than the cap of {MAX_RUN_JSON_BYTES}"
+        )
     # the JSON text is built whole, by recursion over the nested local
     # states, before any of it is written
     try:
-        text = json_text(record_to_json(record)) + "\n"
+        text = json_text(data) + "\n"
     except RecursionError:
         raise CliError(
             f"the local states of a {sched.round_count}-round run nest too "
@@ -239,6 +318,9 @@ def cmd_show(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    from .kernel import agent_name
+    from .logic import FormulaParseError, Know, eval_formula, model_from_json, parse_formula
+
     _check_n(args)
     state = _resolve_state(args)
     if args.model_file:
@@ -268,6 +350,8 @@ def cmd_mc(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .solver import decision_to_json, solve, verdict_report
+
     _check_n(args)
     task = _sized_task(args)
     verdict = solve(task)

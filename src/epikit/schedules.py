@@ -242,29 +242,41 @@ def final_states(
     return tuple(level)
 
 
-def seen_ids(state) -> frozenset[int]:
+def seen_ids(state, memo: dict[int, frozenset[int]] | None = None) -> frozenset[int]:
     """All process ids occurring anywhere in a nested local state.
 
-    A loop over an explicit stack, so the nesting (one level per round)
-    is not bounded by the recursion limit.  Full-information states share
-    their sub-states, so a sub-state already walked is skipped by
-    identity; all of them live as long as ``state`` does."""
+    A state's ids are its own and, for each entry of its snapshot, the
+    writer's and the ids of what it wrote.  Full-information states share
+    their sub-states, so each one is worked out once and kept in ``memo``
+    by ``id``.  Pass one memo to calls on states that stay alive as long
+    as it does (the final states of one schedule context), so that what
+    they share is worked out once in all.  A loop over an explicit stack,
+    so the nesting (one level per round) is not bounded by the recursion
+    limit."""
     if isinstance(state, int):
         return frozenset((state,))
-    out: set[int] = set()
-    walked = {id(state)}
+    if memo is None:
+        memo = {}
     stack = [state]
     while stack:
-        own, snap = stack.pop()
-        out.add(own)
+        top = stack.pop()
+        own, snap = top
+        seen = {own}
         for j, sub in snap:
-            out.add(j)
+            seen.add(j)
             if isinstance(sub, int):
-                out.add(sub)
-            elif id(sub) not in walked:
-                walked.add(id(sub))
-                stack.append(sub)
-    return frozenset(out)
+                seen.add(sub)
+            elif id(sub) in memo:
+                seen |= memo[id(sub)]
+            else:
+                # come back once every sub-state is worked out
+                stack.append(top)
+                stack.extend(sub for _, sub in snap
+                             if not isinstance(sub, int) and id(sub) not in memo)
+                break
+        else:
+            memo[id(top)] = frozenset(seen)
+    return memo[id(state)]
 
 
 # ---------------------------------------------------------------------------

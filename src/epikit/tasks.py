@@ -225,8 +225,10 @@ def _winners_task(
     ctx = schedule_context(n, rounds)
     frame = ctx.frame
     keys = [(1 << len(groups)) - 1] * frame.state_count
+    # keyed by id, so valid while ctx.finals holds the states
+    memo: dict[int, frozenset[int]] = {}
     for a, classes in enumerate(frame.classes_by_agent):
-        seen = [seen_ids(ctx.finals[members[0]][a]) for members in classes]
+        seen = [seen_ids(ctx.finals[members[0]][a], memo) for members in classes]
         key = [sum(1 << g for g, G in enumerate(groups) if a not in G or ids <= G) for ids in seen]
         keys = list(map(int.__and__, keys, map(key.__getitem__, frame.partitions[a])))
     rows = {}

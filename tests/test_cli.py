@@ -115,15 +115,46 @@ def test_run_json(capsys):
     assert len(data["snapshots"]) == 2
 
 
-# only the JSON form still recurses once per nesting level
+# the JSON form writes every shared sub-state out in full, so its size is
+# bounded before any text is built
 @pytest.mark.parametrize("form", [["--json"]], ids=["json"])
 def test_run_refuses_a_schedule_too_deep_to_print(form):
     proc = _cli("run", "--schedule", ";".join(["0"] * 1200), *form)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == (
-        "error: the local states of a 1200-round run nest too deeply to print\n"
+        "error: the JSON of a 1200-round run would take 13913378466 bytes, "
+        "more than the cap of 33554432\n"
     )
+
+
+def test_run_json_refuses_above_the_cap_before_building_text(capsys, monkeypatch):
+    sched = ";".join(["0,1,2"] * 4)
+    code, out, _ = run_cli(capsys, "run", "--schedule", sched, "--json")
+    assert code == 0
+    size = len(out)
+    monkeypatch.setattr(cli, "MAX_RUN_JSON_BYTES", size)
+    assert run_cli(capsys, "run", "--schedule", sched, "--json") == (0, out, "")
+
+    def no_text(data):
+        raise AssertionError("text built for a refused run")
+
+    monkeypatch.setattr(cli, "MAX_RUN_JSON_BYTES", size - 1)
+    monkeypatch.setattr(cli, "json_text", no_text)
+    assert run_cli(capsys, "run", "--schedule", sched, "--json") == (
+        1,
+        "",
+        f"error: the JSON of a 4-round run would take {size} bytes, "
+        f"more than the cap of {size - 1}\n",
+    )
+
+
+def test_run_json_size_at_twelve_rounds_exceeds_the_default_cap():
+    from epikit.schedules import parse_schedule
+    from epikit.simengine import record_to_json, run
+
+    data = record_to_json(run(parse_schedule(";".join(["0,1,2"] * 12))))
+    assert cli.json_text_size(data) > cli.MAX_RUN_JSON_BYTES
 
 
 def test_run_trace_prints_a_schedule_past_the_recursion_limit():
@@ -507,8 +538,8 @@ def test_check_report_solves_once(capsys, monkeypatch):
         return real_solve(*args, **kwargs)
 
     real_solve = solver.solve
+    # the command imports solve from its module when it runs
     monkeypatch.setattr(solver, "solve", counting_solve)
-    monkeypatch.setattr(cli, "solve", counting_solve)
     code, out, _ = run_cli(
         capsys, "check", "--n", "2", "--rounds", "1", "--task", "snapshot", "--report"
     )
@@ -684,13 +715,35 @@ def test_json_text_matches_json_dumps(seed):
         assert cli.json_text(data) == json.dumps(data, indent=2)
 
 
-@pytest.mark.parametrize(
-    "data",
-    [[], {}, [[]], {"a": {}}, [[], [1, [2, []]], {}], {"k": [True, False, None, 1]},
-     [1, True], ["a", 1], {"\u00e9\n": "\U0001f600"}, {1: [1], "1": [2]}],
-)
+_JSON_EDGE_CASES = [
+    [], {}, [[]], {"a": {}}, [[], [1, [2, []]], {}], {"k": [True, False, None, 1]},
+    [1, True], ["a", 1], {"\u00e9\n": "\U0001f600"}, {1: [1], "1": [2]},
+]
+
+
+@pytest.mark.parametrize("data", _JSON_EDGE_CASES)
 def test_json_text_matches_json_dumps_on_edge_cases(data):
     assert cli.json_text(data) == json.dumps(data, indent=2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_json_text_size_is_the_length_of_the_text(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        data = _random_json(rng, 4)
+        assert cli.json_text_size(data) == len(cli.json_text(data))
+
+
+def test_json_text_size_counts_each_occurrence_of_a_shared_value():
+    from epikit.schedules import parse_schedule
+    from epikit.simengine import record_to_json, run
+
+    shared = [[1, "a"], {"b": (2, 3)}]
+    cases = [*_JSON_EDGE_CASES, [shared, {"x": shared, "y": [shared, shared]}]]
+    for text in ["0|1,2;0,1,2", ";".join(["0,1,2"] * 3), ";".join(["0|1"] * 20)]:
+        cases.append(record_to_json(run(parse_schedule(text))))
+    for data in cases:
+        assert cli.json_text_size(data) == len(cli.json_text(data)), data
 
 
 def test_json_exports_are_those_of_json_dumps(capsys, tmp_path):
@@ -710,6 +763,46 @@ def test_json_exports_are_those_of_json_dumps(capsys, tmp_path):
 
 # ---------------------------------------------------------------------------
 # entry point
+
+_IMPORTS_AFTER = """
+import contextlib, io, sys
+from epikit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(" ".join(sorted(m for m in sys.modules if m.startswith("epikit"))))
+"""
+_MODELS = {"epikit", "epikit.cli", "epikit.record", "epikit.kernel", "epikit.logic",
+           "epikit.schedules"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["--version"], {"epikit", "epikit.cli"}),
+    (["model", "protocol", "--n", "2", "--rounds", "2"], _MODELS),
+    (["mc", "protocol", "--state", "0|1|2", "--formula", "K[0] id_0"], _MODELS),
+    (["check", "--n", "1", "--task", "testset"],
+     _MODELS | {"epikit.simengine", "epikit.tasks", "epikit.solver"}),
+], ids=["version", "model protocol", "mc protocol", "check"])
+def test_each_command_imports_only_the_modules_it_runs(argv, modules):
+    # a new process, so the modules this test process holds do not count
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_AFTER, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == modules
+
+
+def test_cli_solve_is_the_package_solve():
+    import epikit
+
+    assert cli.solve is epikit.solve is solver.solve
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cli.no_such_name
 
 def test_console_module_invocation():
     proc = subprocess.run(

@@ -7,7 +7,7 @@ recurrence.  Nothing in this file reuses the generator's recursion.
 """
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -34,6 +34,7 @@ from epikit.schedules import (
     view1,
 )
 from epikit.simengine import run
+from epikit.tasks import never_reads_others, reads_only
 
 P, Q, R = 0, 1, 2
 
@@ -259,6 +260,50 @@ def test_seen_ids_of_a_state_deeper_than_the_recursion_limit():
     s = parse_schedule(";".join(["0|1"] * 1500))
     assert seen_ids(run(s).finals[0]) == {0}
     assert seen_ids(run(s).finals[1]) == {0, 1}
+
+
+def walked_seen_ids(state):
+    """One walk of the state per call, with no memo kept between calls:
+    ``seen_ids`` as it was before it kept one."""
+    if isinstance(state, int):
+        return frozenset((state,))
+    out = set()
+    walked = {id(state)}
+    stack = [state]
+    while stack:
+        own, snap = stack.pop()
+        out.add(own)
+        for j, sub in snap:
+            out.add(j)
+            if isinstance(sub, int):
+                out.add(sub)
+            elif id(sub) not in walked:
+                walked.add(id(sub))
+                stack.append(sub)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("n, rounds", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_seen_ids_with_one_memo_match_a_walk_per_view_class(n, rounds):
+    ctx = schedule_context(n, rounds)
+    memo = {}
+    for a, classes in enumerate(ctx.frame.classes_by_agent):
+        for members in classes:
+            state = ctx.finals[members[0]][a]
+            assert seen_ids(state, memo) == walked_seen_ids(state)
+
+
+@pytest.mark.parametrize("n, rounds", [(1, 3), (2, 1), (2, 2), (3, 1)])
+def test_seen_ids_with_one_memo_agree_with_the_simulator_references(n, rounds):
+    ctx = schedule_context(n, rounds)
+    groups = [frozenset(g) for size in (1, 2) for g in combinations(range(n + 1), size)]
+    memo = {}
+    for sched, finals in zip(ctx.schedules, ctx.finals):
+        seen = [seen_ids(state, memo) for state in finals]
+        for a in range(n + 1):
+            assert (seen[a] == {a}) == never_reads_others(a, sched)
+        for group in groups:
+            assert all(seen[i] <= group for i in group) == reads_only(group, sched)
 
 
 # ---------------------------------------------------------------------------
