@@ -9,6 +9,7 @@ decision-map search.
 The public names are loaded lazily: ``import epikit`` imports no
 submodule, and the first use of a name imports (and so compiles) only
 the submodule that defines it and the ones that submodule imports.
+Nothing is cached: a name always reads the submodule's current binding.
 """
 
 from importlib import import_module as _import_module
@@ -56,9 +57,7 @@ def __getattr__(name: str):
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+    return getattr(_import_module(f".{module}", __name__), name)
 
 
 def __dir__() -> list[str]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -81,12 +82,21 @@ def _check_n(args) -> None:
         )
 
 
+def _read_json(path: str, from_json):
+    """``from_json`` of the JSON file at ``path``, refused if too deep."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise CliError(f"{path} nests too deeply to read")
+    return from_json(data)
+
+
 def _load_task(args):
     from .tasks import builtin, task_from_json
 
     if args.task_file:
-        with open(args.task_file) as fh:
-            return task_from_json(json.load(fh))
+        return _read_json(args.task_file, task_from_json)
     if args.task:
         return builtin(args.task, args.n, args.rounds)
     raise CliError("supply --task or --task-file")
@@ -129,8 +139,7 @@ def _build_model(args):
         return protocol_model(args.n, args.rounds)
     from .tasks import output_model
 
-    model, _ = output_model(_sized_task(args))
-    return model
+    return output_model(_sized_task(args))[0]
 
 
 def _build_complex(args):
@@ -142,8 +151,7 @@ def _build_complex(args):
         frame = schedule_context(args.n, args.rounds).frame
     else:
         frame = _load_task(args).output.frame
-    complex_, _ = frame_to_complex(frame)
-    return complex_
+    return frame_to_complex(frame)[0]
 
 
 def _render(args, what: str, dot: bool) -> str:
@@ -189,73 +197,83 @@ def json_text(data) -> str:
     Lists of ints or strings are joined in one call; values of other
     kinds, and dicts with keys that are not strings, go to ``json.dumps``
     and have their lines indented to their depth (JSON text holds no
-    raw newline inside a string)."""
-    return _indented(data, "\n")
+    raw newline inside a string).  Open containers wait on an explicit
+    stack, so no nesting meets the recursion limit."""
+    out: list[str] = []
+    # per open container: its (lead, value) pairs left, its values' layout, its close
+    stack: list = []
+    layouts = cache(_layout)  # one per depth: its containers share the strings
+    obj, layout = data, layouts("\n")
+    while True:
+        kind = type(obj)
+        if kind is str:
+            out.append(encode_basestring_ascii(obj))
+        elif kind is int:
+            out.append(int.__repr__(obj))
+        elif (kind is list or kind is tuple) and (kinds := set(map(type, obj))) in (_INTS, _STRS):
+            _, _, sep, list_open, list_close, _, _ = layout
+            show = int.__repr__ if kinds == _INTS else encode_basestring_ascii
+            out.append(list_open + sep.join(map(show, obj)) + list_close)
+        elif (container := _container(obj, layout)) is None:
+            out.append(json.dumps(obj, indent=2).replace("\n", layout[0]))
+        else:
+            leads, values, close = container
+            stack.append((zip(leads, values), layouts(layout[1]), close))
+        while stack and (member := next(stack[-1][0], None)) is None:
+            out.append(stack.pop()[2])
+        if not stack:
+            return "".join(out)
+        lead, obj = member
+        out.append(lead)
+        layout = stack[-1][1]
 
 
-# the element types of the lists that _indented joins in one call
+# the element types of the lists that json_text joins in one call
 _INTS = {int}
 _STRS = {str}
 
 
-def _indented(obj, newline: str) -> str:
+def _layout(newline: str) -> tuple[str, ...]:
+    """``(newline, inner, sep, list open, list close, dict open, dict close)``:
+    the text around a container at line break ``newline``, values at ``inner``."""
+    inner = newline + "  "
+    return newline, inner, "," + inner, "[" + inner, newline + "]", "{" + inner, newline + "}"
+
+
+def _container(obj, layout: tuple[str, ...]):
+    """``(leads, values, close)`` of a non-empty list or tuple, or a
+    non-empty dict with string keys: its text is each value after its
+    lead (the opening or the separator, then a dict's ``"key": ``), then
+    ``close``.  None for a value written whole."""
+    _, _, sep, list_open, list_close, dict_open, dict_close = layout
     kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
     if (kind is list or kind is tuple) and obj:
-        inner = newline + "  "
-        kinds = set(map(type, obj))
-        if kinds == _INTS:
-            body = ("," + inner).join(map(int.__repr__, obj))
-        elif kinds == _STRS:
-            body = ("," + inner).join(map(encode_basestring_ascii, obj))
-        else:
-            body = ("," + inner).join([_indented(item, inner) for item in obj])
-        return f"[{inner}{body}{newline}]"
+        return [list_open] + [sep] * (len(obj) - 1), obj, list_close
     if kind is dict and obj and set(map(type, obj)) == _STRS:
-        inner = newline + "  "
-        body = ("," + inner).join([
-            f"{encode_basestring_ascii(key)}: {_indented(value, inner)}"
-            for key, value in obj.items()
-        ])
-        return f"{{{inner}{body}{newline}}}"
-    return json.dumps(obj, indent=2).replace("\n", newline)
+        keys = [encode_basestring_ascii(key) + ": " for key in obj]
+        return [dict_open + keys[0], *(sep + key for key in keys[1:])], obj.values(), dict_close
+    return None
 
 
 def json_text_size(data) -> int:
     """``len(json_text(data))``, worked out without building the text.
-
-    Indented one level deeper, a value's text gains two spaces after
-    each of its newlines, so each container's (length, newlines) at depth
-    0 is worked out once and then serves every place it occurs.  Shared
-    containers (the sub-states of full-information runs) are sized once,
-    by ``id``, in a loop over an explicit stack: the time is linear in
-    the distinct containers, however large the text."""
+    Each distinct container's (length, newlines) at depth 0 is worked out
+    once, by ``id``, in a loop over an explicit stack, and serves every
+    place it occurs (one level deeper, its text gains two spaces after
+    each newline): the time is linear in the distinct containers."""
+    top = _layout("\n")
     sizes: dict[int, tuple[int, int]] = {}
     stack = [data]
     while stack:
         obj = stack.pop()
-        kind = type(obj)
-        if (kind is list or kind is tuple) and obj:
-            keys, values = (), obj
-        elif kind is dict and obj and set(map(type, obj)) == _STRS:
-            keys, values = obj.keys(), obj.values()
-        else:
-            text = _indented(obj, "\n")
-            sizes[id(obj)] = (len(text), text.count("\n"))
-            continue
+        # a value written whole is its text alone, as json.dumps writes it
+        leads, values, close = _container(obj, top) or ([json.dumps(obj, indent=2)], (), "")
         todo = [value for value in values if id(value) not in sizes]
         if todo:
-            # come back once every item is sized
-            stack.append(obj)
-            stack.extend(todo)
+            stack += [obj, *todo]  # come back once every item is sized
             continue
-        # "[" or "{", then per item a newline and two spaces (and a comma
-        # before all but the first), then a newline and "]" or "}"
-        length = 4 * len(values) + 2 + sum(len(encode_basestring_ascii(k)) + 2 for k in keys)
-        newlines = len(values) + 1
+        text = "".join(leads) + close
+        length, newlines = len(text), text.count("\n")
         for value in values:
             item_length, item_newlines = sizes[id(value)]
             length += item_length + 2 * item_newlines
@@ -297,16 +315,7 @@ def cmd_run(args) -> int:
             f"the JSON of a {sched.round_count}-round run would take {size} "
             f"bytes, more than the cap of {MAX_RUN_JSON_BYTES}"
         )
-    # the JSON text is built whole, by recursion over the nested local
-    # states, before any of it is written
-    try:
-        text = json_text(data) + "\n"
-    except RecursionError:
-        raise CliError(
-            f"the local states of a {sched.round_count}-round run nest too "
-            "deeply to print"
-        )
-    sys.stdout.write(text)
+    sys.stdout.write(json_text(data) + "\n")
     return EXIT_OK
 
 
@@ -323,11 +332,7 @@ def cmd_mc(args) -> int:
 
     _check_n(args)
     state = _resolve_state(args)
-    if args.model_file:
-        with open(args.model_file) as fh:
-            model = model_from_json(json.load(fh))
-    else:
-        model = _build_model(args)
+    model = _read_json(args.model_file, model_from_json) if args.model_file else _build_model(args)
     if not 0 <= state < model.frame.state_count:
         raise CliError(f"state {state} out of range")
     try:

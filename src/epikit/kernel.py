@@ -297,15 +297,20 @@ class FormatError(ValueError):
     """JSON data without the documented shape of a frame or a model."""
 
 
+def _check_json_object(data, name: str, keys: Sequence[str], error: type) -> None:
+    """Raise ``error`` unless ``data`` is a JSON object with all ``keys``."""
+    if not isinstance(data, dict):
+        raise error(f"a {name} must be a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise error(f"{name} is missing {', '.join(missing)}")
+
+
 def frame_from_json(data: dict) -> KripkeFrame:
     """The frame :func:`frame_to_json` wrote.  Anything else, such as a
     missing key, a count that is not an integer or a partition row of the
     wrong length, raises :class:`FormatError`."""
-    if not isinstance(data, dict):
-        raise FormatError("a frame must be a JSON object")
-    missing = [key for key in ("states", "agents", "partitions") if key not in data]
-    if missing:
-        raise FormatError(f"frame is missing {', '.join(missing)}")
+    _check_json_object(data, "frame", ("states", "agents", "partitions"), FormatError)
     states, agents, partitions = data["states"], data["agents"], data["partitions"]
     if type(states) is not int or states < 0:
         raise FormatError("states must be an integer >= 0")

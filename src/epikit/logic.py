@@ -20,6 +20,7 @@ from .kernel import (
     FormatError,
     FrameMorphism,
     KripkeFrame,
+    _check_json_object,
     frame_from_json,
     frame_to_json,
     is_morphism,
@@ -493,11 +494,7 @@ def model_from_json(data: dict) -> KripkeModel:
     """The model :func:`model_to_json` wrote.  Anything else, such as a
     missing key, atom names that are not strings or a valuation naming
     an atom index out of range, raises :class:`~epikit.kernel.FormatError`."""
-    if not isinstance(data, dict):
-        raise FormatError("a model must be a JSON object")
-    missing = [key for key in ("ap", "valuation") if key not in data]
-    if missing:
-        raise FormatError(f"model is missing {', '.join(missing)}")
+    _check_json_object(data, "model", ("ap", "valuation"), FormatError)
     frame = frame_from_json(data)
     ap, valuation = data["ap"], data["valuation"]
     if not isinstance(ap, list) or not all(isinstance(name, str) for name in ap):

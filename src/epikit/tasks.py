@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from functools import cached_property, reduce
 
-from .kernel import KripkeFrame, new_frame
+from .kernel import KripkeFrame, _check_json_object, new_frame
 from .logic import ActionModel, KripkeModel, product_update
 from .record import Record
 from .schedules import (
@@ -303,11 +303,7 @@ def _list_of_lists(data: dict, key: str) -> list:
 
 
 def task_from_json(data: dict) -> InputlessTask:
-    if not isinstance(data, dict):
-        raise TaskError("a task must be a JSON object")
-    missing = [key for key in ("n", "N", "tuples", "delta") if key not in data]
-    if missing:
-        raise TaskError(f"task is missing {', '.join(missing)}")
+    _check_json_object(data, "task", ("n", "N", "tuples", "delta"), TaskError)
     for key in ("n", "N"):
         if type(data[key]) is not int:
             raise TaskError(f"{key} must be an integer")

@@ -15,6 +15,7 @@ from .kernel import (
     FormatError,
     FrameMorphism,
     KripkeFrame,
+    _check_json_object,
     _related_pairs,
     agent_name,
     is_morphism,
@@ -246,11 +247,7 @@ def complex_from_json(data: dict) -> ChromaticComplex:
     a missing key, a color that is not an integer, a facet naming a
     vertex that does not exist or a facet set that is not a pure
     chromatic complex, raises :class:`~epikit.kernel.FormatError`."""
-    if not isinstance(data, dict):
-        raise FormatError("a complex must be a JSON object")
-    missing = [key for key in ("vertices", "facets") if key not in data]
-    if missing:
-        raise FormatError(f"complex is missing {', '.join(missing)}")
+    _check_json_object(data, "complex", ("vertices", "facets"), FormatError)
     vertices, facets = data["vertices"], data["facets"]
     if not isinstance(vertices, list) or not all(
         isinstance(v, dict)

@@ -157,6 +157,38 @@ def test_run_json_size_at_twelve_rounds_exceeds_the_default_cap():
     assert cli.json_text_size(data) > cli.MAX_RUN_JSON_BYTES
 
 
+# sha256 of `model protocol --n 3 --rounds 2`, the largest JSON export the
+# benchmark writes
+PROTOCOL_N3R2_SHA256 = "7cabf0d0974a059d85fb812e8835c3da9a98fdf099f308e0d1ab71ab9ede8712"
+
+
+def test_json_writer_is_not_bound_by_the_recursion_limit():
+    # a fresh process, since pytest's own frames would eat a limit set here
+    code = (
+        "import contextlib, hashlib, io, sys\n"
+        "default = sys.getrecursionlimit()\n"
+        "sys.setrecursionlimit(100)\n"
+        "from epikit import cli\n"
+        "def show(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = cli.main(list(argv))\n"
+        "    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+        "run = ('run', '--schedule', ';'.join(['0'] * 150), '--json')\n"
+        "show(*run)\n"
+        "show('model', 'protocol', '--n', '3', '--rounds', '2')\n"
+        "sys.setrecursionlimit(default)\n"
+        "show(*run)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.stderr == ""
+    run_low, model_low, run_default = proc.stdout.splitlines()
+    assert run_low == run_default and run_low.startswith("0 ")
+    assert model_low == f"0 {PROTOCOL_N3R2_SHA256}"
+
+
 def test_run_trace_prints_a_schedule_past_the_recursion_limit():
     proc = _cli("run", "--schedule", ";".join(["0"] * 1200), timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -378,6 +410,22 @@ def test_check_task_file_rejects_malformed_files(case, tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--n", "1", "--task-file"],
+     ["mc", "--state", "0", "--formula", "true", "--model-file"]],
+    ids=["check", "mc"],
+)
+def test_input_files_nested_too_deeply_are_refused(argv, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    proc = _cli(*argv, str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {path} nests too deeply to read\n"
     assert "Traceback" not in proc.stderr
 
 

@@ -442,6 +442,21 @@ def test_parse_errors_carry_positions():
         parse_formula("")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p $ q", "unexpected character '$' (at position 2)"),
+        ("K[0 p", "expected ']', found 'p' (at position 4)"),
+        ("K[", "unexpected end of input (at position 2)"),
+        ("& p", "unexpected token '&' (at position 0)"),
+    ],
+)
+def test_parse_errors_name_what_was_found(text, message):
+    with pytest.raises(FormulaParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
+
+
 def test_parse_depth_bound():
     at_bound = " | ".join(["p"] * MAX_FORMULA_DEPTH)
     assert eval_formula(tiny_model(), 0, parse_formula(at_bound.replace("p", "x")))

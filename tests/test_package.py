@@ -61,3 +61,20 @@ def test_a_name_loads_only_its_submodule_and_what_that_imports():
         "print(sorted(m for m in sys.modules if m.startswith('epikit')))\n"
     )
     assert out == "['epikit', 'epikit.kernel', 'epikit.logic', 'epikit.record']\n"
+
+
+def test_a_name_reads_the_current_binding_of_its_submodule():
+    # nothing is cached in the package: a patch read through it is gone
+    # once the submodule's binding is restored
+    out = _in_a_new_process(
+        "import epikit\n"
+        "from epikit import cli, solver\n"
+        "original = solver.solve\n"
+        "def patched(task):\n"
+        "    return None\n"
+        "solver.solve = patched\n"
+        "print(epikit.solve is patched)\n"
+        "solver.solve = original\n"
+        "print(epikit.solve is solver.solve, cli.solve is solver.solve)\n"
+    )
+    assert out == "True\nTrue True\n"

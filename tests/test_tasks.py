@@ -426,3 +426,10 @@ def test_task_rejects_bad_dimensions():
         InputlessTask("t", 1, 0, output, ())
     with pytest.raises(TaskError):
         InputlessTask("t", 1, 2, output, ((0,),) * 8)  # two rounds need 9 rows
+    with pytest.raises(TaskError, match="^delta table covers 10 schedules, expected 9$"):
+        InputlessTask("t", 1, 2, output, ((0,),) * 10)
+
+
+def test_builtin_refuses_an_unknown_name():
+    with pytest.raises(TaskError, match="^unknown task 'nope'$"):
+        builtin("nope", 1)

@@ -158,8 +158,14 @@ def test_hexagon_output_complex_is_a_ring():
 def test_malformed_complexes_rejected():
     with pytest.raises(ValueError):  # not pure
         ChromaticComplex(((0, "a"), (1, "b"), (2, "c")), ((0, 1, 2), (0, 1)))
-    with pytest.raises(ValueError):  # repeated color in a facet
+    with pytest.raises(ValueError, match="not pure"):  # three vertices, two colors
         ChromaticComplex(((0, "a"), (0, "b"), (1, "c")), ((0, 1, 2),))
+    with pytest.raises(ValueError, match="^facet repeats a color$"):
+        ChromaticComplex(((0, "a"), (0, "b"), (1, "c")), ((0, 1),))
+    with pytest.raises(ValueError, match="^vertex colors must be dense 0..n$"):
+        ChromaticComplex(((0, "a"), (2, "b")), ((0, 1),))
+    with pytest.raises(ValueError, match="^facet vertex indices must be sorted$"):
+        ChromaticComplex(((0, "a"), (1, "b")), ((1, 0),))
     with pytest.raises(ValueError):  # duplicate facet
         ChromaticComplex(((0, "a"), (1, "b")), ((0, 1), (0, 1)))
 
