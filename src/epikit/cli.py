@@ -194,11 +194,10 @@ def _render(args, what: str, dot: bool) -> str:
 def json_text(data) -> str:
     """``json.dumps(data, indent=2)``, byte for byte, in a fraction of
     the time: the library takes its pure-Python encoder for any indent.
-    Lists of ints or strings are joined in one call; values of other
-    kinds, and dicts with keys that are not strings, go to ``json.dumps``
-    and have their lines indented to their depth (JSON text holds no
-    raw newline inside a string).  Open containers wait on an explicit
-    stack, so no nesting meets the recursion limit."""
+    Lists of ints or strings are joined in one call; other leaves and
+    empty containers, which fit on one line, go to ``json.dumps``.  Open
+    containers wait on an explicit stack, so no nesting meets the
+    recursion limit."""
     out: list[str] = []
     # per open container: its (lead, value) pairs left, its values' layout, its close
     stack: list = []
@@ -215,7 +214,7 @@ def json_text(data) -> str:
             show = int.__repr__ if kinds == _INTS else encode_basestring_ascii
             out.append(list_open + sep.join(map(show, obj)) + list_close)
         elif (container := _container(obj, layout)) is None:
-            out.append(json.dumps(obj, indent=2).replace("\n", layout[0]))
+            out.append(json.dumps(obj))
         else:
             leads, values, close = container
             stack.append((zip(leads, values), layouts(layout[1]), close))
@@ -241,18 +240,29 @@ def _layout(newline: str) -> tuple[str, ...]:
 
 
 def _container(obj, layout: tuple[str, ...]):
-    """``(leads, values, close)`` of a non-empty list or tuple, or a
-    non-empty dict with string keys: its text is each value after its
-    lead (the opening or the separator, then a dict's ``"key": ``), then
-    ``close``.  None for a value written whole."""
+    """``(leads, values, close)`` of a non-empty list, tuple or dict: its
+    text is each value after its lead (the opening or the separator, then
+    a dict's ``"key": ``), then ``close``.  None for a value written
+    whole."""
     _, _, sep, list_open, list_close, dict_open, dict_close = layout
-    kind = type(obj)
-    if (kind is list or kind is tuple) and obj:
+    if isinstance(obj, (list, tuple)) and obj:
         return [list_open] + [sep] * (len(obj) - 1), obj, list_close
-    if kind is dict and obj and set(map(type, obj)) == _STRS:
-        keys = [encode_basestring_ascii(key) + ": " for key in obj]
+    if isinstance(obj, dict) and obj:
+        keys = [_key_text(key) for key in obj]
         return [dict_open + keys[0], *(sep + key for key in keys[1:])], obj.values(), dict_close
     return None
+
+
+def _key_text(key) -> str:
+    """A dict key and its ``": "`` as ``json.dumps`` writes them: an
+    int, float, bool or None key as its JSON text, quoted."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):  # bool is an int
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = json.dumps(key)
+    return encode_basestring_ascii(key) + ": "
 
 
 def json_text_size(data) -> int:
@@ -267,7 +277,7 @@ def json_text_size(data) -> int:
     while stack:
         obj = stack.pop()
         # a value written whole is its text alone, as json.dumps writes it
-        leads, values, close = _container(obj, top) or ([json.dumps(obj, indent=2)], (), "")
+        leads, values, close = _container(obj, top) or ([json.dumps(obj)], (), "")
         todo = [value for value in values if id(value) not in sizes]
         if todo:
             stack += [obj, *todo]  # come back once every item is sized

@@ -164,22 +164,31 @@ def _refine_colors(f: KripkeFrame, g: KripkeFrame) -> tuple[list[int], list[int]
 
     Colors are comparable across the frames: states that could correspond
     under an isomorphism always get equal colors.  Used as pruning before
-    the backtracking search.
+    the backtracking search.  A state's new color is its color and, per
+    agent, the sorted colors of its class; each class's sorted colors are
+    worked out once and numbered in a table both frames share, so a
+    round costs time linear in the states, up to the sorting.
     """
     cf = [0] * f.state_count
     cg = [0] * g.state_count
     while True:
-        table: dict[tuple, int] = {}
+        class_numbers: dict[tuple[int, ...], int] = {}
+        table: dict[tuple[int, ...], int] = {}
 
-        def signature(frame: KripkeFrame, colors: list[int], s: int) -> tuple:
-            sig = [colors[s]]
-            for a in range(frame.agent_count):
-                members = frame.classes_by_agent[a][frame.partitions[a][s]]
-                sig.append(tuple(sorted(colors[t] for t in members)))
-            return tuple(sig)
+        def refine(frame: KripkeFrame, colors: list[int]) -> list[int]:
+            columns = []
+            for classes, row in zip(frame.classes_by_agent, frame.partitions):
+                numbers = [
+                    class_numbers.setdefault(
+                        tuple(sorted(map(colors.__getitem__, members))), len(class_numbers)
+                    )
+                    for members in classes
+                ]
+                columns.append(map(numbers.__getitem__, row))
+            return [table.setdefault(sig, len(table)) for sig in zip(colors, *columns)]
 
-        nf = [table.setdefault(signature(f, cf, s), len(table)) for s in f.states()]
-        ng = [table.setdefault(signature(g, cg, s), len(table)) for s in g.states()]
+        nf = refine(f, cf)
+        ng = refine(g, cg)
         if nf == cf and ng == cg:
             return cf, cg
         cf, cg = nf, ng

@@ -242,43 +242,6 @@ def final_states(
     return tuple(level)
 
 
-def seen_ids(state, memo: dict[int, frozenset[int]] | None = None) -> frozenset[int]:
-    """All process ids occurring anywhere in a nested local state.
-
-    A state's ids are its own and, for each entry of its snapshot, the
-    writer's and the ids of what it wrote.  Full-information states share
-    their sub-states, so each one is worked out once and kept in ``memo``
-    by ``id``.  Pass one memo to calls on states that stay alive as long
-    as it does (the final states of one schedule context), so that what
-    they share is worked out once in all.  A loop over an explicit stack,
-    so the nesting (one level per round) is not bounded by the recursion
-    limit."""
-    if isinstance(state, int):
-        return frozenset((state,))
-    if memo is None:
-        memo = {}
-    stack = [state]
-    while stack:
-        top = stack.pop()
-        own, snap = top
-        seen = {own}
-        for j, sub in snap:
-            seen.add(j)
-            if isinstance(sub, int):
-                seen.add(sub)
-            elif id(sub) in memo:
-                seen |= memo[id(sub)]
-            else:
-                # come back once every sub-state is worked out
-                stack.append(top)
-                stack.extend(sub for _, sub in snap
-                             if not isinstance(sub, int) and id(sub) not in memo)
-                break
-        else:
-            memo[id(top)] = frozenset(seen)
-    return memo[id(state)]
-
-
 # ---------------------------------------------------------------------------
 # the shared schedule context
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from . import simengine
-from .kernel import FrameMorphism, KripkeFrame, is_morphism
+from .kernel import FrameMorphism, KripkeFrame, is_morphism, new_frame
 from .record import Record
 from .schedules import Abstraction, protocol_action_model, schedule_context
 from .tasks import InputlessTask, Value, _value_to_json
@@ -446,35 +446,27 @@ def verify_certificate(
     memory simulator, in one :func:`simengine.runs` call, and grouping
     final states, not by reusing the view algebra; the morphism check
     against the view algebra's frame is what makes the two agree.  Equal
-    final states are one object within the call, so an agent's classes
-    are numbered, by first occurrence, by the identity of its final
-    state: an interning that failed could only split a class, which the
-    class-count check refuses.  Raises on partial maps or class-count
-    mismatches.
+    final states are one object within the call, so the simulator's
+    frame labels an agent's classes by the identity of its final state,
+    as :attr:`ScheduleContext.frame` does: an interning that failed could
+    only split a class, which the class-count check refuses.  Raises on
+    partial maps or class-count mismatches.
     """
     ctx = schedule_context(task.n, task.rounds, abstraction)
     n_agents = task.process_count
-    index: list[dict[int, int]] = [{} for _ in range(n_agents)]
-    # one final state per class, so that no id in ``index`` is reused
-    kept: list = []
-    sim_class: list[list[int]] = [[] for _ in range(n_agents)]
-    for record in simengine.runs(ctx.schedules, abstraction):
-        for a, final in enumerate(record.finals):
-            cls = index[a].get(id(final))
-            if cls is None:
-                cls = index[a][id(final)] = len(index[a])
-                kept.append(final)
-            sim_class[a].append(cls)
+    # kept until the frame is built, so that no id is reused
+    finals = [record.finals for record in simengine.runs(ctx.schedules, abstraction)]
+    sim = new_frame(len(finals), n_agents, [[id(f[a]) for f in finals] for a in range(n_agents)])
     for a in range(n_agents):
-        if len(decision.values[a]) != len(index[a]):
+        if len(decision.values[a]) != sim.num_classes(a):
             raise SolverError(
                 f"decision map for agent {a} covers {len(decision.values[a])} "
-                f"classes, simulator found {len(index[a])}"
+                f"classes, simulator found {sim.num_classes(a)}"
             )
 
     # per agent, its decided value at every schedule
     decided = [
-        list(map(decision.values[a].__getitem__, sim_class[a]))
+        list(map(decision.values[a].__getitem__, sim.partitions[a]))
         for a in range(n_agents)
     ]
     image = []

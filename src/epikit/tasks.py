@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import cached_property, reduce
+from itertools import accumulate, combinations
 
 from .kernel import KripkeFrame, _check_json_object, new_frame
 from .logic import ActionModel, KripkeModel, product_update
@@ -21,7 +22,6 @@ from .schedules import (
     input_model,
     schedule_context,
     schedule_count,
-    seen_ids,
 )
 from .simengine import run
 
@@ -179,25 +179,32 @@ def output_model(task: InputlessTask) -> tuple[KripkeModel, dict[tuple[int, int]
 # builtins
 
 # The builtins' rules for one schedule at a time, the references their
-# tables are tested against.  They read a simulated run, so they stay
-# independent of the view algebra; the builtins themselves read the same
-# facts off the shared schedule context, once per view class.
+# tables are tested against.  They read what a simulated run tells each
+# process of the others, so they stay independent of the view algebra
+# and of the block-action rule the builtins are tabulated by.
+
+def _heard_of(rnd: int, state, snapshot: tuple) -> tuple[frozenset[int], frozenset[int]]:
+    """The abstraction whose local state is the set of ids a process has
+    heard of: its own, and each writer it reads with everything that
+    writer had heard of."""
+    if rnd == 1:  # the states and the writes are still the ids
+        heard = frozenset((state, *(j for j, _ in snapshot)))
+    else:  # a writer's set holds its own id
+        heard = state.union(*(written for _, written in snapshot))
+    return heard, heard
+
 
 def never_reads_others(agent: int, sched: Schedule) -> bool:
-    """True when nothing of any other process ever reaches the agent.
-
-    Checked on the full-information final state of a simulated run: any
-    foreign id in it means some snapshot carried another process's data,
-    directly or through an intermediary.
-    """
-    return seen_ids(run(sched).finals[agent]) == frozenset((agent,))
+    """True when nothing of any other process ever reaches the agent,
+    directly or through an intermediary."""
+    return run(sched, _heard_of).finals[agent] == {agent}
 
 
 def reads_only(agents: frozenset[int], sched: Schedule) -> bool:
     """True when the given processes jointly never acquire data from
     outside the group."""
-    finals = run(sched).finals
-    return all(seen_ids(finals[i]) <= agents for i in agents)
+    finals = run(sched, _heard_of).finals
+    return all(finals[i] <= agents for i in agents)
 
 
 def _one_hot_tuples(width: int) -> list[OutputTuple]:
@@ -205,32 +212,39 @@ def _one_hot_tuples(width: int) -> list[OutputTuple]:
 
 
 def _winners_task(
-    name: str, n: int, rounds: int, tuples: list[OutputTuple], pairs: Sequence[tuple[int, int]]
+    name: str, n: int, rounds: int, tuples: list[OutputTuple], largest: int
 ) -> InputlessTask:
-    """The task whose row for a schedule keeps the tuples in which every
-    process that never reads anyone else outputs 1, and, for each of
-    ``pairs`` that only ever sees itself, both members output 1 and the
-    third process 0.  Equal final states have seen equal ids, so each
-    agent's key is worked out once per view class of the shared context's
-    frame: its bit g says the agent is outside groups[g] or has seen only
-    it, so groups[g] sees only itself where bit g survives the AND of all
-    agents' keys.  Each distinct key's row is built once."""
+    """The task whose row for a schedule keeps the tuples in which, for
+    every group of at most ``largest`` processes that has heard only of
+    itself, the members output 1 and, when it holds all processes but
+    one, that outsider outputs 0.
+
+    A group has heard only of itself exactly when, in every round, it is
+    the union of the action's first few classes (see README), so each
+    block action gives the bit set of the groups it lets pass, and a
+    schedule's key is the AND of its rounds' bit sets, built level by
+    level in canonical order.  Each distinct key's row is built once."""
     output = OutputFrame(tuple(tuples))
     masks = output.value_masks
-    # the groups that may see only themselves, and the tuples each keeps
-    groups = [frozenset((i,)) for i in range(n + 1)] + [frozenset(p) for p in pairs]
-    kept = [masks[i][1] for i in range(n + 1)] + [
-        masks[i][1] & masks[j][1] & masks[3 - i - j][0] for i, j in pairs
+    everyone = frozenset(range(n + 1))
+    groups = [
+        frozenset(g) for size in range(1, largest + 1) for g in combinations(everyone, size)
     ]
-    ctx = schedule_context(n, rounds)
-    frame = ctx.frame
-    keys = [(1 << len(groups)) - 1] * frame.state_count
-    # keyed by id, so valid while ctx.finals holds the states
-    memo: dict[int, frozenset[int]] = {}
-    for a, classes in enumerate(frame.classes_by_agent):
-        seen = [seen_ids(ctx.finals[members[0]][a], memo) for members in classes]
-        key = [sum(1 << g for g, G in enumerate(groups) if a not in G or ids <= G) for ids in seen]
-        keys = list(map(int.__and__, keys, map(key.__getitem__, frame.partitions[a])))
+    bit = {g: 1 << b for b, g in enumerate(groups)}
+    # the tuples each group keeps
+    kept = [
+        reduce(int.__and__, [masks[i][1] for i in g], -1)
+        & (masks[min(everyone - g)][0] if len(g) == n else -1)
+        for g in groups
+    ]
+    # per block action, the groups that are the union of its first few classes
+    passing = [
+        sum(bit.get(p, 0) for p in accumulate(map(frozenset, act.classes), frozenset.union))
+        for act in enum_block_actions(n)
+    ]
+    keys = [-1]
+    for _ in range(rounds):  # the last round varies fastest
+        keys = [key & passed for key in keys for passed in passing]
     rows = {}
     for key in set(keys):
         live = reduce(int.__and__, (m for g, m in enumerate(kept) if key >> g & 1), -1)
@@ -253,13 +267,12 @@ def builtin(name: str, n: int, rounds: int = 1) -> InputlessTask:
     """
     key = name.replace("-", "_")
     if key == "testset":
-        return _winners_task("testset", n, rounds, _one_hot_tuples(n + 1), ())
+        return _winners_task("testset", n, rounds, _one_hot_tuples(n + 1), 1)
     if key == "two_testset":
         if n + 1 != 3:
             raise TaskError("two_testset is defined for exactly 3 processes")
         tuples = _one_hot_tuples(3) + [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
-        pairs = ((0, 1), (0, 2), (1, 2))
-        return _winners_task("two_testset", n, rounds, tuples, pairs)
+        return _winners_task("two_testset", n, rounds, tuples, 2)
     if key == "snapshot":
         if rounds != 1:
             raise TaskError("snapshot is defined for a single round")

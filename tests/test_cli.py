@@ -698,6 +698,24 @@ def test_exported_output_complex_dot_is_pinned(capsys, tmp_path):
     )
 
 
+# sha256 of `export task` files as they were when the winners builtins
+# were tabulated from the full-information final states
+PINNED_TASK_EXPORTS = {
+    "--n 2 --rounds 4 --task two-testset":
+        "14d9980a980668e7f9a3c5a030a44c57cee4b47f76a2396b782ae3da0fd26783",
+    "--n 3 --rounds 2 --task testset":
+        "fec6bd33442a1b1a78f55af2a96d111fff0038c6a2eeecc8f37ea14a7d2d585e",
+}
+
+
+@pytest.mark.parametrize("options", sorted(PINNED_TASK_EXPORTS))
+def test_exported_task_bytes_are_pinned(capsys, tmp_path, options):
+    path = tmp_path / "task.json"
+    code, _, err = run_cli(capsys, "export", "task", *options.split(), "--json", str(path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TASK_EXPORTS[options]
+
+
 def test_exports_are_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.dot", tmp_path / "b.dot"
     run_cli(capsys, "export", "protocol-model", "--n", "2", "--dot", str(a))
@@ -766,6 +784,10 @@ def test_json_text_matches_json_dumps(seed):
 _JSON_EDGE_CASES = [
     [], {}, [[]], {"a": {}}, [[], [1, [2, []]], {}], {"k": [True, False, None, 1]},
     [1, True], ["a", 1], {"\u00e9\n": "\U0001f600"}, {1: [1], "1": [2]},
+    # keys json.dumps converts, in dicts nested in one another
+    {1: [1, 2], "a": {2.5: None}, None: {}, False: [[3], "x"]},
+    {float("nan"): 1, float("inf"): [2], float("-inf"): (), -0.0: {"k": 1e300}},
+    {True: {-(2**70): [{}]}, "1": [1, {None: [None]}], 2**64: "big"},
 ]
 
 
@@ -780,6 +802,26 @@ def test_json_text_size_is_the_length_of_the_text(seed):
     for _ in range(25):
         data = _random_json(rng, 4)
         assert cli.json_text_size(data) == len(cli.json_text(data))
+
+
+@pytest.mark.parametrize("data", [{(1, 2): 1}, {"a": [{b"k": 1}]}, {"a": 1, frozenset(): 2}])
+def test_json_text_refuses_the_keys_json_dumps_refuses(data):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(data, indent=2)
+    for write in (cli.json_text, cli.json_text_size):
+        with pytest.raises(TypeError) as raised:
+            write(data)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_json_text_of_a_dict_with_int_keys_is_not_bound_by_the_recursion_limit():
+    deep = []
+    for _ in range(2000):
+        deep = [deep]
+    with pytest.raises(RecursionError):  # the library's indenting encoder recurses
+        json.dumps({1: deep}, indent=2)
+    assert cli.json_text({1: deep}) == cli.json_text({"1": deep})
+    assert cli.json_text_size({1: deep}) == cli.json_text_size({"1": deep})
 
 
 def test_json_text_size_counts_each_occurrence_of_a_shared_value():

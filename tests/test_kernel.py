@@ -7,6 +7,7 @@ import pytest
 
 from epikit.kernel import (
     FrameMorphism,
+    _refine_colors,
     agent_name,
     are_isomorphic,
     compose_morphisms,
@@ -335,6 +336,43 @@ def test_isomorphism_search_matches_brute_force():
             assert is_isomorphism(witness, f, g)
         found[witness is not None] += 1
     assert min(found.values()) > 50
+
+
+def refine_colors_per_state(f, g):
+    """Joint color refinement as it was first written: every state sorts
+    the colors of each of its classes itself."""
+    cf = [0] * f.state_count
+    cg = [0] * g.state_count
+    while True:
+        table = {}
+
+        def signature(frame, colors, s):
+            sig = [colors[s]]
+            for a in range(frame.agent_count):
+                members = frame.classes_by_agent[a][frame.partitions[a][s]]
+                sig.append(tuple(sorted(colors[t] for t in members)))
+            return tuple(sig)
+
+        nf = [table.setdefault(signature(f, cf, s), len(table)) for s in f.states()]
+        ng = [table.setdefault(signature(g, cg, s), len(table)) for s in g.states()]
+        if nf == cf and ng == cg:
+            return cf, cg
+        cf, cg = nf, ng
+
+
+def test_color_refinement_matches_the_per_state_refinement():
+    rng = random.Random(2718)
+    for _ in range(400):
+        states, agents = rng.randint(0, 24), rng.randint(1, 4)
+        make = rng.choice([random_frame, regular_frame]) if states else random_frame
+        f = make(rng, states, agents)
+        if rng.random() < 0.5:
+            perm = list(range(states))
+            rng.shuffle(perm)
+            g = permuted(f, perm)
+        else:
+            g = make(rng, rng.choice([states, rng.randint(1, 24)]), agents)
+        assert _refine_colors(f, g) == refine_colors_per_state(f, g)
 
 
 def cycles_frame(lengths):

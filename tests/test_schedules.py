@@ -7,7 +7,7 @@ recurrence.  Nothing in this file reuses the generator's recursion.
 """
 
 import random
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -30,11 +30,10 @@ from epikit.schedules import (
     schedule_count,
     schedule_from_json,
     schedule_to_json,
-    seen_ids,
     view1,
 )
-from epikit.simengine import run
-from epikit.tasks import never_reads_others, reads_only
+from epikit.simengine import run, runs
+from epikit.tasks import _heard_of
 
 P, Q, R = 0, 1, 2
 
@@ -237,34 +236,12 @@ def test_seen_ids_transitive():
     # from p in round 2 once p has seen r
     s = parse_schedule("1|0,2;1,0|2")
     assert R not in view1(Q, s.rounds[0])
-    assert R in seen_ids(finals_of(s)[Q])
-
-
-def recursive_seen_ids(state):
-    if isinstance(state, int):
-        return {state}
-    own, snap = state
-    out = {own}
-    for j, sub in snap:
-        out |= {j} | recursive_seen_ids(sub)
-    return out
-
-
-def test_seen_ids_matches_a_recursive_walk():
-    for finals in schedule_context(2, 2).finals:
-        for state in finals:
-            assert seen_ids(state) == recursive_seen_ids(state)
-
-
-def test_seen_ids_of_a_state_deeper_than_the_recursion_limit():
-    s = parse_schedule(";".join(["0|1"] * 1500))
-    assert seen_ids(run(s).finals[0]) == {0}
-    assert seen_ids(run(s).finals[1]) == {0, 1}
+    assert R in run(s, _heard_of).finals[Q]
 
 
 def walked_seen_ids(state):
-    """One walk of the state per call, with no memo kept between calls:
-    ``seen_ids`` as it was before it kept one."""
+    """Every process id occurring anywhere in a nested full-information
+    local state, each shared sub-state walked once."""
     if isinstance(state, int):
         return frozenset((state,))
     out = set()
@@ -283,27 +260,13 @@ def walked_seen_ids(state):
     return frozenset(out)
 
 
-@pytest.mark.parametrize("n, rounds", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
-def test_seen_ids_with_one_memo_match_a_walk_per_view_class(n, rounds):
+@pytest.mark.parametrize(
+    "n, rounds", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+)
+def test_heard_of_finals_are_the_ids_in_the_full_information_finals(n, rounds):
     ctx = schedule_context(n, rounds)
-    memo = {}
-    for a, classes in enumerate(ctx.frame.classes_by_agent):
-        for members in classes:
-            state = ctx.finals[members[0]][a]
-            assert seen_ids(state, memo) == walked_seen_ids(state)
-
-
-@pytest.mark.parametrize("n, rounds", [(1, 3), (2, 1), (2, 2), (3, 1)])
-def test_seen_ids_with_one_memo_agree_with_the_simulator_references(n, rounds):
-    ctx = schedule_context(n, rounds)
-    groups = [frozenset(g) for size in (1, 2) for g in combinations(range(n + 1), size)]
-    memo = {}
-    for sched, finals in zip(ctx.schedules, ctx.finals):
-        seen = [seen_ids(state, memo) for state in finals]
-        for a in range(n + 1):
-            assert (seen[a] == {a}) == never_reads_others(a, sched)
-        for group in groups:
-            assert all(seen[i] <= group for i in group) == reads_only(group, sched)
+    heard = [record.finals for record in runs(ctx.schedules, _heard_of)]
+    assert heard == [tuple(map(walked_seen_ids, finals)) for finals in ctx.finals]
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,19 @@ through the view algebra the task module uses.
 """
 
 import random
-from itertools import product
+import sys
+from itertools import combinations, product
 
 import pytest
 
 from epikit.kernel import is_proper
-from epikit.schedules import enum_block_actions, enum_schedules, view1
+from epikit.schedules import enum_block_actions, enum_schedules, parse_schedule, view1
 from epikit.simengine import run
 from epikit.tasks import (
     InputlessTask,
     OutputFrame,
     TaskError,
+    _winners_task,
     builtin,
     make_task,
     never_reads_others,
@@ -259,6 +261,53 @@ def test_builtin_table_matches_per_pair_reference(name, n, rounds):
         for sched in enum_schedules(n, rounds)
     )
     assert task.delta_table == expected
+
+
+@pytest.mark.parametrize("n, rounds", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_winners_rule_on_every_binary_tuple(n, rounds):
+    # on the builtins' own tuples a group's winners leave the outsider
+    # no 1 to output; every binary tuple lets the outsider rule show
+    tuples = list(product((0, 1), repeat=n + 1))
+    groups = [frozenset(g) for size in (1, 2) for g in combinations(range(n + 1), size)]
+    task = _winners_task("t", n, rounds, tuples, 2)
+    expected = []
+    for sched in enum_schedules(n, rounds):
+        alone = [g for g in groups if reads_only(g, sched)]
+        expected.append(tuple(
+            t for t, out in enumerate(tuples)
+            if all(out[i] == 1 for g in alone for i in g)
+            and all(out[i] == 0 for g in alone if len(g) == n for i in range(n + 1) if i not in g)
+        ))
+    assert task.delta_table == tuple(expected)
+
+
+@pytest.mark.parametrize("name", ["testset", "two_testset"])
+def test_winners_builtins_build_no_final_states_or_schedule_context(monkeypatch, name):
+    # every module's binding is counted, so a new import cannot slip past
+    calls = []
+    for module in [m for key, m in sys.modules.items() if key.startswith("epikit")]:
+        for attr in ("final_states", "schedule_context"):
+            real = vars(module).get(attr)
+            if real is not None:
+
+                def counting(*args, real=real, attr=attr):
+                    calls.append(attr)
+                    return real(*args)
+
+                monkeypatch.setattr(module, attr, counting)
+    builtin(name, 2, 2)
+    assert calls == []
+    make_task("t", 2, 1, [(0, 0, 0)], lambda sched, out: True)
+    assert calls == ["schedule_context"]  # the counting is live
+
+
+def test_references_on_a_run_of_1500_rounds():
+    s = parse_schedule(";".join(["0|1"] * 1500))
+    assert never_reads_others(0, s)
+    assert not never_reads_others(1, s)
+    assert reads_only(frozenset((0,)), s)
+    assert reads_only(frozenset((0, 1)), s)
+    assert not reads_only(frozenset((1,)), s)
 
 
 # ---------------------------------------------------------------------------
