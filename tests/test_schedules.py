@@ -7,7 +7,7 @@ recurrence.  Nothing in this file reuses the generator's recursion.
 """
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -33,7 +33,7 @@ from epikit.schedules import (
     view1,
 )
 from epikit.simengine import run, runs
-from epikit.tasks import _heard_of
+from epikit.tasks import _heard_of, never_reads_others, reads_only
 
 P, Q, R = 0, 1, 2
 
@@ -239,6 +239,27 @@ def test_seen_ids_transitive():
     assert R in run(s, _heard_of).finals[Q]
 
 
+def heard_of_finals(ctx):
+    """Each schedule's final heard-of sets, simulated run by run."""
+    return [record.finals for record in runs(ctx.schedules, _heard_of)]
+
+
+def recursive_seen_ids(state):
+    if isinstance(state, int):
+        return {state}
+    own, snap = state
+    out = {own}
+    for j, sub in snap:
+        out |= {j} | recursive_seen_ids(sub)
+    return out
+
+
+def test_seen_ids_matches_a_recursive_walk():
+    ctx = schedule_context(2, 2)
+    heard = heard_of_finals(ctx)
+    assert heard == [tuple(map(recursive_seen_ids, finals)) for finals in ctx.finals]
+
+
 def walked_seen_ids(state):
     """Every process id occurring anywhere in a nested full-information
     local state, each shared sub-state walked once."""
@@ -263,10 +284,27 @@ def walked_seen_ids(state):
 @pytest.mark.parametrize(
     "n, rounds", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 )
-def test_heard_of_finals_are_the_ids_in_the_full_information_finals(n, rounds):
+def test_seen_ids_with_one_memo_match_a_walk_per_view_class(n, rounds):
+    # every member of an agent's full-information view class has heard
+    # of the ids in that class's state
     ctx = schedule_context(n, rounds)
-    heard = [record.finals for record in runs(ctx.schedules, _heard_of)]
-    assert heard == [tuple(map(walked_seen_ids, finals)) for finals in ctx.finals]
+    heard = heard_of_finals(ctx)
+    for a, classes in enumerate(ctx.frame.classes_by_agent):
+        for members in classes:
+            expected = walked_seen_ids(ctx.finals[members[0]][a])
+            assert {heard[m][a] for m in members} == {expected}
+
+
+@pytest.mark.parametrize("n, rounds", [(1, 3), (2, 1), (2, 2), (3, 1)])
+def test_seen_ids_with_one_memo_agree_with_the_simulator_references(n, rounds):
+    ctx = schedule_context(n, rounds)
+    groups = [frozenset(g) for size in (1, 2) for g in combinations(range(n + 1), size)]
+    for sched, finals in zip(ctx.schedules, ctx.finals):
+        seen = [walked_seen_ids(state) for state in finals]
+        for a in range(n + 1):
+            assert (seen[a] == {a}) == never_reads_others(a, sched)
+        for group in groups:
+            assert all(seen[i] <= group for i in group) == reads_only(group, sched)
 
 
 # ---------------------------------------------------------------------------
