@@ -47,6 +47,19 @@ class KripkeFrame(Record):
             out.append(tuple(tuple(b) for b in buckets))
         return tuple(out)
 
+    @cached_property
+    def class_ids(self) -> tuple[tuple[int, ...], ...]:
+        """For each state, its class under each agent, numbered across the
+        agents: agent a's class c is number c after all classes of agents
+        0..a-1.  The numbers rise with the agent, so a state's tuple is
+        its facet in the dual complex, in ascending order."""
+        columns = []
+        offset = 0
+        for a, row in enumerate(self.partitions):
+            columns.append(map(offset.__add__, row))
+            offset += self.num_classes(a)
+        return tuple(zip(*columns))
+
     def states(self) -> range:
         return range(self.state_count)
 
@@ -96,13 +109,7 @@ def new_frame(
 
 def is_proper(frame: KripkeFrame) -> bool:
     """True iff no two distinct states are related for every agent."""
-    seen: set[tuple[int, ...]] = set()
-    for s in frame.states():
-        sig = tuple(frame.partitions[a][s] for a in range(frame.agent_count))
-        if sig in seen:
-            return False
-        seen.add(sig)
-    return True
+    return len(set(frame.class_ids)) == frame.state_count
 
 
 def product(

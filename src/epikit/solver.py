@@ -56,7 +56,7 @@ class SolverError(ValueError):
     pass
 
 
-# reasons of an assignment other than a forcing schedule's position
+# reasons of an assignment other than the forcing schedule's index
 _DECIDED = -1
 _LAST_VALUE = -2  # every other value of the variable was removed
 
@@ -71,7 +71,7 @@ class _Search:
     and a literal ``var = value`` to ``lit_base[var] + choice``.
 
     Each conflict is explained by the literals behind it, worked out only
-    then: a value forced at schedule ``pos`` is explained by the earlier
+    then: a value forced at schedule ``k`` is explained by the earlier
     assignments on that schedule's variables, a variable left with one
     value by the nogoods that removed the others.  Resolving back to the
     first unique implication point of the current level gives a nogood, a
@@ -104,8 +104,10 @@ class _Search:
       ends with is S.
 
     The view classes are those of ``frame``, the schedule action model's
-    frame.  With ``keep``, only the kept schedules constrain them (the
-    trials of :func:`conflict_core`); the others impose nothing.
+    frame, read as its dual complex: the variables are the vertices and
+    schedule k constrains facet ``frame.class_ids[k]``.  With ``keep``
+    (ascending), only the kept schedules constrain them (the trials of
+    :func:`conflict_core`); the others impose nothing.
     """
 
     def __init__(
@@ -115,9 +117,8 @@ class _Search:
         keep: Sequence[int] | None = None,
     ):
         n_agents = self.agent_count = task.process_count
-        class_counts = [frame.num_classes(a) for a in range(n_agents)]
         self.variables = [
-            (a, c) for a in range(n_agents) for c in range(class_counts[a])
+            (a, c) for a in range(n_agents) for c in range(frame.num_classes(a))
         ]
         n_vars = len(self.variables)
         # per variable: candidate values and the tuple mask of each value,
@@ -129,23 +130,22 @@ class _Search:
         ]
         self.var_values = [by_agent[a][0] for a, _ in self.variables]
         self.var_masks = [by_agent[a][1] for a, _ in self.variables]
-        kept = range(len(task.delta_table)) if keep is None else keep
-        self.sched_ids = list(kept)
-        self.live = [
-            sum(1 << t for t in task.delta_table[k]) for k in self.sched_ids
+        rows = task.delta_table
+        self.kept = range(len(rows)) if keep is None else keep
+        # a row names a set of tuples, so a repeated index is one tuple
+        live = self.live = [0] * len(rows)
+        for k in self.kept:
+            for t in rows[k]:
+                live[k] |= 1 << t
+        # variable (a, c) is number c after the variables of agents 0..a-1,
+        # and its schedules are the members of its class
+        self.sched_vars = frame.class_ids
+        self.touching = [
+            members for classes in frame.classes_by_agent for members in classes
         ]
-        # variable (a, c) is number c after the variables of agents 0..a-1
-        columns = []
-        offset = 0
-        for a in range(n_agents):
-            row = frame.partitions[a]
-            columns.append([offset + row[k] for k in self.sched_ids])
-            offset += class_counts[a]
-        self.sched_vars = list(zip(*columns))
-        self.touching: list[list[int]] = [[] for _ in range(n_vars)]
-        for pos, svars in enumerate(self.sched_vars):
-            for vid in svars:
-                self.touching[vid].append(pos)
+        if keep is not None:
+            kept = set(keep)
+            self.touching = [[k for k in ks if k in kept] for ks in self.touching]
         # only variables under some kept constraint are worth branching on;
         # the rest take their first domain value (their canonical choice)
         self.branch_order = [
@@ -165,10 +165,10 @@ class _Search:
         self.choice = [-1] * n_vars  # value index, -1 while unassigned
         self.domain = self.full[:]  # remaining value indices as a bitmask
         self.level = [0] * n_vars
-        self.reason = [_DECIDED] * n_vars  # or the forcing schedule's pos
+        self.reason = [_DECIDED] * n_vars  # or the forcing schedule's index
         self.trail_at = [0] * n_vars
         self.trail: list[int] = []  # assigned variables in order
-        self.log: list[tuple[int, int]] = []  # (pos, old live) or (~var, old domain)
+        self.log: list[tuple[int, int]] = []  # (k, old live) or (~var, old domain)
         self.marks: list[tuple[int, int]] = []  # trail and log length per level
         self.queue: list[int] = []
         self.qhead = 0  # trail variables whose nogood watches were visited
@@ -189,15 +189,15 @@ class _Search:
         self.trail.append(vid)
         mask = self.var_masks[vid][choice]
         live = self.live
-        for pos in self.touching[vid]:
-            new = live[pos] & mask
-            if new != live[pos]:
-                self.log.append((pos, live[pos]))
-                live[pos] = new
+        for k in self.touching[vid]:
+            new = live[k] & mask
+            if new != live[k]:
+                self.log.append((k, live[k]))
+                live[k] = new
                 if not new:
-                    self.conflict = self._assigned_on(pos)
+                    self.conflict = self._assigned_on(k)
                     return False
-                self.queue.append(pos)
+                self.queue.append(k)
         return True
 
     def _remove(self, vid: int, choice: int, nogood: list[int]) -> bool:
@@ -259,19 +259,19 @@ class _Search:
                 continue
             if not queue:
                 return True
-            pos = queue.pop()
-            lv = live[pos]
-            for vid in self.sched_vars[pos]:
+            k = queue.pop()
+            lv = live[k]
+            for vid in self.sched_vars[k]:
                 if choice[vid] >= 0:
                     continue
                 for c, mask in enumerate(self.var_masks[vid]):
                     if lv & ~mask == 0:
                         if not self.domain[vid] >> c & 1:
                             # forced to a value a nogood removed
-                            self.conflict = self._assigned_on(pos)
+                            self.conflict = self._assigned_on(k)
                             self.conflict += self._removal_reasons(vid, 1 << c)
                             return False
-                        if not self._assign(vid, c, pos):
+                        if not self._assign(vid, c, k):
                             return False
                         break
 
@@ -287,8 +287,8 @@ class _Search:
             out += [self.lit_var[lit] for lit in self.removed_by[base + c]]
         return [u for u in out if u != vid]
 
-    def _assigned_on(self, pos: int) -> list[int]:
-        return [u for u in self.sched_vars[pos] if self.choice[u] >= 0]
+    def _assigned_on(self, k: int) -> list[int]:
+        return [u for u in self.sched_vars[k] if self.choice[u] >= 0]
 
     def _explain(self, vid: int) -> list[int]:
         """The assigned variables that implied ``vid``'s value."""
@@ -360,9 +360,9 @@ class _Search:
     def run(self) -> bool:
         """True when a complete assignment exists; :meth:`decision` reads
         it off."""
-        if not all(self.live):
+        if not all(self.live[k] for k in self.kept):
             return False  # a kept schedule allows no tuple
-        self.queue = list(range(len(self.sched_ids)))
+        self.queue = list(self.kept)
         ok = self._propagate()
         order = self.branch_order
         choice = self.choice
@@ -450,13 +450,18 @@ def verify_certificate(
     frame labels an agent's classes by the identity of its final state,
     as :attr:`ScheduleContext.frame` does: an interning that failed could
     only split a class, which the class-count check refuses.  Raises on
-    partial maps or class-count mismatches.
+    partial maps and on agent-count or class-count mismatches.
     """
     ctx = schedule_context(task.n, task.rounds, abstraction)
     n_agents = task.process_count
     # kept until the frame is built, so that no id is reused
     finals = [record.finals for record in simengine.runs(ctx.schedules, abstraction)]
     sim = new_frame(len(finals), n_agents, [[id(f[a]) for f in finals] for a in range(n_agents)])
+    if len(decision.values) != n_agents:
+        raise SolverError(
+            f"decision map covers {len(decision.values)} agents, "
+            f"the task has {n_agents}"
+        )
     for a in range(n_agents):
         if len(decision.values[a]) != sim.num_classes(a):
             raise SolverError(
@@ -487,11 +492,10 @@ def conflict_core(
     single-deletion pass makes the result minimal: removing any one
     member restores solvability.
     """
-    frame = protocol_action_model(task.n, task.rounds, abstraction).frame
-    everything = range(len(task.delta_table))
+    frame = schedule_context(task.n, task.rounds, abstraction).frame
     if _Search(task, frame).run():
         raise SolverError("conflict core requested for a solvable task")
-    core = list(everything)
+    core = list(range(len(task.delta_table)))
     chunk = max(1, len(core) // 2)
     while chunk >= 1:
         pos = 0
@@ -501,7 +505,7 @@ def conflict_core(
                 core = trial
             else:
                 pos += chunk
-        chunk = chunk // 2 if chunk > 1 else 0
+        chunk //= 2
     return tuple(core)
 
 

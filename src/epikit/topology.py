@@ -102,28 +102,18 @@ def frame_to_complex(frame: KripkeFrame) -> tuple[ChromaticComplex, tuple[int, .
     """Dual complex of a proper frame.
 
     Vertices are (agent, class) pairs ordered by agent then class, labeled
-    with the class's first state as representative.  Facet k collects the
-    classes of state k, so the returned correspondence facet->state is the
-    identity and is handed back explicitly.
+    with the class's first state as representative.  Facet k is state k's
+    ``frame.class_ids[k]``, so the returned correspondence facet->state is
+    the identity and is handed back explicitly.
     """
     if not is_proper(frame):
         raise ValueError("frame is not proper: duality undefined")
-    vertex_index: dict[tuple[int, int], int] = {}
-    vertices: list[tuple[int, str]] = []
-    for a in range(frame.agent_count):
-        for c, members in enumerate(frame.classes_by_agent[a]):
-            vertex_index[(a, c)] = len(vertices)
-            vertices.append((a, f"{agent_name(a)}:c{c}(s{members[0]})"))
-    facets = tuple(
-        tuple(
-            sorted(
-                vertex_index[(a, frame.partitions[a][s])]
-                for a in range(frame.agent_count)
-            )
-        )
-        for s in frame.states()
+    vertices = tuple(
+        (a, f"{agent_name(a)}:c{c}(s{members[0]})")
+        for a, classes in enumerate(frame.classes_by_agent)
+        for c, members in enumerate(classes)
     )
-    complex_ = ChromaticComplex(tuple(vertices), facets)
+    complex_ = ChromaticComplex(vertices, frame.class_ids)
     return complex_, tuple(range(frame.state_count))
 
 
@@ -158,14 +148,11 @@ def morphism_to_simplicial(
         raise ValueError("not a frame morphism")
     src_complex, _ = frame_to_complex(src)
     dst_complex, _ = frame_to_complex(dst)
-    # facet u is state u's, so its a-colored vertex is (a, class of u)
-    src_vertex = src_complex.facet_vertex_by_color
-    dst_vertex = dst_complex.facet_vertex_by_color
+    # facet u is state u's class_ids, one vertex per agent in agent order
     vertex_map = [0] * len(src_complex.vertices)
-    for a in range(src.agent_count):
-        for members in src.classes_by_agent[a]:
-            u = members[0]
-            vertex_map[src_vertex[u][a]] = dst_vertex[f(u)][a]
+    for u, facet in enumerate(src.class_ids):
+        for v, image in zip(facet, dst.class_ids[f(u)]):
+            vertex_map[v] = image
     smap = SimplicialMap(tuple(vertex_map))
     if not validate_simplicial_map(smap, src_complex, dst_complex):
         raise ValueError("induced vertex map is not chromatic simplicial")

@@ -397,6 +397,27 @@ def test_check_task_file_rejects_bad_delta(capsys, tmp_path, bad):
     assert err.startswith("error: ") and "delta row 0" in err
 
 
+@pytest.mark.parametrize("row, value", [([1, 1], 1), ([0, 0], 0)])
+def test_check_task_file_with_a_repeated_tuple_index(capsys, tmp_path, row, value):
+    # a delta row names a set of tuples: [1, 1] allows tuple 1 alone
+    path, cert = tmp_path / "task.json", tmp_path / "cert.json"
+    data = {"n": 0, "N": 1, "tuples": [[0], [1]], "delta": [row]}
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "check", "--n", "0", "--rounds", "1", "--task-file", str(path),
+        "--certificate", str(cert),
+    )
+    assert (code, out.strip(), err) == (0, "solvable", "")
+    assert json.loads(cert.read_text())["decision"] == [[value]]
+    copy = tmp_path / "copy.json"
+    code, _, _ = run_cli(
+        capsys, "export", "task", "--n", "0", "--task-file", str(path),
+        "--json", str(copy),
+    )
+    assert code == 0
+    assert json.loads(copy.read_text())["delta"] == [row]
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_TASKS))
 def test_check_task_file_rejects_malformed_files(case, tmp_path):
     path = tmp_path / "task.json"

@@ -109,6 +109,56 @@ def test_proper_when_one_agent_separates():
     assert is_proper(f)
 
 
+def class_ids_reference(frame):
+    """Per state, the sorted indices of its (agent, class) pairs, numbered
+    agent by agent and class by class in a dict."""
+    index = {}
+    for a in range(frame.agent_count):
+        for c in range(frame.num_classes(a)):
+            index[(a, c)] = len(index)
+    return tuple(
+        tuple(sorted(index[(a, frame.partitions[a][s])] for a in range(frame.agent_count)))
+        for s in frame.states()
+    )
+
+
+def seeded_frames(seed, count):
+    """Random frames of 0-8 states and 1-4 agents, about a third of them with
+    one class per state for some agent, so that both proper and improper
+    frames come up."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        states, agents = rng.randint(0, 8), rng.randint(1, 4)
+        f = random_frame(rng, states, agents)
+        if rng.random() < 0.3:
+            partitions = list(f.partitions)
+            partitions[rng.randrange(agents)] = range(states)
+            f = new_frame(states, agents, partitions)
+        yield f
+
+
+def test_class_ids_match_a_dict_keyed_by_agent_and_class():
+    frames = [new_frame(0, 3, [[], [], []]), new_frame(4, 1, [[2, 0, 2, 1]])]
+    frames += seeded_frames(1812, 300)
+    for f in frames:
+        assert f.class_ids == class_ids_reference(f)
+    assert frames[0].class_ids == ()
+    assert frames[1].class_ids == ((0,), (1,), (0,), (2,))
+
+
+def test_is_proper_matches_pairwise_brute_force():
+    found = {True: 0, False: 0}
+    for f in seeded_frames(1813, 300):
+        brute = not any(
+            all(f.related(a, u, v) for a in range(f.agent_count))
+            for u in f.states()
+            for v in range(u)
+        )
+        assert is_proper(f) == brute
+        found[brute] += 1
+    assert min(found.values()) > 50
+
+
 # ---------------------------------------------------------------------------
 # product
 

@@ -23,6 +23,7 @@ from epikit.schedules import (
     view1,
 )
 from epikit.solver import (
+    _Search,
     DecisionMap,
     SolverError,
     conflict_core,
@@ -31,7 +32,7 @@ from epikit.solver import (
     solve_report,
     verify_certificate,
 )
-from epikit.tasks import builtin, make_task, output_model
+from epikit.tasks import InputlessTask, builtin, make_task, output_model
 from epikit.topology import morphism_to_simplicial
 
 P, Q, R = 0, 1, 2
@@ -215,6 +216,16 @@ def test_partial_certificate_rejected():
     stub = DecisionMap(((0,), (0,), (0,)))
     with pytest.raises(SolverError):
         verify_certificate(task, stub)
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_certificate_with_the_wrong_agent_count_rejected(extra):
+    task = builtin("snapshot", 1, 1)
+    values = solve(task).decision.values
+    # a third agent the task does not have, or one agent missing
+    wrong = DecisionMap(values + ((7,),) if extra else values[:1])
+    with pytest.raises(SolverError, match="agents"):
+        verify_certificate(task, wrong)
 
 
 def test_certificate_json_lists_classes():
@@ -663,6 +674,32 @@ def test_learning_search_finds_the_canonical_first_certificate(seed):
     assert verdict.decision == expected
     if brute:
         assert brute_force_first(task) == expected
+
+
+def test_repeated_tuple_indices_in_a_row_change_nothing():
+    # a delta row names a set of tuples, so repeating an index (or
+    # reordering the row) leaves the verdict, certificate and search as
+    # they are
+    rng = random.Random(4242)
+    for seed in range(30):
+        task = _differential_case(seed)[0]
+        rows = []
+        for row in task.delta_table:
+            row = list(row) + [rng.choice(row) for _ in range(rng.randint(1, 3)) if row]
+            rng.shuffle(row)
+            rows.append(tuple(row))
+        repeated = InputlessTask(task.name, task.n, task.rounds, task.output, tuple(rows))
+        assert repeated.delta_table != task.delta_table
+        expected, verdict = solve(task), solve(repeated)
+        assert (verdict.solvable, verdict.decision, verdict.stats) == (
+            expected.solvable, expected.decision, expected.stats
+        )
+
+
+def test_search_reads_the_frame_class_ids():
+    task = builtin("two_testset", 2, 2)
+    frame = protocol_action_model(2, 2).frame
+    assert _Search(task, frame).sched_vars is frame.class_ids
 
 
 def test_differential_cases_meet_conflicts():

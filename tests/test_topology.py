@@ -48,6 +48,15 @@ def test_singleton_frame_gives_one_triangle():
     assert facet_of_state == (0,)
 
 
+def test_complex_facets_are_the_frame_class_ids():
+    frame = protocol_action_model(2, 2).frame
+    complex_, _ = frame_to_complex(frame)
+    assert complex_.facets is frame.class_ids
+    assert [c for c, _ in complex_.vertices] == [
+        a for a in range(3) for _ in range(frame.num_classes(a))
+    ]
+
+
 def test_two_process_protocol_frame_is_a_path():
     complex_, _ = frame_to_complex(path_frame())
     assert len(complex_.vertices) == 4
