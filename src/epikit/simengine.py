@@ -8,21 +8,21 @@ determined entirely by the array contents at snapshot time, which is what
 makes this module an oracle for the view-based relation computed in
 :mod:`epikit.schedules` rather than a restatement of it.
 
-:func:`runs` simulates a batch of schedules and shares work between them,
-still only through the array.  A run is its sequence of block actions, so
-schedules that begin with the same rounds go through the same states up
-to the end of those rounds: consecutive schedules reuse the simulated
-rounds of their common prefix.  Under one prefix, the values every
-process will write are fixed, so a snapshot is fixed by the set of cells
-written when it is taken, which the round's array shows.  The abstraction
-is therefore called once per (prefix, process, written cells).  Both
-shortcuts stay inside the simulator's own terms, a prefix of actions and
-the cells of an array, so it remains an oracle independent of the view
-algebra: no view is worked out and nothing of :mod:`epikit.schedules`
-but the schedule types and the default abstraction is read, and the
-written cells come from the scheduler's writes, so a fault in the views
-cannot reach the simulator through the memo.  Equal local states come
-out as one object, found by value, never by view.
+:func:`runs` simulates schedules one at a time.  :func:`canonical_finals`
+simulates every canonical schedule of (n, rounds) in one walk of the
+schedule tree, round by round: the runs under one prefix of actions share
+its rounds, and under one prefix the values every process will write are
+fixed, so a snapshot is fixed by the set of cells written when it is
+taken.  The scheduler writes each block action's classes into a fresh
+array once, which gives every process that set, and the abstraction is
+called once per (prefix, process, written set).  Both shortcuts stay in
+the simulator's own terms, a prefix of actions and the cells of an array,
+so it remains an oracle independent of the view algebra: no view is worked
+out and nothing of :mod:`epikit.schedules` but the schedule types, the
+action enumeration and the default abstraction is read, and the written
+sets come from the scheduler's writes, so a fault in the views cannot
+reach the simulator through them.  Equal local states come out as one
+object within a call, found by value, never by view.
 """
 
 from __future__ import annotations
@@ -30,7 +30,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from .record import Record
-from .schedules import Abstraction, BlockAction, Schedule, full_information
+from .schedules import (
+    Abstraction,
+    BlockAction,
+    Schedule,
+    enum_block_actions,
+    full_information,
+)
 
 
 class RunRecord(Record):
@@ -74,59 +80,32 @@ class _Canon:
         return canon
 
 
-class _Level:
-    """A run before one round: per process its local state and the value
-    it writes, and what the round gives from here.
-
-    ``cells[j]`` is the (j, value) pair j's write puts in the array, or
-    None when the value is None (a cell that holds None reads as not
-    written), made on first use.  Under one level the written cells fix
-    the snapshot, so ``memo`` maps them, as a bit set, to the snapshot,
-    and (process, written cells) to the process's snapshot, write and
-    new state."""
-
-    __slots__ = ("states", "writes", "cells", "memo")
-
-    def __init__(self, states: tuple, writes: tuple):
-        self.states = states
-        self.writes = writes
-        self.cells: tuple | None = None
-        self.memo: dict = {}
-
-
-def _round(
-    rnd: int, act: BlockAction, level: _Level, abstraction: Abstraction, canon: _Canon
-) -> tuple[tuple, _Level]:
-    """One round on a fresh array: its snapshots and the level after it."""
-    cells = level.cells
-    if cells is None:
-        cells = level.cells = tuple(
-            None if w is None else canon((j, w)) for j, w in enumerate(level.writes)
-        )
-    memo, states = level.memo, level.states
-    n_proc = len(cells)
-    mem: list = [None] * n_proc  # fresh single-writer array
-    snaps: list = [None] * n_proc
-    writes: list = [None] * n_proc
-    after: list = [None] * n_proc
-    written = 0
+def _written(act: BlockAction) -> list[int]:
+    """Per process, the cells of the round's fresh array already written
+    when the scheduler lets it take its snapshot, as a bit set: each
+    class writes, then snapshots."""
+    written = 0  # the array, one bit per cell
+    out = [0] * act.process_count
     for cls in act.classes:
         for i in cls:
-            mem[i] = cells[i]
             written |= 1 << i
         for i in cls:
-            key = (i, written)
-            step = memo.get(key)
-            if step is None:
-                snap = memo.get(written)
-                if snap is None:
-                    snap = memo[written] = canon(
-                        tuple([cell for cell in mem if cell is not None])
-                    )
-                write, state = abstraction(rnd, states[i], snap)
-                step = memo[key] = (snap, canon(write), canon(state))
-            snaps[i], writes[i], after[i] = step
-    return tuple(snaps), _Level(tuple(after), tuple(writes))
+            out[i] = written
+    return out
+
+
+def _cells(writes: tuple, canon: _Canon) -> tuple:
+    """Per process, the (id, value) pair its write puts in the array, or
+    None when the value is None: a cell that holds None reads as not
+    written."""
+    return tuple(None if w is None else canon((j, w)) for j, w in enumerate(writes))
+
+
+def _snapshot(cells: tuple, written: int, canon: _Canon) -> tuple:
+    """The array read when the cells in ``written`` hold their writes."""
+    return canon(tuple([
+        cell for j, cell in enumerate(cells) if written >> j & 1 and cell is not None
+    ]))
 
 
 def runs(
@@ -138,43 +117,75 @@ def runs(
     Values written in round r live only in round r's array; a process's
     pending write for round r+1 is produced by the abstraction from its
     state after round r (full information by default), which must be a
-    function of its arguments.  A schedule reuses the rounds it shares
-    with the one before it, so any order is correct and the canonical
-    order shares the most.  Within one call equal writes and states are
-    one object (so both must be hashable).
+    function of its arguments.  Within one call equal writes and states
+    are one object (so both must be hashable).
     """
     abstraction = abstraction or full_information
     canon = _Canon()
-    # the previous schedule's rounds: levels[r] is the run before round
-    # r + 1, done[r] the action of that round and its snapshots
-    levels: list[_Level] = []
-    done: list[tuple[BlockAction, tuple]] = []
     for sched in scheds:
-        acts = sched.rounds
-        n_proc = sched.process_count
-        if not levels or len(levels[0].states) != n_proc:
-            ids = tuple(range(n_proc))
-            levels[:] = [_Level(ids, ids)]  # round 1 writes the ids
-            done.clear()
-        same = 0
-        for (act_done, _), act in zip(done, acts):
-            if act_done is not act and act_done.classes != act.classes:
-                break
-            same += 1
-        # the level before the first round that differs stays, memo and
-        # all: it depends only on the rounds before it
-        del done[same:], levels[same + 1:]
-        for rnd in range(same, len(acts)):
-            snaps, after = _round(rnd + 1, acts[rnd], levels[rnd], abstraction, canon)
-            done.append((acts[rnd], snaps))
-            levels.append(after)
-        yield RunRecord(sched, tuple([snaps for _, snaps in done]), levels[-1].states)
+        states = writes = tuple(range(sched.process_count))  # round 1 writes the ids
+        snapshots = []
+        for rnd, act in enumerate(sched.rounds, start=1):
+            cells = _cells(writes, canon)
+            snaps = tuple([_snapshot(cells, w, canon) for w in _written(act)])
+            steps = [abstraction(rnd, state, snap) for state, snap in zip(states, snaps)]
+            writes = tuple([canon(write) for write, _ in steps])
+            states = tuple([canon(state) for _, state in steps])
+            snapshots.append(snaps)
+        yield RunRecord(sched, tuple(snapshots), states)
 
 
 def run(sched: Schedule, abstraction: Abstraction | None = None) -> RunRecord:
     """Execute one schedule and record snapshots and final states (see
     :func:`runs`)."""
     return next(runs((sched,), abstraction))
+
+
+def canonical_finals(
+    n: int, rounds: int, abstraction: Abstraction | None = None
+) -> list[tuple]:
+    """``canonical_finals(n, rounds)[k]``: the final states of the k-th
+    schedule of :func:`epikit.schedules.enum_schedules`, equal to
+    ``run(schedule).finals``.
+
+    One walk of the schedule tree, round by round: every prefix of
+    actions is stepped by every block action, with one abstraction call
+    per (prefix, process, written set).  Within one call equal final
+    states are one object (so writes and states must be hashable).
+    """
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    acts = enum_block_actions(n)
+    abstraction = abstraction or full_information
+    canon = _Canon()
+    # per process, its distinct written sets in order of first occurrence,
+    # and per action where each process's set stands among them
+    sets: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    picks = [
+        tuple([sets[i].setdefault(w, len(sets[i])) for i, w in enumerate(_written(act))])
+        for act in acts
+    ]
+    # per prefix, each process's (write, state); round 1 writes the ids
+    level: list = [tuple((i, i) for i in range(n + 1))]
+    for rnd in range(1, rounds + 1):
+        after: list = []
+        for before in level:
+            cells = _cells([write for write, _ in before], canon)
+            snaps: dict[int, tuple] = {}  # written set -> snapshot, under this prefix
+            steps = []
+            for i, own_sets in enumerate(sets):
+                stepped = []
+                for w in own_sets:
+                    snap = snaps.get(w)
+                    if snap is None:
+                        snap = snaps[w] = _snapshot(cells, w, canon)
+                    write, state = abstraction(rnd, before[i][1], snap)
+                    # nothing reads the last writes
+                    stepped.append(canon(state) if rnd == rounds else (write, canon(state)))
+                steps.append(stepped)
+            after.extend([tuple(map(list.__getitem__, steps, pick)) for pick in picks])
+        level = after
+    return level
 
 
 def oracle_indist(

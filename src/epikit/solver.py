@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from . import simengine
 from .kernel import FrameMorphism, KripkeFrame, is_morphism, new_frame
 from .record import Record
 from .schedules import Abstraction, protocol_action_model, schedule_context
@@ -443,19 +442,24 @@ def verify_certificate(
     the output complex (the duality of :mod:`epikit.topology`).
 
     View classes are re-derived by running every schedule once in the
-    memory simulator, in one :func:`simengine.runs` call, and grouping
-    final states, not by reusing the view algebra; the morphism check
-    against the view algebra's frame is what makes the two agree.  Equal
-    final states are one object within the call, so the simulator's
-    frame labels an agent's classes by the identity of its final state,
-    as :attr:`ScheduleContext.frame` does: an interning that failed could
-    only split a class, which the class-count check refuses.  Raises on
-    partial maps and on agent-count or class-count mismatches.
+    memory simulator, in one :func:`simengine.canonical_finals` walk of
+    the schedule tree, and grouping final states, not by reusing the view
+    algebra: the walk reads what each process snapshots off the
+    scheduler's writes to an array, never off a view, so it stays an
+    oracle.  The morphism check against the view algebra's frame is what
+    makes the two agree.  Equal final states are one object within the
+    walk, so the simulator's frame labels an agent's classes by the
+    identity of its final state, as :attr:`ScheduleContext.frame` does:
+    an interning that failed could only split a class, which the
+    class-count check refuses.  Raises on partial maps and on agent-count
+    or class-count mismatches.
     """
+    from . import simengine
+
     ctx = schedule_context(task.n, task.rounds, abstraction)
     n_agents = task.process_count
     # kept until the frame is built, so that no id is reused
-    finals = [record.finals for record in simengine.runs(ctx.schedules, abstraction)]
+    finals = simengine.canonical_finals(task.n, task.rounds, abstraction)
     sim = new_frame(len(finals), n_agents, [[id(f[a]) for f in finals] for a in range(n_agents)])
     if len(decision.values) != n_agents:
         raise SolverError(

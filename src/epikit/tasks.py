@@ -23,7 +23,6 @@ from .schedules import (
     schedule_context,
     schedule_count,
 )
-from .simengine import run
 
 Value = object
 OutputTuple = tuple[Value, ...]
@@ -197,12 +196,16 @@ def _heard_of(rnd: int, state, snapshot: tuple) -> tuple[frozenset[int], frozens
 def never_reads_others(agent: int, sched: Schedule) -> bool:
     """True when nothing of any other process ever reaches the agent,
     directly or through an intermediary."""
+    from .simengine import run
+
     return run(sched, _heard_of).finals[agent] == {agent}
 
 
 def reads_only(agents: frozenset[int], sched: Schedule) -> bool:
     """True when the given processes jointly never acquire data from
     outside the group."""
+    from .simengine import run
+
     finals = run(sched, _heard_of).finals
     return all(finals[i] <= agents for i in agents)
 

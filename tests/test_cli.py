@@ -894,8 +894,11 @@ _MODELS = {"epikit", "epikit.cli", "epikit.record", "epikit.kernel", "epikit.log
     (["model", "protocol", "--n", "2", "--rounds", "2"], _MODELS),
     (["mc", "protocol", "--state", "0|1|2", "--formula", "K[0] id_0"], _MODELS),
     (["check", "--n", "1", "--task", "testset"],
+     _MODELS | {"epikit.tasks", "epikit.solver"}),
+    # only a Solvable verdict runs the simulator, to verify its certificate
+    (["check", "--n", "2", "--task", "snapshot"],
      _MODELS | {"epikit.simengine", "epikit.tasks", "epikit.solver"}),
-], ids=["version", "model protocol", "mc protocol", "check"])
+], ids=["version", "model protocol", "mc protocol", "check", "check solvable"])
 def test_each_command_imports_only_the_modules_it_runs(argv, modules):
     # a new process, so the modules this test process holds do not count
     proc = subprocess.run(

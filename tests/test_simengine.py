@@ -5,6 +5,7 @@ from itertools import chain
 
 import pytest
 
+from epikit import schedules
 from epikit.schedules import (
     Schedule,
     enum_block_actions,
@@ -15,6 +16,7 @@ from epikit.schedules import (
 )
 from epikit.simengine import (
     RunRecord,
+    canonical_finals,
     format_trace,
     oracle_indist,
     record_to_json,
@@ -188,6 +190,62 @@ def test_runs_agrees_with_the_per_schedule_reference(order, seed):
         for snap in chain.from_iterable(record.snapshots):
             for _, value in snap:
                 assert canon.setdefault(value, value) is value
+
+
+def silent_on_even_snapshots(rnd, state, snap):
+    """Full information, except that after a snapshot of even size the
+    process writes None, which the next round reads as an unwritten cell."""
+    write, new_state = full_information(rnd, state, snap)
+    return (None if len(snap) % 2 == 0 else write), new_state
+
+
+FINALS_ABSTRACTIONS = {
+    "full information": lambda: None,
+    "random 1": lambda: random_abstraction(random.Random(1)),
+    "random 2": lambda: random_abstraction(random.Random(2)),
+    "silent": lambda: silent_on_even_snapshots,
+}
+
+
+@pytest.mark.parametrize("kind", FINALS_ABSTRACTIONS)
+@pytest.mark.parametrize("n, rounds", [
+    *((n, rounds) for n in range(3) for rounds in (1, 2, 3)), (3, 1), (3, 2),
+])
+def test_canonical_finals_agrees_with_each_run(n, rounds, kind):
+    abstraction = FINALS_ABSTRACTIONS[kind]()
+    finals = canonical_finals(n, rounds, abstraction)
+    assert finals == [run(s, abstraction).finals for s in enum_schedules(n, rounds)]
+    # equal final states of one call are one object
+    canon: dict = {}
+    for state in chain.from_iterable(finals):
+        assert canon.setdefault(state, state) is state
+
+
+def test_silent_writes_read_as_unwritten_cells():
+    # round 1 snapshots of sizes 1, 2 and 3: process 1 writes None, so
+    # in round 2 everyone reads the cells of 0 and 2 alone
+    finals = canonical_finals(2, 2, silent_on_even_snapshots)
+    k = [s.text() for s in enum_schedules(2, 2)].index("0|1|2;0,1,2")
+    for _, snap in finals[k]:
+        assert [j for j, _ in snap] == [0, 2]
+
+
+def test_canonical_finals_reads_no_view(monkeypatch):
+    # fresh actions, whose views are not worked out yet, and a view
+    # function that refuses: the walk must see only the classes
+    expected = [run(s).finals for s in enum_schedules(2, 2)]
+    schedules.enum_block_actions.cache_clear()
+
+    def no_views(agent, act):
+        raise AssertionError("the simulator read a view")
+
+    monkeypatch.setattr(schedules, "view1", no_views)
+    assert canonical_finals(2, 2) == expected
+
+
+def test_canonical_finals_refuses_zero_rounds():
+    with pytest.raises(ValueError, match="rounds"):
+        canonical_finals(1, 0)
 
 
 def test_two_round_oracle_example():
