@@ -83,21 +83,21 @@ class _Search:
     once all but one hold, the last one's value is removed.  A variable
     with one value left is assigned it; one with none is a conflict.
 
-    Decisions follow ``branch_order`` and take the smallest remaining
-    value, and then the first complete assignment is the lexicographically
-    first solution S in that order, the certificate plain depth-first
-    search would find:
+    Each decision takes the lowest-numbered unassigned variable and its
+    smallest remaining value, and then the first complete assignment is
+    the lexicographically first solution S in variable order, the
+    certificate plain depth-first search would find:
 
     - Every nogood is implied by the task, so every removed value and
       every implied literal is implied by the task plus the decisions at
       its level and below.
     - Take the lowest-level decision that disagrees with S, on variable x.
       All decisions below it agree with S, so S satisfies everything
-      implied at those levels: every variable before x in
-      ``branch_order`` (all assigned when x was chosen) has its value in
-      S, and S's value for x was not removed.  The smallest remaining
-      value is then smaller than S's, so any solution below that decision
-      would precede S; there is none, and the search backjumps out of it.
+      implied at those levels: every variable numbered before x (all
+      assigned when x was chosen) has its value in S, and S's value for x
+      was not removed.  The smallest remaining value is then smaller
+      than S's, so any solution below that decision would precede S;
+      there is none, and the search backjumps out of it.
       No nogood excludes S, so the search cannot end Unsolvable; it ends
       only with every decision agreeing with S, and the assignment it
       ends with is S.
@@ -105,8 +105,10 @@ class _Search:
     The view classes are those of ``frame``, the schedule action model's
     frame, read as its dual complex: the variables are the vertices and
     schedule k constrains facet ``frame.class_ids[k]``.  With ``keep``
-    (ascending), only the kept schedules constrain them (the trials of
-    :func:`conflict_core`); the others impose nothing.
+    (ascending), as in the trials of :func:`conflict_core`, it searches
+    the kept rows over the frame restricted to the kept schedules, whose
+    classes are renumbered by first occurrence; a class with no kept
+    member is no variable.
     """
 
     def __init__(
@@ -115,6 +117,12 @@ class _Search:
         frame: KripkeFrame,
         keep: Sequence[int] | None = None,
     ):
+        rows = task.delta_table
+        if keep is not None:
+            # the restricted problem: the kept rows over the kept schedules
+            rows = [rows[k] for k in keep]
+            partitions = [[row[k] for k in keep] for row in frame.partitions]
+            frame = new_frame(len(keep), frame.agent_count, partitions)
         n_agents = self.agent_count = task.process_count
         self.variables = [
             (a, c) for a in range(n_agents) for c in range(frame.num_classes(a))
@@ -129,26 +137,16 @@ class _Search:
         ]
         self.var_values = [by_agent[a][0] for a, _ in self.variables]
         self.var_masks = [by_agent[a][1] for a, _ in self.variables]
-        rows = task.delta_table
-        self.kept = range(len(rows)) if keep is None else keep
         # a row names a set of tuples, so a repeated index is one tuple
         live = self.live = [0] * len(rows)
-        for k in self.kept:
-            for t in rows[k]:
+        for k, row in enumerate(rows):
+            for t in row:
                 live[k] |= 1 << t
         # variable (a, c) is number c after the variables of agents 0..a-1,
         # and its schedules are the members of its class
         self.sched_vars = frame.class_ids
         self.touching = [
             members for classes in frame.classes_by_agent for members in classes
-        ]
-        if keep is not None:
-            kept = set(keep)
-            self.touching = [[k for k in ks if k in kept] for ks in self.touching]
-        # only variables under some kept constraint are worth branching on;
-        # the rest take their first domain value (their canonical choice)
-        self.branch_order = [
-            vid for vid in range(n_vars) if self.touching[vid]
         ]
         self.full = [(1 << len(values)) - 1 for values in self.var_values]
         self.lit_base: list[int] = []
@@ -359,14 +357,14 @@ class _Search:
     def run(self) -> bool:
         """True when a complete assignment exists; :meth:`decision` reads
         it off."""
-        if not all(self.live[k] for k in self.kept):
-            return False  # a kept schedule allows no tuple
-        self.queue = list(self.kept)
+        if not all(self.live):
+            return False  # a schedule allows no tuple
+        self.queue = list(range(len(self.live)))
         ok = self._propagate()
-        order = self.branch_order
+        n_vars = len(self.variables)
         choice = self.choice
-        decided: list[int] = []  # order index of each level's decision
-        pos = 0
+        decided: list[int] = []  # the variable decided at each level
+        vid = 0
         while True:
             while not ok:
                 self.backtracks += 1
@@ -375,17 +373,16 @@ class _Search:
                 nogood = self._analyze()
                 back = self.level[self.lit_var[nogood[1]]] if len(nogood) > 1 else 0
                 self._backjump(back)
-                pos = decided[back]
+                vid = decided[back]
                 del decided[back:]
                 ok = self._learn(nogood) and self._propagate()
-            while pos < len(order) and choice[order[pos]] >= 0:
-                pos += 1
-            if pos == len(order):
+            while vid < n_vars and choice[vid] >= 0:
+                vid += 1
+            if vid == n_vars:
                 return True
-            vid = order[pos]
             self.nodes += 1
             self.marks.append((len(self.trail), len(self.log)))
-            decided.append(pos)
+            decided.append(vid)
             dom = self.domain[vid]
             ok = (
                 self._assign(vid, (dom & -dom).bit_length() - 1, _DECIDED)
@@ -396,7 +393,7 @@ class _Search:
         """The assignment :meth:`run` found, per agent in class order."""
         values: list[list[Value]] = [[] for _ in range(self.agent_count)]
         for vid, (a, _) in enumerate(self.variables):
-            values[a].append(self.var_values[vid][max(self.choice[vid], 0)])
+            values[a].append(self.var_values[vid][self.choice[vid]])
         return DecisionMap(tuple(tuple(v) for v in values))
 
 
@@ -494,7 +491,8 @@ def conflict_core(
     Drops canonical-order blocks of schedules while unsolvability
     survives, halving the block size down to single deletions.  The final
     single-deletion pass makes the result minimal: removing any one
-    member restores solvability.
+    member restores solvability.  Each trial searches the task restricted
+    to the schedules it keeps, so it costs time in those schedules only.
     """
     frame = schedule_context(task.n, task.rounds, abstraction).frame
     if _Search(task, frame).run():

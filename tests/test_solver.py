@@ -32,7 +32,7 @@ from epikit.solver import (
     solve_report,
     verify_certificate,
 )
-from epikit.tasks import InputlessTask, builtin, make_task, output_model
+from epikit.tasks import InputlessTask, OutputFrame, builtin, make_task, output_model
 from epikit.topology import morphism_to_simplicial
 
 P, Q, R = 0, 1, 2
@@ -732,3 +732,113 @@ def test_two_round_conflict_core_is_minimal():
     for drop in core:
         rest = [k for k in core if k != drop]
         assert _Search(task, frame, rest).run()
+
+
+# SearchStats of the builtins, (nodes, backtracks, assignments, learned):
+# a change to solve's search that moves a step moves one of these
+BUILTIN_STATS = {
+    ("testset", 1, 1): (0, 1, 3, 0),
+    ("testset", 1, 2): (0, 1, 9, 0),
+    ("testset", 2, 1): (0, 1, 4, 0),
+    ("testset", 2, 2): (0, 1, 17, 0),
+    ("testset", 3, 1): (0, 1, 5, 0),
+    ("testset", 3, 2): (0, 1, 32, 0),
+    ("two_testset", 2, 1): (0, 1, 8, 0),
+    ("two_testset", 2, 2): (87, 52, 1428, 51),
+    ("snapshot", 2, 1): (0, 0, 12, 0),
+    ("snapshot", 3, 1): (0, 0, 32, 0),
+    ("snapshot", 4, 1): (0, 0, 80, 0),
+}
+
+
+@pytest.mark.parametrize("name, n, rounds", sorted(BUILTIN_STATS))
+def test_builtin_search_stats_are_pinned(name, n, rounds):
+    stats = solve(builtin(name, n, rounds)).stats
+    got = (stats.nodes, stats.backtracks, stats.assignments, stats.learned)
+    assert got == BUILTIN_STATS[name, n, rounds]
+
+
+def _relaxed(task, keep):
+    """The task in which each schedule off ``keep`` allows every
+    combination of the agents' values, so that it constrains nothing.
+    (Allowing every output tuple would not free it: the decisions would
+    still have to form one of them.)"""
+    domains = [task.output.values_for(a) for a in range(task.process_count)]
+    tuples = list(task.output.tuples)
+    tuples += [t for t in iproduct(*domains) if t not in tuples]
+    every = tuple(range(len(tuples)))
+    kept = set(keep)
+    table = tuple(
+        row if k in kept else every for k, row in enumerate(task.delta_table)
+    )
+    return InputlessTask(task.name, task.n, task.rounds, OutputFrame(tuple(tuples)), table)
+
+
+def _trial_keeps(rng, frame):
+    """Seeded schedule subsets, ascending: none, one, all, random ones,
+    and ones with every member of some view class dropped."""
+    count = frame.state_count
+    every = range(count)
+    keeps = [[], [rng.randrange(count)], list(every)]
+    for _ in range(3):
+        keeps.append(sorted(rng.sample(every, rng.randint(1, count))))
+    for _ in range(3):
+        a = rng.randrange(frame.agent_count)
+        dropped = set(rng.choice(frame.classes_by_agent[a]))
+        base = every if rng.random() < 0.5 else keeps[-1]
+        keeps.append([k for k in base if k not in dropped])
+    return keeps
+
+
+def test_trials_search_the_restricted_problem():
+    # a trial of conflict_core searches the kept rows over the frame
+    # restricted to the kept schedules; it must agree with a full search
+    # of the task relaxed off the kept set
+    rng = random.Random(2020)
+    tasks = [
+        _differential_case(seed)[0]
+        for seed in range(45)
+        if DIFFERENTIAL_SHAPES[seed % len(DIFFERENTIAL_SHAPES)][1] <= 2
+    ]
+    tasks += [
+        _threshold_task(rng, n, rounds, width, rng.uniform(0.5, 0.95))
+        for n, rounds, width in [(1, 1, 2), (1, 2, 3), (2, 1, 2), (2, 2, 2)] * 2
+    ]
+    verdicts = set()
+    dropped_classes = 0
+    for task in tasks:
+        frame = protocol_action_model(task.n, task.rounds).frame
+        for keep in _trial_keeps(rng, frame):
+            got = _Search(task, frame, keep).run()
+            assert got == solve(_relaxed(task, keep)).solvable, (task, keep)
+            verdicts.add(got)
+            dropped_classes += any(
+                set(members).isdisjoint(keep)
+                for classes in frame.classes_by_agent
+                for members in classes
+            )
+    # both verdicts occur, and many trials leave some class out
+    assert verdicts == {True, False}
+    assert dropped_classes >= 50
+
+
+# the conflict core of the three-process testset at two rounds: 15 of
+# 5,625 schedules, larger than any other core tier-1 shrinks
+TESTSET_3_2_CORE = (
+    "2|3|0,1;2|0,3|1", "2|3|0,1;2|3|0,1", "2|3|0,1;2,3|0|1",
+    "2|3|0,1;3|2|0,1", "2,3|1|0;2|0,1,3", "2,3|1|0;3|0,1,2",
+    "2,3|1|0;0|1|2,3", "2,3|1|0;0,1|2|3", "2,3|1|0;1|0|2,3",
+    "3|1,2|0;1|3|0,2", "3|1,2|0;1,3|2|0", "3|1,2|0;3|1|2|0",
+    "3|2|0,1;0|1,2,3", "3|2|0,1;2|0,1,3", "3|2|0,1;3|0,1,2",
+)
+
+
+def test_three_process_two_round_conflict_core_is_minimal():
+    task = builtin("testset", 3, 2)
+    core = conflict_core(task)
+    texts = schedules.schedule_context(3, 2).texts
+    assert tuple(texts[k] for k in core) == TESTSET_3_2_CORE
+    frame = protocol_action_model(3, 2).frame
+    assert not _Search(task, frame, core).run()
+    for drop in core:
+        assert _Search(task, frame, [k for k in core if k != drop]).run()
