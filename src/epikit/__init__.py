@@ -36,7 +36,7 @@ _EXPORTS = {
     ], "schedules"),
     **dict.fromkeys(["RunRecord", "oracle_indist", "run"], "simengine"),
     **dict.fromkeys([
-        "DecisionMap", "Verdict", "solve", "solve_report", "verdict_report",
+        "DecisionMap", "Verdict", "solve", "verdict_report",
         "verify_certificate",
     ], "solver"),
     **dict.fromkeys([
@@ -44,8 +44,7 @@ _EXPORTS = {
         "output_model", "task_action_model",
     ], "tasks"),
     **dict.fromkeys([
-        "ChromaticComplex", "SimplicialMap", "SimplicialModel",
-        "complex_to_frame", "frame_to_complex", "morphism_to_simplicial",
+        "ChromaticComplex", "SimplicialMap", "complex_to_frame", "frame_to_complex", "morphism_to_simplicial",
         "roundtrip_check",
     ], "topology"),
 }

@@ -28,8 +28,8 @@ DEFAULT_MAX_N = 5
 MAX_SCHEDULES = 10**6
 # schedule counts above this are not worked out for the caps' messages
 ESTIMATE_LIMIT = 10**18
-# run --json refuses to print more bytes than this; eight rounds of
-# 0,1,2 take 18.8 MB
+# run refuses to print more bytes than this, as text or as --json; eight
+# rounds of 0,1,2 take 18.8 MB as JSON, twelve take 43.8 MB as text
 MAX_RUN_JSON_BYTES = 32 * 2**20
 
 EXIT_OK = 0
@@ -308,24 +308,23 @@ def cmd_schedules(args) -> int:
 
 def cmd_run(args) -> int:
     from .schedules import parse_schedule
-    from .simengine import format_trace, record_to_json, run
+    from .simengine import _trace_size, format_trace, record_to_json, run
 
     sched = parse_schedule(args.schedule)
     record = run(sched)
-    if not args.json:
-        sys.stdout.write(format_trace(record))
-        return EXIT_OK
-    # the local states are shared, but the JSON writes each occurrence out
-    # in full, so it grows with the cube of the rounds at one process and
-    # faster at more: its size is checked before any of it is built
-    data = record_to_json(record)
-    size = json_text_size(data) + 1
+    # the local states are shared, but both forms write each occurrence
+    # out in full: the size is worked out before any output is built
+    if args.json:
+        what, data = "JSON", record_to_json(record)
+        size = json_text_size(data) + 1
+    else:
+        what, size = "trace", _trace_size(record)
     if size > MAX_RUN_JSON_BYTES:
         raise CliError(
-            f"the JSON of a {sched.round_count}-round run would take {size} "
+            f"the {what} of a {sched.round_count}-round run would take {size} "
             f"bytes, more than the cap of {MAX_RUN_JSON_BYTES}"
         )
-    sys.stdout.write(json_text(data) + "\n")
+    sys.stdout.write(json_text(data) + "\n" if args.json else format_trace(record))
     return EXIT_OK
 
 

@@ -157,11 +157,6 @@ def is_morphism(f: FrameMorphism, src: KripkeFrame, dst: KripkeFrame) -> bool:
     return True
 
 
-def compose_morphisms(outer: FrameMorphism, inner: FrameMorphism) -> FrameMorphism:
-    """outer after inner: state u maps to outer(inner(u))."""
-    return FrameMorphism(tuple(outer.mapping[x] for x in inner.mapping))
-
-
 def identity_morphism(frame: KripkeFrame) -> FrameMorphism:
     return FrameMorphism(tuple(range(frame.state_count)))
 

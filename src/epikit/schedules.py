@@ -30,9 +30,12 @@ class BlockAction(Record):
                 raise ValueError("concurrency classes must be non-empty")
             if tuple(sorted(cls)) != cls:
                 raise ValueError("classes must be sorted id tuples")
-            if seen & set(cls):
+            ids = set(cls)
+            if len(ids) != len(cls):
+                raise ValueError(f"concurrency class {cls} repeats an id")
+            if seen & ids:
                 raise ValueError("concurrency classes must be disjoint")
-            seen.update(cls)
+            seen |= ids
         if seen != set(range(len(seen))) or not seen:
             raise ValueError("classes must cover the id set 0..n exactly")
 
@@ -116,10 +119,6 @@ def parse_schedule(text: str) -> Schedule:
 
 def schedule_to_json(sched: Schedule) -> dict:
     return {"rounds": [[list(cls) for cls in act.classes] for act in sched.rounds]}
-
-
-def schedule_from_json(data: dict) -> Schedule:
-    return Schedule(tuple(block_action(*rnd) for rnd in data["rounds"]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ determined entirely by the array contents at snapshot time, which is what
 makes this module an oracle for the view-based relation computed in
 :mod:`epikit.schedules` rather than a restatement of it.
 
-:func:`runs` simulates schedules one at a time.  :func:`canonical_finals`
+:func:`run` simulates one schedule.  :func:`canonical_finals`
 simulates every canonical schedule of (n, rounds) in one walk of the
 schedule tree, round by round: the runs under one prefix of actions share
 its rounds, and under one prefix the values every process will write are
@@ -27,8 +27,6 @@ object within a call, found by value, never by view.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-
 from .record import Record
 from .schedules import (
     Abstraction,
@@ -45,9 +43,6 @@ class RunRecord(Record):
     schedule: Schedule
     snapshots: tuple[tuple[tuple, ...], ...]  # [round][process] -> snapshot
     finals: tuple  # [process] -> final local state
-
-    def final(self, agent: int):
-        return self.finals[agent]
 
 
 class _Canon:
@@ -108,37 +103,31 @@ def _snapshot(cells: tuple, written: int, canon: _Canon) -> tuple:
     ]))
 
 
-def runs(
-    scheds: Iterable[Schedule], abstraction: Abstraction | None = None
-) -> Iterator[RunRecord]:
-    """Execute schedules in turn, yielding one :class:`RunRecord` each,
-    in input order, equal to the record of a lone :func:`run`.
+def run(sched: Schedule, abstraction: Abstraction | None = None) -> RunRecord:
+    """Execute one schedule and record its snapshots and final states.
 
     Values written in round r live only in round r's array; a process's
     pending write for round r+1 is produced by the abstraction from its
     state after round r (full information by default), which must be a
-    function of its arguments.  Within one call equal writes and states
+    function of its arguments.  Within one run equal writes and states
     are one object (so both must be hashable).
     """
-    abstraction = abstraction or full_information
-    canon = _Canon()
-    for sched in scheds:
-        states = writes = tuple(range(sched.process_count))  # round 1 writes the ids
-        snapshots = []
-        for rnd, act in enumerate(sched.rounds, start=1):
-            cells = _cells(writes, canon)
-            snaps = tuple([_snapshot(cells, w, canon) for w in _written(act)])
-            steps = [abstraction(rnd, state, snap) for state, snap in zip(states, snaps)]
-            writes = tuple([canon(write) for write, _ in steps])
-            states = tuple([canon(state) for _, state in steps])
-            snapshots.append(snaps)
-        yield RunRecord(sched, tuple(snapshots), states)
+    return _run(sched, abstraction or full_information, _Canon())
 
 
-def run(sched: Schedule, abstraction: Abstraction | None = None) -> RunRecord:
-    """Execute one schedule and record snapshots and final states (see
-    :func:`runs`)."""
-    return next(runs((sched,), abstraction))
+def _run(sched: Schedule, abstraction: Abstraction, canon: _Canon) -> RunRecord:
+    """:func:`run`, with equal writes and states found in ``canon``,
+    which several runs may share."""
+    states = writes = tuple(range(sched.process_count))  # round 1 writes the ids
+    snapshots = []
+    for rnd, act in enumerate(sched.rounds, start=1):
+        cells = _cells(writes, canon)
+        snaps = tuple([_snapshot(cells, w, canon) for w in _written(act)])
+        steps = [abstraction(rnd, state, snap) for state, snap in zip(states, snaps)]
+        writes = tuple([canon(write) for write, _ in steps])
+        states = tuple([canon(state) for _, state in steps])
+        snapshots.append(snaps)
+    return RunRecord(sched, tuple(snapshots), states)
 
 
 def canonical_finals(
@@ -195,48 +184,78 @@ def oracle_indist(
     schedules.  Both must range over the same ids and round count."""
     if u.process_count != v.process_count or u.round_count != v.round_count:
         raise ValueError("schedules must share process and round counts")
-    ru, rv = runs((u, v), abstraction)
-    return ru.final(agent) == rv.final(agent)
+    # one table for both runs: equal states are one object, so no
+    # comparison walks through their nesting (one level per round)
+    abstraction, canon = abstraction or full_information, _Canon()
+    return _run(u, abstraction, canon).finals[agent] is _run(v, abstraction, canon).finals[agent]
 
 
-def _show_value(value) -> str:
-    """A local state as text: an id, or ``(own saw {j:value, ...})``.
-
-    A loop over an explicit stack of values still to show and literal
-    text (the strings), so the nesting (one level per round) is not
-    bounded by the recursion limit."""
-    out: list[str] = []
-    stack = [value]
+def _shown(values, leaf, node) -> dict:
+    """Per ``id``, how the values and every local state nested in them
+    show: ``leaf(i)`` for an id i, ``node(own, [(j, shown sub), ...])``
+    for ``(own, snapshot)``.  Each distinct object is shown once, in a
+    loop over an explicit stack, so the nesting (one level per round)
+    meets no recursion limit and the time is linear in the distinct
+    states however often each one is shown."""
+    shown: dict = {}
+    stack = list(values)
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, int):
-            out.append(str(item))
+        value = stack[-1]
+        if id(value) in shown:
+            stack.pop()
+        elif isinstance(value, int):
+            shown[id(stack.pop())] = leaf(value)
+        elif todo := [sub for _, sub in value[1] if id(sub) not in shown]:
+            stack += todo  # come back once every nested state is shown
         else:
-            own, snap = item
-            out.append(f"({own} saw {{")
-            stack.append("})")
-            for k in range(len(snap) - 1, -1, -1):
-                j, sub = snap[k]
-                stack.append(sub)
-                stack.append(f", {j}:" if k else f"{j}:")
-    return "".join(out)
+            own, snap = stack.pop()
+            shown[id(value)] = node(own, [(j, shown[id(sub)]) for j, sub in snap])
+    return shown
+
+
+def _text(own, subs) -> str:
+    """A local state as text, ``(own saw {j:sub, ...})``."""
+    return f"({own} saw {{" + ", ".join([f"{j}:{sub}" for j, sub in subs]) + "})"
+
+
+def _text_length(own, subs) -> int:
+    """``len(_text(own, subs))``, given each sub's length."""
+    return len(f"({own} saw {{}})") + sum(
+        len(f", {j}:") + sub for j, sub in subs
+    ) - 2 * bool(subs)  # the first entry has no ", "
+
+
+def _trace(record: RunRecord, leaf, node) -> list:
+    """The text trace of a run as its literal text (the strings) and the
+    local states shown between them (see :func:`_shown`)."""
+    pieces: list = [f"schedule {record.schedule.text()}\n"]
+    for rnd, (act, snaps) in enumerate(
+        zip(record.schedule.rounds, record.snapshots), start=1
+    ):
+        pieces.append(f"round {rnd}: blocks {act.text()}\n")
+        for i, snap in enumerate(snaps):
+            pieces.append(f"  process {i} snapshot: ")
+            for k, (j, val) in enumerate(snap):
+                pieces += [f", {j}=" if k else f"{j}=", val]
+            pieces.append("\n")
+    for i, state in enumerate(record.finals):
+        pieces += [f"final {i}: ", state, "\n"]
+    states = [piece for piece in pieces if not isinstance(piece, str)]
+    shown = _shown(states, leaf, node)
+    return [piece if isinstance(piece, str) else shown[id(piece)] for piece in pieces]
 
 
 def format_trace(record: RunRecord) -> str:
     """Stable round-by-round text trace of a run."""
-    lines = [f"schedule {record.schedule.text()}"]
-    for rnd, (act, snaps) in enumerate(
-        zip(record.schedule.rounds, record.snapshots), start=1
-    ):
-        lines.append(f"round {rnd}: blocks {act.text()}")
-        for i, snap in enumerate(snaps):
-            seen = ", ".join(f"{j}={_show_value(val)}" for j, val in snap)
-            lines.append(f"  process {i} snapshot: {seen}")
-    for i, state in enumerate(record.finals):
-        lines.append(f"final {i}: {_show_value(state)}")
-    return "\n".join(lines) + "\n"
+    return "".join(_trace(record, str, _text))
+
+
+def _trace_size(record: RunRecord) -> int:
+    """``len(format_trace(record))``, worked out without building the text."""
+    return sum(
+        len(piece) if isinstance(piece, str) else piece
+        for piece in _trace(record, lambda i: len(str(i)), _text_length)
+    )
 
 
 def record_to_json(record: RunRecord) -> dict:

@@ -511,15 +511,10 @@ def conflict_core(
     return tuple(core)
 
 
-def solve_report(task: InputlessTask, *, abstraction: Abstraction | None = None) -> dict:
-    """Verdict plus class inventories and search statistics, JSON-ready."""
-    return verdict_report(task, solve(task, abstraction=abstraction), abstraction)
-
-
 def verdict_report(
     task: InputlessTask, verdict: Verdict, abstraction: Abstraction | None = None
 ) -> dict:
-    """The :func:`solve_report` of a verdict already found for the task;
+    """The verdict with class inventories and search statistics, JSON-ready;
     only an unsolvable verdict searches again, for its conflict core."""
     texts = schedule_context(task.n, task.rounds).texts
     report = {

@@ -12,17 +12,14 @@ from __future__ import annotations
 from functools import cached_property
 
 from .kernel import (
-    FormatError,
     FrameMorphism,
     KripkeFrame,
-    _check_json_object,
     _related_pairs,
     agent_name,
     is_morphism,
     is_proper,
     new_frame,
 )
-from .logic import KripkeModel
 from .record import Record
 
 
@@ -159,66 +156,6 @@ def morphism_to_simplicial(
     return smap
 
 
-class SimplicialModel(Record):
-    """Complex with literal sets on vertices; facet labels are unions.
-
-    A literal is an atom name or ``!name``.  Construction checks that
-    every facet's union decides every atom of the universe (maximality);
-    models whose atoms are not determined classwise cannot be represented
-    this way and are rejected.
-    """
-
-    complex: ChromaticComplex
-    ap: tuple[str, ...]
-    vertex_literals: tuple[frozenset[str], ...]
-
-    def __post_init__(self):
-        if len(self.vertex_literals) != len(self.complex.vertices):
-            raise ValueError("need one literal set per vertex")
-        for k, facet in enumerate(self.complex.facets):
-            union: set[str] = set()
-            for v in facet:
-                union |= self.vertex_literals[v]
-            for name in self.ap:
-                if name not in union and f"!{name}" not in union:
-                    raise ValueError(
-                        f"facet {k} does not decide atom {name!r}: "
-                        "vertex valuations are not maximal"
-                    )
-            for name in self.ap:
-                if name in union and f"!{name}" in union:
-                    raise ValueError(f"facet {k} is inconsistent on atom {name!r}")
-
-    def facet_literals(self, facet_index: int) -> frozenset[str]:
-        out: set[str] = set()
-        for v in self.complex.facets[facet_index]:
-            out |= self.vertex_literals[v]
-        return frozenset(out)
-
-
-def model_to_simplicial(model: KripkeModel) -> SimplicialModel:
-    """Dual simplicial model of a proper Kripke model.
-
-    Vertex (a, class) carries the literals all states of the class agree
-    on.  Raises if some facet's union fails to decide an atom, which
-    happens whenever an atom cuts through every agent's class at a state.
-    """
-    frame = model.frame
-    complex_, _ = frame_to_complex(frame)
-    literals: list[frozenset[str]] = []
-    for a in range(frame.agent_count):
-        for members in frame.classes_by_agent[a]:
-            shared: set[str] = set()
-            for i, name in enumerate(model.ap):
-                values = {i in model.valuation[s] for s in members}
-                if values == {True}:
-                    shared.add(name)
-                elif values == {False}:
-                    shared.add(f"!{name}")
-            literals.append(frozenset(shared))
-    return SimplicialModel(complex_, model.ap, tuple(literals))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -227,39 +164,6 @@ def complex_to_json(complex_: ChromaticComplex) -> dict:
         "vertices": [{"color": c, "label": lbl} for c, lbl in complex_.vertices],
         "facets": [list(facet) for facet in complex_.facets],
     }
-
-
-def complex_from_json(data: dict) -> ChromaticComplex:
-    """The complex :func:`complex_to_json` wrote.  Anything else, such as
-    a missing key, a color that is not an integer, a facet naming a
-    vertex that does not exist or a facet set that is not a pure
-    chromatic complex, raises :class:`~epikit.kernel.FormatError`."""
-    _check_json_object(data, "complex", ("vertices", "facets"), FormatError)
-    vertices, facets = data["vertices"], data["facets"]
-    if not isinstance(vertices, list) or not all(
-        isinstance(v, dict)
-        and type(v.get("color")) is int
-        and isinstance(v.get("label"), str)
-        for v in vertices
-    ):
-        raise FormatError(
-            "vertices must be objects with an integer color and a string label"
-        )
-    if not isinstance(facets, list) or not all(
-        isinstance(facet, list)
-        and all(type(v) is int and 0 <= v < len(vertices) for v in facet)
-        for facet in facets
-    ):
-        raise FormatError(
-            f"facets must be lists of vertex indices 0..{len(vertices) - 1}"
-        )
-    try:
-        return ChromaticComplex(
-            tuple((v["color"], v["label"]) for v in vertices),
-            tuple(tuple(sorted(facet)) for facet in facets),
-        )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
 
 
 def complex_to_dot(complex_: ChromaticComplex) -> str:

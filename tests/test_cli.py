@@ -13,7 +13,7 @@ from epikit import cli, logic, schedules, solver, tasks
 from epikit.cli import main
 from epikit.logic import MAX_FORMULA_DEPTH, model_from_json
 from epikit.tasks import make_task, task_from_json, task_to_json
-from epikit.topology import complex_from_json
+from epikit.topology import complex_to_json, frame_to_complex
 
 from test_logic import MALFORMED_MODELS
 from test_tasks import MALFORMED_TASKS
@@ -115,17 +115,17 @@ def test_run_json(capsys):
     assert len(data["snapshots"]) == 2
 
 
-# the JSON form writes every shared sub-state out in full, so its size is
+# both forms write every shared sub-state out in full, so their size is
 # bounded before any text is built
-@pytest.mark.parametrize("form", [["--json"]], ids=["json"])
-def test_run_refuses_a_schedule_too_deep_to_print(form):
-    proc = _cli("run", "--schedule", ";".join(["0"] * 1200), *form)
+@pytest.mark.parametrize("form, sched, size", [
+    (["--json"], ";".join(["0"] * 1200), "the JSON of a 1200-round run would take 13913378466"),
+    ([], ";".join(["0,1,2"] * 20), "the trace of a 20-round run would take 287659713793"),
+], ids=["json", "text"])
+def test_run_refuses_a_schedule_too_deep_to_print(form, sched, size):
+    proc = _cli("run", "--schedule", sched, *form)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == (
-        "error: the JSON of a 1200-round run would take 13913378466 bytes, "
-        "more than the cap of 33554432\n"
-    )
+    assert proc.stderr == f"error: {size} bytes, more than the cap of 33554432\n"
 
 
 def test_run_json_refuses_above_the_cap_before_building_text(capsys, monkeypatch):
@@ -147,6 +147,35 @@ def test_run_json_refuses_above_the_cap_before_building_text(capsys, monkeypatch
         f"error: the JSON of a 4-round run would take {size} bytes, "
         f"more than the cap of {size - 1}\n",
     )
+
+
+def test_run_trace_refuses_above_the_cap_before_building_text(capsys, monkeypatch):
+    from epikit import simengine
+
+    sched = ";".join(["0,1,2"] * 4)
+    code, out, _ = run_cli(capsys, "run", "--schedule", sched)
+    assert code == 0
+    size = len(out)
+    monkeypatch.setattr(cli, "MAX_RUN_JSON_BYTES", size)
+    assert run_cli(capsys, "run", "--schedule", sched) == (0, out, "")
+
+    def no_text(record):
+        raise AssertionError("text built for a refused run")
+
+    monkeypatch.setattr(cli, "MAX_RUN_JSON_BYTES", size - 1)
+    monkeypatch.setattr(simengine, "format_trace", no_text)
+    assert run_cli(capsys, "run", "--schedule", sched) == (
+        1,
+        "",
+        f"error: the trace of a 4-round run would take {size} bytes, "
+        f"more than the cap of {size - 1}\n",
+    )
+
+
+def test_run_refuses_a_class_that_repeats_an_id():
+    proc = _cli("run", "--schedule", "0|1,1")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: concurrency class (1, 1) repeats an id\n"
 
 
 def test_run_json_size_at_twelve_rounds_exceeds_the_default_cap():
@@ -642,8 +671,10 @@ def test_export_complex_roundtrip(capsys, tmp_path):
         capsys, "export", "protocol-complex", "--n", "2", "--json", str(path)
     )
     assert code == 0
-    complex_ = complex_from_json(json.loads(path.read_text()))
-    assert complex_.facet_count == 13
+    data = json.loads(path.read_text())
+    complex_, _ = frame_to_complex(schedules.protocol_model(2, 1).frame)
+    assert data == complex_to_json(complex_)
+    assert len(data["facets"]) == 13
 
 
 def test_export_task_roundtrip(capsys, tmp_path):

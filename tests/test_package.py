@@ -55,12 +55,16 @@ def test_a_bare_import_loads_no_submodule():
 
 
 def test_a_name_loads_only_its_submodule_and_what_that_imports():
-    out = _in_a_new_process(
-        "import sys\n"
-        "from epikit import parse_formula\n"
-        "print(sorted(m for m in sys.modules if m.startswith('epikit')))\n"
-    )
-    assert out == "['epikit', 'epikit.kernel', 'epikit.logic', 'epikit.record']\n"
+    for name, loaded in [
+        ("parse_formula", "['epikit', 'epikit.kernel', 'epikit.logic', 'epikit.record']"),
+        ("frame_to_complex", "['epikit', 'epikit.kernel', 'epikit.record', 'epikit.topology']"),
+    ]:
+        out = _in_a_new_process(
+            "import sys\n"
+            f"from epikit import {name}\n"
+            "print(sorted(m for m in sys.modules if m.startswith('epikit')))\n"
+        )
+        assert out == loaded + "\n", name
 
 
 def test_a_name_reads_the_current_binding_of_its_submodule():

@@ -28,11 +28,10 @@ from epikit.schedules import (
     schedule,
     schedule_context,
     schedule_count,
-    schedule_from_json,
     schedule_to_json,
     view1,
 )
-from epikit.simengine import run, runs
+from epikit.simengine import run
 from epikit.tasks import _heard_of, never_reads_others, reads_only
 
 P, Q, R = 0, 1, 2
@@ -138,6 +137,9 @@ def test_block_action_validation():
         block_action([0], [2])  # gap in the id set
     with pytest.raises(ValueError):
         block_action([0], [], [1])  # empty class
+    for text in ("0|1,1", "0,0"):  # a repeat would count one process too many
+        with pytest.raises(ValueError, match="repeats an id"):
+            parse_schedule(text)
 
 
 def test_schedule_text_roundtrip():
@@ -150,7 +152,7 @@ def test_schedule_text_roundtrip():
 
 def test_schedule_json_roundtrip():
     sched = parse_schedule("0|1,2;0,1,2")
-    assert schedule_from_json(schedule_to_json(sched)) == sched
+    assert schedule(*schedule_to_json(sched)["rounds"]) == sched
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +243,7 @@ def test_seen_ids_transitive():
 
 def heard_of_finals(ctx):
     """Each schedule's final heard-of sets, simulated run by run."""
-    return [record.finals for record in runs(ctx.schedules, _heard_of)]
+    return [run(sched, _heard_of).finals for sched in ctx.schedules]
 
 
 def recursive_seen_ids(state):

@@ -16,12 +16,12 @@ from epikit.schedules import (
 )
 from epikit.simengine import (
     RunRecord,
+    _trace_size,
     canonical_finals,
     format_trace,
     oracle_indist,
     record_to_json,
     run,
-    runs,
 )
 
 P, Q, R = 0, 1, 2
@@ -119,9 +119,8 @@ def test_simulator_agrees_with_view_algebra_under_random_abstractions(
 
 
 def reference_run(sched, abstraction=None):
-    """The simulator before :func:`runs`, kept as it was: every schedule
-    simulated from scratch, the abstraction called for every process in
-    every round."""
+    """The simulator before its writes and states were shared, kept as it
+    was: the abstraction called for every process in every round."""
     abstraction = abstraction or full_information
     n_proc = sched.process_count
     states: list = list(range(n_proc))
@@ -180,16 +179,23 @@ def test_runs_agrees_with_the_per_schedule_reference(order, seed):
     # seed 0 runs full information, the others a seeded abstraction that
     # both simulators share, so an entry fixed by one is read by the other
     abstraction = random_abstraction(rng) if seed else None
-    records = list(runs(batch, abstraction))
+    records = [run(s, abstraction) for s in batch]
     assert records == [reference_run(s, abstraction) for s in batch]
-    # equal final states and written values of one call are one object
-    canon: dict = {}
+    # equal final states and written values of one run are one object
     for record in records:
+        canon: dict = {}
         for state in record.finals:
             assert canon.setdefault(state, state) is state
         for snap in chain.from_iterable(record.snapshots):
             for _, value in snap:
                 assert canon.setdefault(value, value) is value
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_trace_size_is_the_length_of_the_trace(seed):
+    for sched in mixed_batch(random.Random(seed), 100):
+        record = run(sched)
+        assert _trace_size(record) == len(format_trace(record)), sched.text()
 
 
 def silent_on_even_snapshots(rnd, state, snap):
@@ -254,6 +260,15 @@ def test_two_round_oracle_example():
     assert oracle_indist(Q, u, v)
     assert not oracle_indist(P, u, v)
     assert not oracle_indist(R, u, v)
+
+
+def test_oracle_indist_past_the_recursion_limit():
+    # 1,200 rounds nest each final state 1,200 deep; schedules that differ
+    # in the first round only differ at the bottom of that nesting
+    rest = ";0,1" * 1199
+    u, v = parse_schedule("0,1" + rest), parse_schedule("0|1" + rest)
+    assert oracle_indist(P, u, u)
+    assert not oracle_indist(P, u, v)
 
 
 def test_trace_format_stable():

@@ -29,7 +29,7 @@ from epikit.solver import (
     conflict_core,
     decision_to_json,
     solve,
-    solve_report,
+    verdict_report,
     verify_certificate,
 )
 from epikit.tasks import InputlessTask, OutputFrame, builtin, make_task, output_model
@@ -132,7 +132,6 @@ def test_the_task_fixes_the_size():
     decision = solve(task).decision
     for call in (
         lambda: solve(task, 2, 1),
-        lambda: solve_report(task, 2, 1),
         lambda: verify_certificate(task, 2, 1, decision),
         lambda: output_model(task, 2, 1),
     ):
@@ -283,7 +282,8 @@ def test_snapshot_solvable_under_view_preserving_abstraction():
 # reports
 
 def test_testset_report_core_is_all_three_schedules():
-    report = solve_report(builtin("testset", 1))
+    task = builtin("testset", 1)
+    report = verdict_report(task, solve(task))
     assert report["solvable"] is False
     assert report["conflict_core"] == ["0,1", "0|1", "1|0"]
     assert report["states"] == 3
@@ -291,7 +291,8 @@ def test_testset_report_core_is_all_three_schedules():
 
 
 def test_two_testset_report_shape():
-    report = solve_report(builtin("two_testset", 2))
+    task = builtin("two_testset", 2)
+    report = verdict_report(task, solve(task))
     assert report["solvable"] is False
     assert report["states"] == 13
     assert report["class_counts"] == [4, 4, 4]
@@ -321,7 +322,8 @@ def test_no_conflict_core_for_a_solvable_task():
 
 
 def test_snapshot_report_zero_backtracks():
-    report = solve_report(builtin("snapshot", 2))
+    task = builtin("snapshot", 2)
+    report = verdict_report(task, solve(task))
     assert report["solvable"] is True
     assert report["search_backtracks"] == 0
 

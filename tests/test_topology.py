@@ -1,11 +1,10 @@
-"""Frame/complex duality, simplicial maps, and simplicial models."""
+"""Frame/complex duality and simplicial maps."""
 
 import random
 
 import pytest
 
 from epikit.kernel import (
-    FormatError,
     FrameMorphism,
     agent_name,
     are_isomorphic,
@@ -14,18 +13,15 @@ from epikit.kernel import (
     new_frame,
     product,
 )
-from epikit.logic import KripkeModel
 from epikit.schedules import protocol_action_model, protocol_model
 from epikit.tasks import builtin
 from epikit.topology import (
     ChromaticComplex,
     SimplicialMap,
-    complex_from_json,
     complex_to_dot,
     complex_to_frame,
     complex_to_json,
     frame_to_complex,
-    model_to_simplicial,
     morphism_to_simplicial,
     roundtrip_check,
     validate_simplicial_map,
@@ -213,14 +209,13 @@ def test_color_breaking_map_invalid():
 
 def test_simplicial_translation_respects_composition():
     # translating g after f equals composing the two translations
-    from epikit.kernel import FrameMorphism as FM, compose_morphisms
-
     src = protocol_model(2, 1).frame
     mid = builtin("snapshot", 2).output.frame  # same relation, same order
     top = new_frame(1, 3, [[0], [0], [0]])
     f = identity_morphism(src)
-    g = FM((0,) * mid.state_count)
-    composed = morphism_to_simplicial(compose_morphisms(g, f), src, top)
+    g = FrameMorphism((0,) * mid.state_count)
+    g_after_f = FrameMorphism(tuple(g(u) for u in f.mapping))
+    composed = morphism_to_simplicial(g_after_f, src, top)
     first = morphism_to_simplicial(f, src, mid)
     second = morphism_to_simplicial(g, mid, top)
     assert composed.vertex_map == tuple(
@@ -231,68 +226,13 @@ def test_simplicial_translation_respects_composition():
 
 
 # ---------------------------------------------------------------------------
-# simplicial models
-
-def test_simplicial_model_from_classwise_model():
-    # atoms decided per class survive the vertex decoration
-    frame = new_frame(2, 2, [[0, 1], [0, 1]])
-    model = KripkeModel(frame, ("left",), (frozenset((0,)), frozenset()))
-    smodel = model_to_simplicial(model)
-    assert smodel.facet_literals(0) == frozenset({"left"})
-    assert smodel.facet_literals(1) == frozenset({"!left"})
-
-
-def test_simplicial_model_rejects_undecided_atoms():
-    # at the middle state both classes mix the atom's value, so no vertex
-    # of its facet decides it
-    frame = new_frame(3, 2, [[0, 0, 1], [0, 1, 1]])
-    model = KripkeModel(
-        frame, ("x",), (frozenset(), frozenset((0,)), frozenset())
-    )
-    with pytest.raises(ValueError):
-        model_to_simplicial(model)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 def test_complex_json_roundtrip():
     complex_, _ = frame_to_complex(protocol_model(2, 1).frame)
-    assert complex_from_json(complex_to_json(complex_)) == complex_
-
-
-EDGE = {"vertices": [{"color": 0, "label": "a"}, {"color": 1, "label": "b"}],
-        "facets": [[0, 1]]}
-
-
-@pytest.mark.parametrize("data", [
-    [EDGE["vertices"], EDGE["facets"]],
-    {"vertices": EDGE["vertices"]},
-    {"facets": EDGE["facets"]},
-    {**EDGE, "vertices": {"0": {"color": 0, "label": "a"}}},
-    {**EDGE, "vertices": [0, 1]},
-    {**EDGE, "vertices": [{"color": 0}, {"color": 1, "label": "b"}]},
-    {**EDGE, "vertices": [{"color": "0", "label": "a"}, {"color": 1, "label": "b"}]},
-    {**EDGE, "vertices": [{"color": True, "label": "a"}, {"color": 1, "label": "b"}]},
-    {**EDGE, "vertices": [{"color": 0.0, "label": "a"}, {"color": 1, "label": "b"}]},
-    {**EDGE, "facets": {"0": [0, 1]}},
-    {**EDGE, "facets": [0, 1]},
-    {**EDGE, "facets": [[0, 2]]},
-    {**EDGE, "facets": [[-1, 1]]},
-    {**EDGE, "facets": [[0, "1"]]},
-    {**EDGE, "facets": [[0, 1.0]]},
-    {**EDGE, "facets": [[0]]},  # not pure
-    {**EDGE, "facets": [[0, 1], [1, 0]]},  # the same facet twice
-], ids=[
-    "not an object", "no facets", "no vertices", "vertices not a list",
-    "vertex not an object", "vertex without label", "string color",
-    "boolean color", "float color", "facets not a list", "facet not a list",
-    "vertex out of range", "negative vertex", "string vertex", "float vertex",
-    "facet missing a color", "duplicate facet",
-])
-def test_complex_from_json_rejects_malformed_data(data):
-    with pytest.raises(FormatError):
-        complex_from_json(data)
+    data = complex_to_json(complex_)
+    vertices = tuple((v["color"], v["label"]) for v in data["vertices"])
+    assert ChromaticComplex(vertices, tuple(map(tuple, data["facets"]))) == complex_
 
 
 def test_complex_dot_mentions_shared_colors():
