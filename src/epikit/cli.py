@@ -193,7 +193,8 @@ def _render(args, what: str, dot: bool) -> str:
 
 def json_text(data) -> str:
     """``json.dumps(data, indent=2)``, byte for byte, in a fraction of
-    the time: the library takes its pure-Python encoder for any indent.
+    the time: before Python 3.13 the library takes its pure-Python
+    encoder for any indent.
     Lists of ints or strings are joined in one call; other leaves and
     empty containers, which fit on one line, go to ``json.dumps``.  Open
     containers wait on an explicit stack, so no nesting meets the

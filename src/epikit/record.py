@@ -10,87 +10,56 @@ assignment and deletion.  ``functools.cached_property`` works on them,
 since it writes to the instance ``__dict__`` directly.
 
 This is the part of ``dataclasses.dataclass(frozen=True)`` the package
-uses, with the same constructor signature, equality, hash and repr.
-Nothing is generated from source and compiled per class, so defining a
-record costs next to nothing at import: the methods are shared (equality
-and hash read the fields through an ``attrgetter`` made per class), and
-``__init__`` is a closure over the field names from a fixed set of
-functions, one per field count, whose parameters are renamed to the
-fields.
+uses, with the same constructor signature, equality, hash and repr, at
+next to no import cost.  The methods are shared (equality and hash read
+the fields through an ``attrgetter`` made per class), and ``__init__``
+is a closure over the field names from a factory compiled once per field
+count, not once per class, whose parameters are renamed to the fields.
+A record may have any number of fields.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import attrgetter
 
-_setattr = object.__setattr__
+# an ``__init__`` factory for some number of fields: ``params`` lists
+# the parameters, which are renamed to the fields once compiled, and
+# ``sets`` holds one line per field
+_TEMPLATE = """\
+def make(_names, _post_init):
+    def __init__(self{params}):
+{sets}        if _post_init is not None:
+            _post_init(self)
+    return __init__
+"""
 
 
-def _initializer(_names: tuple[str, ...], _post_init):
+@cache
+def _factory(n: int):
+    """The ``make`` of :data:`_TEMPLATE` for ``n`` fields, compiled under
+    a filename that tracebacks show."""
+    source = _TEMPLATE.format(
+        params="".join(f", _{i}" for i in range(n)),
+        sets="".join(f"        _setattr(self, _names[{i}], _{i})\n" for i in range(n)),
+    )
+    scope = {"_setattr": object.__setattr__}
+    exec(compile(source, f"<epikit.record __init__, {n} fields>", "exec"), scope)
+    return scope["make"]
+
+
+def _initializer(fields: tuple[str, ...], post_init):
     """An ``__init__`` taking one parameter per field, named after it,
-    that sets the fields and then calls ``_post_init`` (unless None).
+    that sets the fields and then calls ``post_init`` (unless None).
 
     Fields are set with ``object.__setattr__``: writing to ``__dict__``
     would give every instance a dict of its own, which makes each later
     attribute read several times slower.  The parameters are named
     through ``CodeType.replace``, so keyword calls, defaults and the
     errors of a bad call are Python's own."""
-    n = len(_names)
-    if n == 0:
-
-        def __init__(self):
-            if _post_init is not None:
-                _post_init(self)
-
-    elif n == 1:
-
-        def __init__(self, a):
-            _setattr(self, _names[0], a)
-            if _post_init is not None:
-                _post_init(self)
-
-    elif n == 2:
-
-        def __init__(self, a, b):
-            _setattr(self, _names[0], a)
-            _setattr(self, _names[1], b)
-            if _post_init is not None:
-                _post_init(self)
-
-    elif n == 3:
-
-        def __init__(self, a, b, c):
-            _setattr(self, _names[0], a)
-            _setattr(self, _names[1], b)
-            _setattr(self, _names[2], c)
-            if _post_init is not None:
-                _post_init(self)
-
-    elif n == 4:
-
-        def __init__(self, a, b, c, d):
-            _setattr(self, _names[0], a)
-            _setattr(self, _names[1], b)
-            _setattr(self, _names[2], c)
-            _setattr(self, _names[3], d)
-            if _post_init is not None:
-                _post_init(self)
-
-    elif n == 5:
-
-        def __init__(self, a, b, c, d, e):
-            _setattr(self, _names[0], a)
-            _setattr(self, _names[1], b)
-            _setattr(self, _names[2], c)
-            _setattr(self, _names[3], d)
-            _setattr(self, _names[4], e)
-            if _post_init is not None:
-                _post_init(self)
-
-    else:
-        raise TypeError(f"a record has at most 5 fields, not {n}")
-    __init__.__code__ = __init__.__code__.replace(co_varnames=("self", *_names))
-    return __init__
+    init = _factory(len(fields))(fields, post_init)
+    init.__code__ = init.__code__.replace(co_varnames=("self", *fields))
+    return init
 
 
 def _values_getter(fields: tuple[str, ...]):

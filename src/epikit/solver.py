@@ -493,10 +493,12 @@ def conflict_core(
     single-deletion pass makes the result minimal: removing any one
     member restores solvability.  Each trial searches the task restricted
     to the schedules it keeps, so it costs time in those schedules only.
+
+    A trial that drops schedules and stays unsolvable proves the whole
+    task unsolvable, since a solution would restrict to its schedules;
+    so the whole task is searched only when the shrink dropped nothing.
     """
     frame = schedule_context(task.n, task.rounds, abstraction).frame
-    if _Search(task, frame).run():
-        raise SolverError("conflict core requested for a solvable task")
     core = list(range(len(task.delta_table)))
     chunk = max(1, len(core) // 2)
     while chunk >= 1:
@@ -508,6 +510,8 @@ def conflict_core(
             else:
                 pos += chunk
         chunk //= 2
+    if len(core) == len(task.delta_table) and _Search(task, frame).run():
+        raise SolverError("conflict core requested for a solvable task")
     return tuple(core)
 
 

@@ -867,13 +867,30 @@ def test_json_text_refuses_the_keys_json_dumps_refuses(data):
 
 
 def test_json_text_of_a_dict_with_int_keys_is_not_bound_by_the_recursion_limit():
-    deep = []
-    for _ in range(2000):
-        deep = [deep]
-    with pytest.raises(RecursionError):  # the library's indenting encoder recurses
-        json.dumps({1: deep}, indent=2)
-    assert cli.json_text({1: deep}) == cli.json_text({"1": deep})
-    assert cli.json_text_size({1: deep}) == cli.json_text_size({"1": deep})
+    # a fresh process, since pytest's own frames would eat a limit set here
+    code = (
+        "import json, sys\n"
+        "sys.setrecursionlimit(100)\n"
+        "from epikit import cli\n"
+        "deep = []\n"
+        "for _ in range(2000):\n"
+        "    deep = [deep]\n"
+        "try:\n"
+        "    json.dumps({1: deep}, indent=2)\n"
+        "except RecursionError:\n"
+        "    print('recursed')\n"
+        "text = cli.json_text({1: deep})\n"
+        "print(text == cli.json_text({'1': deep}))\n"
+        "print(cli.json_text_size({1: deep}) == cli.json_text_size({'1': deep}) == len(text))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.stderr == ""
+    # before 3.13 the library takes its recursive pure-Python encoder for
+    # any indent; 3.13's C encoder indents too, and recurses in C
+    recursed = ["recursed"] if sys.version_info < (3, 13) else []
+    assert proc.stdout.splitlines() == [*recursed, "True", "True"]
 
 
 def test_json_text_size_counts_each_occurrence_of_a_shared_value():

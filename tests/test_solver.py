@@ -11,7 +11,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from epikit import schedules, simengine
+from epikit import schedules, simengine, solver
 from epikit.kernel import FrameMorphism, is_morphism, is_proper
 from epikit.logic import ModelMorphism, is_model_morphism
 from epikit.schedules import (
@@ -319,6 +319,29 @@ def test_no_conflict_core_for_a_solvable_task():
     assert solve(task).solvable
     with pytest.raises(SolverError, match="solvable task"):
         conflict_core(task)
+
+
+@pytest.mark.parametrize(
+    "name, n, rounds, whole",
+    [("two_testset", 2, 1, 0), ("two_testset", 2, 2, 0), ("testset", 1, 1, 1)],
+)
+def test_conflict_core_searches_the_whole_task_only_when_nothing_drops(
+    monkeypatch, name, n, rounds, whole
+):
+    # a trial that drops schedules and stays unsolvable already refutes
+    # the whole task; testset at n = 1 drops none of its three schedules
+    keeps = []
+
+    class Counting(_Search):
+        def __init__(self, task, frame, keep=None):
+            keeps.append(keep)
+            super().__init__(task, frame, keep)
+
+    monkeypatch.setattr(solver, "_Search", Counting)
+    task = builtin(name, n, rounds)
+    core = conflict_core(task)
+    assert keeps.count(None) == whole
+    assert (len(core) == len(task.delta_table)) == bool(whole)
 
 
 def test_snapshot_report_zero_backtracks():
