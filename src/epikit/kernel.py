@@ -98,12 +98,7 @@ def new_frame(
                 f"agent {a}: labeling covers {len(row)} states, frame has {state_count}"
             )
         seen: dict[Hashable, int] = {}
-        dense = []
-        for lbl in row:
-            if lbl not in seen:
-                seen[lbl] = len(seen)
-            dense.append(seen[lbl])
-        canon.append(tuple(dense))
+        canon.append(tuple([seen.setdefault(lbl, len(seen)) for lbl in row]))
     return KripkeFrame(state_count, agent_count, tuple(canon))
 
 

@@ -14,7 +14,7 @@ action point is enabled at an explicitly known set of input states.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 from .kernel import (
     FormatError,
@@ -167,41 +167,78 @@ def is_model_morphism(f: ModelMorphism, src: KripkeModel, dst: KripkeModel) -> b
 # ---------------------------------------------------------------------------
 # satisfaction
 
-def _pre_holds(model: KripkeModel, state: int, pre: Precondition) -> bool:
-    if isinstance(pre, frozenset):
-        return state in pre
-    return eval_formula(model, state, pre)
-
-
 def eval_formula(model: KripkeModel, state: int, formula: Formula) -> bool:
-    """Inductive satisfaction. Raises on unknown atoms or bad indices."""
+    """Inductive satisfaction. Raises on unknown atoms or bad indices.
+
+    One loop over a stack of (model, state, formula, step) entries, where
+    ``value`` holds the verdict of the entry finished last, so a formula
+    of any depth evaluates without recursion.  ``&`` stops at a false
+    left side and ``K[a]`` at the first false member of the class, as the
+    inductive definition reads.  The verdict of ``K[a] f`` is the same
+    across an a-class, so it is kept per (model, node, class) for the
+    call, and nested knowledge costs polynomial time, not exponential.
+    """
     if not 0 <= state < model.frame.state_count:
         raise ValueError(f"state {state} out of range")
-    if isinstance(formula, Top):
-        return True
-    if isinstance(formula, Atom):
-        return model.satisfies_atom(state, formula.name)
-    if isinstance(formula, Not):
-        return not eval_formula(model, state, formula.sub)
-    if isinstance(formula, And):
-        return eval_formula(model, state, formula.left) and eval_formula(
-            model, state, formula.right
-        )
-    if isinstance(formula, Know):
-        a = formula.agent
-        if not 0 <= a < model.frame.agent_count:
-            raise ValueError(f"agent {a} out of range")
-        members = model.frame.classes_by_agent[a][model.frame.partitions[a][state]]
-        return all(eval_formula(model, t, formula.sub) for t in members)
-    if isinstance(formula, AfterAction):
-        act = formula.action
-        if not 0 <= formula.point < act.point_count:
-            raise ValueError(f"action point {formula.point} out of range")
-        if not _pre_holds(model, state, act.preconditions[formula.point]):
-            return True
-        updated, pairing = product_update(model, act)
-        return eval_formula(updated, pairing[(state, formula.point)], formula.sub)
-    raise TypeError(f"not a formula: {formula!r}")
+    known: dict[tuple[int, int, int], bool] = {}
+    # each product update made in this call, which also keeps alive the
+    # models whose ids the keys of ``known`` use
+    updates: dict[tuple[int, int], tuple[KripkeModel, dict]] = {}
+    stack = [(model, state, formula, 0)]
+    value = True
+    while stack:
+        model, state, formula, step = stack.pop()
+        if isinstance(formula, Atom):
+            value = model.satisfies_atom(state, formula.name)
+        elif isinstance(formula, Not):
+            if step:
+                value = not value
+            else:
+                stack += (model, state, formula, 1), (model, state, formula.sub, 0)
+        elif isinstance(formula, And):
+            if not step:
+                stack += (model, state, formula, 1), (model, state, formula.left, 0)
+            elif value:
+                stack.append((model, state, formula.right, 0))
+        elif isinstance(formula, Know):
+            # at step k > 0, ``value`` is the verdict at member k - 1
+            a = formula.agent
+            if not 0 <= a < model.frame.agent_count:
+                raise ValueError(f"agent {a} out of range")
+            c = model.frame.partitions[a][state]
+            key = (id(model), id(formula), c)
+            if not step and key in known:
+                value = known[key]
+                continue
+            members = model.frame.classes_by_agent[a][c]
+            if not step or (value and step < len(members)):
+                stack.append((model, state, formula, step + 1))
+                stack.append((model, members[step], formula.sub, 0))
+            else:
+                known[key] = value
+        elif isinstance(formula, Top):
+            value = True
+        elif isinstance(formula, AfterAction):
+            act, point = formula.action, formula.point
+            if not step:
+                if not 0 <= point < act.point_count:
+                    raise ValueError(f"action point {point} out of range")
+                pre = act.preconditions[point]
+                if not isinstance(pre, frozenset):
+                    stack += (model, state, formula, 1), (model, state, pre, 0)
+                    continue
+                value = state in pre
+            if value:
+                key = (id(model), id(act))
+                if key not in updates:
+                    updates[key] = product_update(model, act)
+                updated, pairing = updates[key]
+                stack.append((updated, pairing[(state, point)], formula.sub, 0))
+            else:
+                value = True
+        else:
+            raise TypeError(f"not a formula: {formula!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +360,6 @@ def knowledge_loss_check(
 # ---------------------------------------------------------------------------
 # formula text syntax
 
-# How deeply parse_formula lets formulas nest, counting every connective,
-# parenthesis, ``!`` and ``K[i]`` on the way down to an atom (a chain
-# ``a | b | c`` nests to the left).  The parser and the evaluator recurse
-# once or a few times per level; this keeps both well inside Python's
-# default recursion limit of 1000 frames.
-MAX_FORMULA_DEPTH = 200
-
-
 class FormulaParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -362,6 +391,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Each binary connective's binding strength and constructor.  ``->``, the
+# loosest, is the one that groups to the right.
+_BINARY = {"&": (3, And), "|": (2, Or), "->": (1, Implies)}
+
+
 def parse_formula(text: str) -> Formula:
     """Parse the CLI formula syntax.
 
@@ -369,115 +403,75 @@ def parse_formula(text: str) -> Formula:
     ``|``, ``,`` and ``;``), ``true``/``false``, ``!f``, ``f & g``,
     ``f | g``, ``f -> g``, ``K[i] f``, parentheses.  ``&`` binds tighter
     than ``|``, which binds tighter than the right-associative ``->``.
-    Formulas nesting deeper than ``MAX_FORMULA_DEPTH`` are refused.
+    Operator-precedence parsing over an operand stack and an operator
+    stack, so a formula of any depth parses without recursion.
     """
     tokens = _tokenize(text)
     idx = 0
 
-    def peek() -> tuple[str, str, int] | None:
-        return tokens[idx] if idx < len(tokens) else None
-
     def take(expect: str | None = None) -> tuple[str, str, int]:
         nonlocal idx
-        tok = peek()
-        if tok is None:
+        if idx == len(tokens):
             raise FormulaParseError("unexpected end of input", len(text))
+        tok = tokens[idx]
         if expect is not None and tok[1] != expect:
             raise FormulaParseError(f"expected {expect!r}, found {tok[1]!r}", tok[2])
         idx += 1
         return tok
 
-    # Each parse_* takes the number of levels already open above it, which
-    # bounds the parser's own recursion, and returns the formula with its
-    # height, which bounds the chains built by loops.
-    def level(height: int, pos: int) -> int:
-        if height > MAX_FORMULA_DEPTH:
-            raise FormulaParseError(
-                f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", pos
-            )
-        return height
+    operands: list[Formula] = []
+    # "(", a binary connective, or a prefix waiting for its operand: the
+    # callable ``Not`` or ``Know`` bound to its agent
+    operators: list = []
+    open_parens = 0
 
-    def parse_implies(depth: int) -> tuple[Formula, int]:
-        left, height = parse_or(depth)
-        tok = peek()
-        if tok and tok[0] == "ARROW":
-            take()
-            right, right_height = parse_implies(level(depth + 1, tok[2]))
-            return Implies(left, right), level(max(height, right_height) + 1, tok[2])
-        return left, height
+    def reduce(strength: int) -> None:
+        # apply the connectives on top that bind at least this tightly
+        while operators and operators[-1] != "(" and _BINARY[operators[-1]][0] >= strength:
+            right = operands.pop()
+            operands.append(_BINARY[operators.pop()][1](operands.pop(), right))
 
-    def parse_or(depth: int) -> tuple[Formula, int]:
-        out, height = parse_and(depth)
-        while (tok := peek()) and tok[1] == "|":
-            take()
-            right, right_height = parse_and(depth)
-            out, height = Or(out, right), level(max(height, right_height) + 1, tok[2])
-        return out, height
-
-    def parse_and(depth: int) -> tuple[Formula, int]:
-        out, height = parse_unary(depth)
-        while (tok := peek()) and tok[1] == "&":
-            take()
-            right, right_height = parse_unary(depth)
-            out, height = And(out, right), level(max(height, right_height) + 1, tok[2])
-        return out, height
-
-    def parse_unary(depth: int) -> tuple[Formula, int]:
-        tok = peek()
-        if tok is None:
-            raise FormulaParseError("unexpected end of input", len(text))
-        kind, value, pos = tok
-        if value in ("!", "K", "("):
-            level(depth + 1, pos)
+    while True:
+        kind, value, pos = take()
         if value == "!":
-            take()
-            sub, height = parse_unary(depth + 1)
-            return Not(sub), level(height + 1, pos)
-        if value == "K":
-            take()
+            operators.append(Not)
+        elif value == "K":
             take("[")
-            agent_tok = take()
-            if agent_tok[0] != "INT":
-                raise FormulaParseError("expected agent index", agent_tok[2])
+            agent = take()
+            if agent[0] != "INT":
+                raise FormulaParseError("expected agent index", agent[2])
             take("]")
-            sub, height = parse_unary(depth + 1)
-            return Know(int(agent_tok[1]), sub), level(height + 1, pos)
-        if value == "(":
-            take()
-            inner, height = parse_implies(depth + 1)
-            take(")")
-            return inner, level(height + 1, pos)
-        if kind in ("NAME", "SCHED"):
-            take()
-            if value == "true":
-                return TRUE, 1
-            if value == "false":
-                return FALSE, 1
-            return Atom(value), 1
-        raise FormulaParseError(f"unexpected token {value!r}", pos)
-
-    result, _ = parse_implies(0)
-    tok = peek()
-    if tok is not None:
-        raise FormulaParseError(f"trailing input {tok[1]!r}", tok[2])
-    return result
-
-
-def format_formula(f: Formula) -> str:
-    """Inverse of parse_formula up to sugar (Or/Implies print as Not/And)."""
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return f"!{format_formula(f.sub)}"
-    if isinstance(f, And):
-        return f"({format_formula(f.left)} & {format_formula(f.right)})"
-    if isinstance(f, Know):
-        return f"K[{f.agent}] {format_formula(f.sub)}"
-    if isinstance(f, AfterAction):
-        return f"[action:{f.point}] {format_formula(f.sub)}"
-    raise TypeError(f"not a formula: {f!r}")
+            operators.append(partial(Know, int(agent[1])))
+        elif value == "(":
+            operators.append("(")
+            open_parens += 1
+        elif kind not in ("NAME", "SCHED"):
+            raise FormulaParseError(f"unexpected token {value!r}", pos)
+        else:
+            operands.append(
+                TRUE if value == "true" else FALSE if value == "false" else Atom(value)
+            )
+            # the operand is complete: apply what it completes, up to the
+            # next connective or the end
+            while True:
+                while operators and callable(operators[-1]):
+                    operands.append(operators.pop()(operands.pop()))
+                tok = tokens[idx] if idx < len(tokens) else None
+                if tok is not None and tok[1] in _BINARY:
+                    break
+                reduce(1)
+                if not open_parens:
+                    if tok is not None:
+                        raise FormulaParseError(f"trailing input {tok[1]!r}", tok[2])
+                    return operands.pop()
+                take(")")
+                operators.pop()
+                open_parens -= 1
+            # of two connectives of equal strength the left one applies
+            # first, but for "->"
+            strength = _BINARY[tok[1]][0]
+            reduce(strength + (strength == 1))
+            operators.append(take()[1])
 
 
 # ---------------------------------------------------------------------------

@@ -113,16 +113,21 @@ class InputlessTask(Record):
             raise TaskError(
                 f"delta table covers {rows} schedules, expected {expected}"
             )
-        for t in self.output.tuples:
+        # the output frame refuses tuples of unequal widths
+        for t in self.output.tuples[:1]:
             if len(t) != self.process_count:
                 raise TaskError(
                     f"output tuple {t!r} has {len(t)} values; the task has "
                     f"{self.process_count} processes"
                 )
         width = len(self.output.tuples)
-        for k, row in enumerate(self.delta_table):
+        # builders share one row object between many schedules, so each
+        # distinct object is checked once (by id, as a row read from JSON
+        # may hold an unhashable value)
+        for row in {id(row): row for row in self.delta_table}.values():
             for t in row:
                 if type(t) is not int or not 0 <= t < width:
+                    k = next(k for k, r in enumerate(self.delta_table) if r is row)
                     raise TaskError(
                         f"delta row {k} names tuple {t!r}; the task has "
                         f"tuples 0..{width - 1}"

@@ -414,7 +414,7 @@ def test_task_json_roundtrip():
         assert again.n == task.n and again.rounds == task.rounds
 
 
-@pytest.mark.parametrize("bad", [2, 5, -1, True, 1.0, "0"])
+@pytest.mark.parametrize("bad", [2, 5, -1, True, 1.0, "0", [0]])
 def test_task_from_json_rejects_bad_delta_entries(bad):
     data = task_to_json(builtin("testset", 1))
     data["delta"][1] = [0, bad]
@@ -477,6 +477,22 @@ def test_task_rejects_bad_dimensions():
         InputlessTask("t", 1, 2, output, ((0,),) * 8)  # two rounds need 9 rows
     with pytest.raises(TaskError, match="^delta table covers 10 schedules, expected 9$"):
         InputlessTask("t", 1, 2, output, ((0,),) * 10)
+
+
+def test_a_shared_delta_row_is_checked_and_named_at_its_first_schedule():
+    # builders share row objects between schedules; each distinct object
+    # is checked once, and an error names the first row that fails
+    output = OutputFrame(((1, 0), (0, 1)))
+    good, bad, worse = (0, 1), (0, 7), (9,)
+    for table, message in [
+        ((good, bad, bad), "delta row 1 names tuple 7; the task has tuples 0..1"),
+        ((worse, bad, worse), "delta row 0 names tuple 9; the task has tuples 0..1"),
+        ((good, good, worse), "delta row 2 names tuple 9; the task has tuples 0..1"),
+    ]:
+        with pytest.raises(TaskError) as err:
+            InputlessTask("t", 1, 1, output, table)
+        assert str(err.value) == message
+    assert InputlessTask("t", 1, 1, output, (good,) * 3).delta_table == (good,) * 3
 
 
 def test_builtin_refuses_an_unknown_name():
