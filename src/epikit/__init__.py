@@ -24,7 +24,7 @@ _EXPORTS = {
     ], "kernel"),
     **dict.fromkeys([
         "ActionModel", "Atom", "And", "AfterAction", "FALSE", "Formula",
-        "Implies", "Know", "KripkeModel", "ModelMorphism", "Not", "Or", "TRUE",
+        "Implies", "Know", "KripkeModel", "Not", "Or", "TRUE",
         "compose_actions", "eval_formula", "knowledge_loss_check",
         "parse_formula", "product_update",
     ], "logic"),

@@ -151,7 +151,7 @@ def _build_complex(args):
         frame = schedule_context(args.n, args.rounds).frame
     else:
         frame = _load_task(args).output.frame
-    return frame_to_complex(frame)[0]
+    return frame_to_complex(frame)
 
 
 def _render(args, what: str, dot: bool) -> str:

@@ -99,6 +99,9 @@ class KripkeModel(Record):
     def __post_init__(self):
         if len(self.valuation) != self.frame.state_count:
             raise ValueError("valuation must cover every state")
+        if len(self.atom_index) != len(self.ap):
+            name = next(n for i, n in enumerate(self.ap) if self.atom_index[n] != i)
+            raise ValueError(f"atom {name!r} is named twice")
         for s, atoms in enumerate(self.valuation):
             for i in atoms:
                 if not 0 <= i < len(self.ap):
@@ -142,19 +145,11 @@ class ActionModel(Record):
         return self.frame.state_count
 
 
-class ModelMorphism(Record):
-    """Frame morphism between models that never grows valuations."""
-
-    mapping: FrameMorphism
-
-    def __call__(self, state: int) -> int:
-        return self.mapping(state)
-
-
-def is_model_morphism(f: ModelMorphism, src: KripkeModel, dst: KripkeModel) -> bool:
-    """Frame morphism plus valuation(f(s)) a subset of valuation(s),
-    compared through atom names so the two models may order AP differently."""
-    if not is_morphism(f.mapping, src.frame, dst.frame):
+def is_model_morphism(f: FrameMorphism, src: KripkeModel, dst: KripkeModel) -> bool:
+    """Frame morphism that never grows valuations: valuation(f(s)) a subset
+    of valuation(s), compared through atom names so the two models may
+    order AP differently."""
+    if not is_morphism(f, src.frame, dst.frame):
         return False
     for s in src.frame.states():
         here = {src.ap[i] for i in src.valuation[s]}
@@ -341,7 +336,7 @@ def compose_actions(first: ActionModel, second: ActionModel) -> ActionModel:
 
 
 def knowledge_loss_check(
-    f: ModelMorphism,
+    f: FrameMorphism,
     src: KripkeModel,
     dst: KripkeModel,
     formula: Formula,
@@ -486,8 +481,8 @@ def model_to_json(model: KripkeModel) -> dict:
 
 def model_from_json(data: dict) -> KripkeModel:
     """The model :func:`model_to_json` wrote.  Anything else, such as a
-    missing key, atom names that are not strings or a valuation naming
-    an atom index out of range, raises :class:`~epikit.kernel.FormatError`."""
+    missing key, a repeated or non-string atom name or an atom index out
+    of range, raises :class:`~epikit.kernel.FormatError`."""
     _check_json_object(data, "model", ("ap", "valuation"), FormatError)
     frame = frame_from_json(data)
     ap, valuation = data["ap"], data["valuation"]
@@ -508,4 +503,7 @@ def model_from_json(data: dict) -> KripkeModel:
                     f"state {s}: atom index {i!r} is out of range; the model "
                     f"has {len(ap)} atoms"
                 )
-    return KripkeModel(frame, tuple(ap), tuple(frozenset(row) for row in valuation))
+    try:
+        return KripkeModel(frame, tuple(ap), tuple(frozenset(row) for row in valuation))
+    except ValueError as exc:  # an atom named twice
+        raise FormatError(str(exc)) from None

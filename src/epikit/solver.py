@@ -363,7 +363,6 @@ class _Search:
         ok = self._propagate()
         n_vars = len(self.variables)
         choice = self.choice
-        decided: list[int] = []  # the variable decided at each level
         vid = 0
         while True:
             while not ok:
@@ -372,9 +371,9 @@ class _Search:
                     return False
                 nogood = self._analyze()
                 back = self.level[self.lit_var[nogood[1]]] if len(nogood) > 1 else 0
+                # the variable decided at level back + 1 heads its trail
+                vid = self.trail[self.marks[back][0]]
                 self._backjump(back)
-                vid = decided[back]
-                del decided[back:]
                 ok = self._learn(nogood) and self._propagate()
             while vid < n_vars and choice[vid] >= 0:
                 vid += 1
@@ -382,7 +381,6 @@ class _Search:
                 return True
             self.nodes += 1
             self.marks.append((len(self.trail), len(self.log)))
-            decided.append(vid)
             dom = self.domain[vid]
             ok = (
                 self._assign(vid, (dom & -dom).bit_length() - 1, _DECIDED)

@@ -9,13 +9,12 @@ closure and never materialized.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .kernel import (
     FrameMorphism,
     KripkeFrame,
     _related_pairs,
     agent_name,
+    are_isomorphic,
     is_morphism,
     is_proper,
     new_frame,
@@ -59,22 +58,12 @@ class ChromaticComplex(Record):
     def facet_count(self) -> int:
         return len(self.facets)
 
-    @cached_property
-    def facet_vertex_by_color(self) -> tuple[dict[int, int], ...]:
-        """Per facet, the vertex of each color."""
-        return tuple(
-            {self.vertices[v][0]: v for v in facet} for facet in self.facets
-        )
-
 
 class SimplicialMap(Record):
     """Vertex map between complexes; validated color-preserving and
     facet-preserving (chromatic, hence dimension-preserving)."""
 
     vertex_map: tuple[int, ...]
-
-    def __call__(self, vertex: int) -> int:
-        return self.vertex_map[vertex]
 
 
 def validate_simplicial_map(
@@ -95,13 +84,12 @@ def validate_simplicial_map(
     return True
 
 
-def frame_to_complex(frame: KripkeFrame) -> tuple[ChromaticComplex, tuple[int, ...]]:
+def frame_to_complex(frame: KripkeFrame) -> ChromaticComplex:
     """Dual complex of a proper frame.
 
     Vertices are (agent, class) pairs ordered by agent then class, labeled
-    with the class's first state as representative.  Facet k is state k's
-    ``frame.class_ids[k]``, so the returned correspondence facet->state is
-    the identity and is handed back explicitly.
+    with the class's first state as representative.  The facets are
+    ``frame.class_ids``, so facet k is state k.
     """
     if not is_proper(frame):
         raise ValueError("frame is not proper: duality undefined")
@@ -110,8 +98,7 @@ def frame_to_complex(frame: KripkeFrame) -> tuple[ChromaticComplex, tuple[int, .
         for a, classes in enumerate(frame.classes_by_agent)
         for c, members in enumerate(classes)
     )
-    complex_ = ChromaticComplex(vertices, frame.class_ids)
-    return complex_, tuple(range(frame.state_count))
+    return ChromaticComplex(vertices, frame.class_ids)
 
 
 def complex_to_frame(complex_: ChromaticComplex) -> KripkeFrame:
@@ -120,40 +107,36 @@ def complex_to_frame(complex_: ChromaticComplex) -> KripkeFrame:
     n_colors = complex_.color_count
     if n_colors == 0:
         raise ValueError("complex has no vertices")
-    partitions = [
-        [complex_.facet_vertex_by_color[k][a] for k in range(complex_.facet_count)]
-        for a in range(n_colors)
-    ]
+    vertices = complex_.vertices
+    partitions = [[0] * complex_.facet_count for _ in range(n_colors)]
+    for k, facet in enumerate(complex_.facets):
+        for v in facet:
+            partitions[vertices[v][0]][k] = v
     return new_frame(complex_.facet_count, n_colors, partitions)
 
 
 def roundtrip_check(frame: KripkeFrame) -> bool:
     """Frame -> complex -> frame lands on an isomorphic copy."""
-    from .kernel import are_isomorphic
-
-    complex_, _ = frame_to_complex(frame)
-    return are_isomorphic(frame, complex_to_frame(complex_))
+    return are_isomorphic(frame, complex_to_frame(frame_to_complex(frame)))
 
 
 def morphism_to_simplicial(
     f: FrameMorphism, src: KripkeFrame, dst: KripkeFrame
 ) -> SimplicialMap:
-    """Translate a frame morphism between proper frames to the dual
-    chromatic simplicial map: vertex (a, class of u) goes to (a, class of
-    f(u)), well defined because morphisms keep related states related."""
-    if not is_morphism(f, src, dst):
+    """The chromatic simplicial map dual to a frame morphism between proper
+    frames, read off their ``class_ids`` without building the complexes:
+    vertex (a, class of u) goes to (a, class of f(u)).  It is well defined
+    because morphisms keep related states related, keeps colors because
+    class ids are numbered agent by agent, and sends facet u to facet f(u)."""
+    if src.agent_count != dst.agent_count or not is_morphism(f, src, dst):
         raise ValueError("not a frame morphism")
-    src_complex, _ = frame_to_complex(src)
-    dst_complex, _ = frame_to_complex(dst)
-    # facet u is state u's class_ids, one vertex per agent in agent order
-    vertex_map = [0] * len(src_complex.vertices)
+    if not (is_proper(src) and is_proper(dst)):
+        raise ValueError("frame is not proper: duality undefined")
+    vertex_map = [0] * sum(map(src.num_classes, range(src.agent_count)))
     for u, facet in enumerate(src.class_ids):
         for v, image in zip(facet, dst.class_ids[f(u)]):
             vertex_map[v] = image
-    smap = SimplicialMap(tuple(vertex_map))
-    if not validate_simplicial_map(smap, src_complex, dst_complex):
-        raise ValueError("induced vertex map is not chromatic simplicial")
-    return smap
+    return SimplicialMap(tuple(vertex_map))
 
 
 # ---------------------------------------------------------------------------

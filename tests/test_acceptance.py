@@ -24,7 +24,6 @@ from epikit.logic import (
     Atom,
     Implies,
     Know,
-    ModelMorphism,
     Not,
     compose_actions,
     eval_formula,
@@ -219,8 +218,8 @@ def test_criterion_8_snapshot_positive_control():
         )
     )
     smap = morphism_to_simplicial(projected, proto, task.output.frame)
-    src_complex, _ = frame_to_complex(proto)
-    dst_complex, _ = frame_to_complex(task.output.frame)
+    src_complex = frame_to_complex(proto)
+    dst_complex = frame_to_complex(task.output.frame)
     ok &= validate_simplicial_map(smap, src_complex, dst_complex)
     report(8, ok, "snapshot solvable; certificate verified and exported simplicially",
            time.monotonic() - start, 1.0)
@@ -233,11 +232,11 @@ def test_criterion_9_knowledge_loss():
 
     proto = protocol_model(2, 1)
     base = input_model(2, 1)
-    cases.append((ModelMorphism(identity_morphism(proto.frame)), proto, proto))
-    cases.append((ModelMorphism(FrameMorphism(tuple(range(13)))), proto, base))
+    cases.append((identity_morphism(proto.frame), proto, proto))
+    cases.append((FrameMorphism(tuple(range(13))), proto, base))
 
     coarse = protocol_model(2, 1, lambda rnd, st, snap: (0, 0))
-    cases.append((ModelMorphism(FrameMorphism(tuple(range(13)))), proto, coarse))
+    cases.append((FrameMorphism(tuple(range(13))), proto, coarse))
 
     task = builtin("snapshot", 2)
     verdict = solve(task)
@@ -258,7 +257,7 @@ def test_criterion_9_knowledge_loss():
         ]
         for k in range(13)
     )
-    cases.append((ModelMorphism(FrameMorphism(cert_map)), proto, out_model))
+    cases.append((FrameMorphism(cert_map), proto, out_model))
 
     for f, src, dst in cases:
         assert is_model_morphism(f, src, dst)

@@ -666,7 +666,7 @@ def test_export_complex_roundtrip(capsys, tmp_path):
     )
     assert code == 0
     data = json.loads(path.read_text())
-    complex_, _ = frame_to_complex(schedules.protocol_model(2, 1).frame)
+    complex_ = frame_to_complex(schedules.protocol_model(2, 1).frame)
     assert data == complex_to_json(complex_)
     assert len(data["facets"]) == 13
 

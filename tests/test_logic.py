@@ -22,7 +22,6 @@ from epikit.logic import (
     Implies,
     Know,
     KripkeModel,
-    ModelMorphism,
     Not,
     Or,
     compose_actions,
@@ -324,7 +323,7 @@ def test_compose_rejects_formula_preconditions_on_second():
 
 def test_identity_never_loses_knowledge():
     model = protocol_model(2, 1)
-    ident = ModelMorphism(identity_morphism(model.frame))
+    ident = identity_morphism(model.frame)
     for name in model.ap[:4]:
         for agent in range(3):
             assert knowledge_loss_check(ident, model, model, Atom(name), agent)
@@ -335,7 +334,7 @@ def test_projection_to_input_loses_knowledge_only():
     # invents, knowledge
     proto = protocol_model(2, 1)
     base = input_model(2, 1)
-    proj = ModelMorphism(FrameMorphism(tuple(range(13))))
+    proj = FrameMorphism(tuple(range(13)))
     assert is_model_morphism(proj, proto, base)
     # valuations are preserved exactly, not merely shrunk
     for s in range(13):
@@ -350,7 +349,7 @@ def test_projection_to_input_loses_knowledge_only():
 def test_coarsening_identity_is_model_morphism():
     full = protocol_model(2, 1)
     coarse = protocol_model(2, 1, lambda rnd, st, snap: (0, 0))
-    ident = ModelMorphism(FrameMorphism(tuple(range(13))))
+    ident = FrameMorphism(tuple(range(13)))
     assert is_model_morphism(ident, full, coarse)
     for name in full.ap:
         for agent in range(3):
@@ -362,7 +361,7 @@ def test_image_that_knows_more_is_knowledge_loss():
     # !x; the image drops x, a legal model morphism, and knows !x there
     src = KripkeModel(new_frame(2, 1, [[0, 0]]), ("x",), (frozenset((0,)), frozenset()))
     dst = KripkeModel(new_frame(1, 1, [[0]]), ("x",), (frozenset(),))
-    collapse = ModelMorphism(FrameMorphism((0, 0)))
+    collapse = FrameMorphism((0, 0))
     assert is_model_morphism(collapse, src, dst)
     assert eval_formula(dst, 0, Know(P, Not(Atom("x"))))
     assert not eval_formula(src, 1, Know(P, Not(Atom("x"))))
@@ -374,7 +373,7 @@ def test_valuation_growth_rejected():
     frame = new_frame(1, 1, [[0]])
     rich = KripkeModel(frame, ("x",), (frozenset((0,)),))
     poor = KripkeModel(frame, ("x",), (frozenset(),))
-    ident = ModelMorphism(FrameMorphism((0,)))
+    ident = FrameMorphism((0,))
     assert is_model_morphism(ident, rich, poor)
     assert not is_model_morphism(ident, poor, rich)
 
@@ -516,6 +515,7 @@ MALFORMED_MODELS = {
     "valuation row not a list": _model_with(valuation=[0, []]),
     "atom index out of range": _model_with(valuation=[[0], [1]]),
     "atom index not an int": _model_with(valuation=[["0"], []]),
+    "atom named twice": _model_with(ap=["a", "a"], valuation=[[0], [1]]),
 }
 
 
@@ -528,3 +528,42 @@ def test_good_model_loads():
 def test_model_from_json_rejects_malformed_data(case):
     with pytest.raises(FormatError):
         model_from_json(MALFORMED_MODELS[case])
+
+
+def test_model_from_json_names_an_atom_named_twice():
+    with pytest.raises(FormatError, match="^atom 'a' is named twice$"):
+        model_from_json(MALFORMED_MODELS["atom named twice"])
+
+
+# each builds a record from parts that do not fit together
+INCONSISTENT_PARTS = {
+    "valuation misses a state": (
+        lambda: KripkeModel(new_frame(2, 1, [[0, 0]]), ("x",), (frozenset(),)),
+        "^valuation must cover every state$",
+    ),
+    "atom index out of range": (
+        lambda: KripkeModel(new_frame(1, 1, [[0]]), ("x",), (frozenset((1,)),)),
+        "^state 0: atom index 1 out of range$",
+    ),
+    "atom named twice": (
+        lambda: KripkeModel(
+            new_frame(2, 1, [[0, 1]]), ("b", "a", "c", "a"), (frozenset((1,)), frozenset((3,)))
+        ),
+        "^atom 'a' is named twice$",
+    ),
+    "precondition count": (
+        lambda: ActionModel(new_frame(2, 1, [[0, 1]]), (TRUE,)),
+        "^need one precondition per action point$",
+    ),
+    "composed agent counts": (
+        lambda: compose_actions(protocol_action_model(1, 1), protocol_action_model(2, 1)),
+        "^compose_actions requires equal agent counts$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT_PARTS))
+def test_constructors_refuse_inconsistent_parts(case):
+    build, message = INCONSISTENT_PARTS[case]
+    with pytest.raises(ValueError, match=message):
+        build()

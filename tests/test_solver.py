@@ -13,7 +13,7 @@ import pytest
 
 from epikit import schedules, simengine, solver
 from epikit.kernel import FrameMorphism, is_morphism, is_proper
-from epikit.logic import ModelMorphism, is_model_morphism
+from epikit.logic import is_model_morphism
 from epikit.schedules import (
     BlockAction,
     Schedule,
@@ -383,7 +383,7 @@ def reference_verify(task, decision, abstraction=None):
     h = FrameMorphism(
         tuple(pairing[(k, tuple_index[out])] for k, out in enumerate(outs))
     )
-    if not is_model_morphism(ModelMorphism(h), proto, out_model):
+    if not is_model_morphism(h, proto, out_model):
         return False
     projected = FrameMorphism(tuple(tuple_index[out] for out in outs))
     out_frame = task.output.frame
