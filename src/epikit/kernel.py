@@ -134,9 +134,11 @@ def product(
 def is_morphism(f: FrameMorphism, src: KripkeFrame, dst: KripkeFrame) -> bool:
     """Check u ~_a v implies f(u) ~_a f(v) for all pairs and agents.
 
-    Raises ValueError if the map is not total on src or hits an
-    out-of-range codomain index.
+    Raises ValueError if the frames have different agent counts, or if
+    the map is not total on src or hits an out-of-range codomain index.
     """
+    if src.agent_count != dst.agent_count:
+        raise ValueError("morphism requires equal agent counts")
     if len(f.mapping) != src.state_count:
         raise ValueError("morphism map must be total on the source frame")
     for img in f.mapping:

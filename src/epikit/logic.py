@@ -118,6 +118,15 @@ class KripkeModel(Record):
         return idx in self.valuation[state]
 
 
+def _trusted_model(frame: KripkeFrame, ap: tuple, valuation: tuple) -> KripkeModel:
+    """The model of parts the package built itself, without the checks of
+    ``__post_init__``, which are for parts a caller hands in."""
+    model = object.__new__(KripkeModel)
+    for name, value in zip(KripkeModel._fields, (frame, ap, valuation)):
+        object.__setattr__(model, name, value)
+    return model
+
+
 Precondition = Formula | frozenset
 
 

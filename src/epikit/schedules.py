@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, islice, product as iproduct
 
 from .kernel import KripkeFrame, new_frame
-from .logic import ActionModel, KripkeModel
+from .logic import ActionModel, KripkeModel, _trusted_model
 from .record import Record
 
 
@@ -190,9 +190,45 @@ def full_information(rnd: int, state, snapshot: tuple) -> tuple[object, object]:
     return new_state, new_state
 
 
+class FinalStates(Sequence):
+    """The final states of every schedule, kept as the walk of
+    :func:`final_states` leaves them: per prefix of all rounds but the
+    last, ``prefixes[p][i][v]`` is process i's state after that prefix
+    and its v-th distinct last-round view, and ``picks[x][i]`` is process
+    i's view slot under the x-th block action.  Schedule k is prefix
+    ``k // len(picks)`` followed by action ``k % len(picks)``.
+
+    Indexing, iteration, ``len`` and ``==`` give what the tuple of rows
+    ``(state of process 0, state of process 1, ...)`` per schedule gives,
+    without building that tuple."""
+
+    __slots__ = ("prefixes", "picks")
+
+    def __init__(self, prefixes: tuple, picks: tuple):
+        self.prefixes = prefixes
+        self.picks = picks
+
+    def __len__(self) -> int:
+        return len(self.prefixes) * len(self.picks)
+
+    def __getitem__(self, k: int) -> tuple:
+        prefix, action = divmod(k, len(self.picks))
+        return tuple(map(tuple.__getitem__, self.prefixes[prefix], self.picks[action]))
+
+    def __iter__(self) -> Iterator[tuple]:
+        for steps in self.prefixes:
+            for pick in self.picks:
+                yield tuple(map(tuple.__getitem__, steps, pick))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, FinalStates)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
 def final_states(
     n: int, rounds: int, abstraction: Abstraction | None = None
-) -> tuple[tuple, ...]:
+) -> FinalStates:
     """``final_states(n, rounds)[k][i]``: process i's local state after
     all rounds of the k-th schedule of :func:`enum_schedules`.
 
@@ -202,8 +238,9 @@ def final_states(
     agree; keep this path free of simulator code.  The schedule tree is
     walked round by round, each prefix's (write, state) pairs stepped by
     every block action with one abstraction call per (prefix, process,
-    view).  Equal states or writes are one object (so both must be
-    hashable).
+    view).  The last level is returned as it comes out, per prefix and
+    view (see :class:`FinalStates`), not expanded per schedule.  Equal
+    states or writes are one object (so both must be hashable).
     """
     acts = enum_block_actions(n)
     if rounds < 1:
@@ -212,14 +249,14 @@ def final_states(
     # per process, its distinct views in order of first occurrence, and
     # per action where each process's view stands among them
     views: list[dict] = [{} for _ in range(n + 1)]
-    picks = [
+    picks = tuple(
         tuple(views[i].setdefault(v, len(views[i])) for i, v in enumerate(act.views))
         for act in acts
-    ]
+    )
     distinct: dict = {}
     level = [tuple((i, i) for i in range(n + 1))]  # round 1 writes the ids
     for rnd in range(1, rounds + 1):
-        after = []
+        stepped_level = []
         for before in level:
             steps = []
             for i, own_views in enumerate(views):
@@ -235,10 +272,15 @@ def final_states(
                     write = distinct.setdefault(write, write)
                     state = write if same else distinct.setdefault(state, state)
                     stepped.append((write, state))
-                steps.append(stepped)
-            after.extend(tuple(map(list.__getitem__, steps, pick)) for pick in picks)
-        level = after
-    return tuple(level)
+                steps.append(tuple(stepped))
+            stepped_level.append(tuple(steps))
+        if rnd == rounds:
+            return FinalStates(tuple(stepped_level), picks)
+        level = [
+            tuple(map(tuple.__getitem__, steps, pick))
+            for steps in stepped_level
+            for pick in picks
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +294,9 @@ class ScheduleContext:
     process, so the model builders, the task tabulation and the solver
     share it instead of enumerating again.  Its four tables (schedule
     records, final states from one :func:`final_states` call, texts and
-    the frame) are each built on first use.  A plain class, not a
-    :class:`Record`: it is a cache shared by identity, not a value
+    the frame) are each built on first use; the final states stay per
+    prefix of rounds, and the frame is read off them.  A plain class,
+    not a :class:`Record`: it is a cache shared by identity, not a value
     compared by its fields.
     """
 
@@ -269,7 +312,7 @@ class ScheduleContext:
         return tuple(enum_schedules(self.n, self.rounds))
 
     @cached_property
-    def finals(self) -> tuple[tuple, ...]:
+    def finals(self) -> FinalStates:
         """``finals[k][i]``: process i's final state under schedule k.
 
         Equal states are kept as one object: there are far fewer distinct
@@ -291,11 +334,24 @@ class ScheduleContext:
     def frame(self) -> KripkeFrame:
         """One state per schedule, two alike for an agent iff the agent's
         final states under them are equal: the frame of the schedule
-        action model, whose classes are the solver's view classes."""
-        # equal final states are one object, so ids label the classes and
-        # no nested state is hashed again
-        partitions = [[id(f[a]) for f in self.finals] for a in range(self.n + 1)]
-        return new_frame(len(self.finals), self.n + 1, partitions)
+        action model, whose classes are the solver's view classes.
+
+        Read off the final states per prefix: each agent's states after a
+        prefix are labelled once (equal states are one object, so by id)
+        and the labels are spread over the actions by the agent's view
+        slots.  Prefixes in order and slots in index order number the
+        classes by first occurrence, since slots are numbered in action
+        order."""
+        finals = self.finals
+        partitions = []
+        for a, slots in enumerate(zip(*finals.picks)):
+            seen: dict[int, int] = {}
+            row: list[int] = []
+            for steps in finals.prefixes:
+                labels = [seen.setdefault(id(state), len(seen)) for state in steps[a]]
+                row.extend(map(labels.__getitem__, slots))
+            partitions.append(row)
+        return new_frame(len(finals), self.n + 1, partitions)
 
 
 @lru_cache(maxsize=16)
@@ -346,7 +402,7 @@ def input_model(n: int, rounds: int) -> KripkeModel:
     the schedule; id atoms hold everywhere."""
     ctx = schedule_context(n, rounds)
     frame = new_frame(len(ctx.texts), n + 1, [[0] * len(ctx.texts)] * (n + 1))
-    return KripkeModel(frame, *_schedule_atoms(ctx))
+    return _trusted_model(frame, *_schedule_atoms(ctx))
 
 
 def protocol_model(
@@ -355,9 +411,11 @@ def protocol_model(
     """The product update of the input model with the schedule action
     model, read off the schedule context.  Point k's precondition {k}
     keeps exactly the pairs (k, k), and the input frame relates every
-    state, so the product is the context's frame with the input atoms."""
+    state, so the product is the context's frame with the input atoms.
+    Built, like :func:`input_model`, without the constructor's checks of
+    a caller's parts."""
     ctx = schedule_context(n, rounds, abstraction)
-    return KripkeModel(ctx.frame, *_schedule_atoms(ctx))
+    return _trusted_model(ctx.frame, *_schedule_atoms(ctx))
 
 
 def _fubini_numbers() -> Iterator[int]:

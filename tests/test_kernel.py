@@ -273,6 +273,20 @@ def test_morphism_errors():
         is_morphism(FrameMorphism((0, 5)), f, f)  # out of range
 
 
+@pytest.mark.parametrize(
+    "src, dst",
+    [
+        # fewer agents in the target: once an IndexError
+        (new_frame(2, 2, [[0, 1], [0, 1]]), new_frame(1, 1, [[0]])),
+        # more agents in the target: once True, a map between agent sets
+        (new_frame(2, 1, [[0, 1]]), new_frame(1, 2, [[0], [0]])),
+    ],
+)
+def test_morphism_between_different_agent_counts_is_refused(src, dst):
+    with pytest.raises(ValueError, match="^morphism requires equal agent counts$"):
+        is_morphism(FrameMorphism((0, 0)), src, dst)
+
+
 def test_morphism_composition_closed():
     rng = random.Random(20240)
     for _ in range(20):

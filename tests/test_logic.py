@@ -378,6 +378,14 @@ def test_valuation_growth_rejected():
     assert not is_model_morphism(ident, poor, rich)
 
 
+def test_model_morphism_between_different_agent_counts_is_refused():
+    one = KripkeModel(new_frame(2, 1, [[0, 1]]), ("x",), (frozenset(), frozenset()))
+    two = KripkeModel(new_frame(1, 2, [[0], [0]]), ("x",), (frozenset(),))
+    for src, dst, f in ((one, two, (0, 0)), (two, one, (0,))):
+        with pytest.raises(ValueError, match="^morphism requires equal agent counts$"):
+            is_model_morphism(FrameMorphism(f), src, dst)
+
+
 # ---------------------------------------------------------------------------
 # S5 validities
 

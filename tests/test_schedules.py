@@ -12,14 +12,15 @@ from math import comb
 
 import pytest
 
-from epikit.kernel import FrameMorphism, is_morphism
-from epikit.logic import Atom, Know, eval_formula, product_update
+from epikit.kernel import FrameMorphism, is_morphism, new_frame
+from epikit.logic import Atom, Know, KripkeModel, eval_formula, product_update
 from epikit.schedules import (
     block_action,
     enum_block_actions,
     enum_schedules,
     final_states,
     fubini,
+    full_information,
     indist_1,
     input_model,
     parse_schedule,
@@ -382,6 +383,65 @@ def test_final_states_reject_a_negative_n_and_no_rounds():
         final_states(1, 0)
 
 
+def test_final_states_read_like_the_tuple_of_rows():
+    finals = final_states(2, 2)
+    rows = tuple(finals)
+    assert len(finals) == len(rows) == 169
+    assert finals == rows and rows == finals and finals == final_states(2, 2)
+    assert [finals[k] for k in range(-169, 169)] == list(rows) * 2
+    for k in (169, -170):
+        with pytest.raises(IndexError):
+            finals[k]
+    assert finals != rows[:-1] and finals != rows[1:] + rows[:1]
+    # a tuple is never equal to a list
+    assert finals != list(rows)
+
+
+def counted(step):
+    """The abstraction ``step`` under a new identity, counting its calls."""
+
+    def abstraction(rnd, state, snap):
+        abstraction.calls += 1
+        return step(rnd, state, snap)
+
+    abstraction.calls = 0
+    return abstraction
+
+
+def view_only(rnd, state, snap):
+    # the ids in the last snapshot: equal after prefixes that differ
+    ids = frozenset(j for j, _ in snap)
+    return ids, ids
+
+
+FRAME_ABSTRACTIONS = {
+    "full information": lambda n, rounds: full_information,
+    "seeded": lambda n, rounds: seeded_abstraction(10 * n + rounds),
+    "view only": lambda n, rounds: view_only,
+    "constant": lambda n, rounds: lambda rnd, state, snap: (0, 0),
+}
+
+
+def reference_frame(ctx):
+    """The frame over the ids of each schedule's expanded row of final
+    states, relabelled by ``new_frame``."""
+    rows = tuple(ctx.finals)
+    partitions = [[id(row[a]) for row in rows] for a in range(ctx.n + 1)]
+    return new_frame(len(rows), ctx.n + 1, partitions)
+
+
+@pytest.mark.parametrize("kind", sorted(FRAME_ABSTRACTIONS))
+@pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
+def test_frame_read_off_the_prefixes_matches_the_expanded_rows(n, rounds, kind):
+    abstraction = counted(FRAME_ABSTRACTIONS[kind](n, rounds))
+    ctx = schedule_context(n, rounds, abstraction)
+    frame = ctx.frame
+    assert len(ctx.finals) == len(ctx.texts)
+    # the frame and the final states share one walk
+    assert abstraction.calls == distinct_steps(n, rounds)
+    assert frame == reference_frame(ctx)
+
+
 # ---------------------------------------------------------------------------
 # protocol action model
 
@@ -453,10 +513,6 @@ def test_constant_abstraction_collapses_everything():
 def test_coarsening_never_splits_classes():
     # identity on points is a morphism from the full-information frame to
     # any abstracted frame
-    view_only = lambda rnd, state, snap: (
-        frozenset(j for j, _ in snap),
-        frozenset(j for j, _ in snap),
-    )
     constant = lambda rnd, state, snap: (0, 0)
     full = protocol_action_model(2, 2)
     for abstraction in (view_only, constant):
@@ -494,6 +550,29 @@ def test_singleton_input_model_knows_schedule():
     model = input_model(0, 1)
     assert model.frame.state_count == 1
     assert eval_formula(model, 0, Know(0, Atom("sched_0")))
+
+
+def checked_model(ctx, frame):
+    """The model of ``frame`` with the schedule atoms, through the public
+    constructor and its checks; the atoms come from the schedule records."""
+    ap = tuple(f"sched_{s.text()}" for s in ctx.schedules)
+    ap += tuple(f"id_{i}" for i in range(ctx.n + 1))
+    ids = frozenset(range(len(ctx.schedules), len(ap)))
+    valuation = tuple(frozenset((k,)) | ids for k in range(len(ctx.schedules)))
+    return KripkeModel(frame, ap, valuation)
+
+
+@pytest.mark.parametrize("kind", ["full information", "seeded"])
+@pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
+def test_built_models_equal_the_checked_constructor(n, rounds, kind):
+    abstraction = None if kind == "full information" else seeded_abstraction(n + rounds)
+    ctx = schedule_context(n, rounds, abstraction)
+    model = protocol_model(n, rounds, abstraction)
+    assert type(model) is KripkeModel
+    assert model == checked_model(ctx, ctx.frame)
+    count = len(ctx.schedules)
+    blind = new_frame(count, n + 1, [[0] * count] * (n + 1))
+    assert input_model(n, rounds) == checked_model(ctx, blind)
 
 
 def test_protocol_model_states_follow_schedules():
