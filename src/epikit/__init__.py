@@ -19,12 +19,12 @@ __version__ = "0.1.0"
 # every public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys([
-        "FrameMorphism", "KripkeFrame", "are_isomorphic", "find_isomorphism",
-        "is_morphism", "is_proper", "new_frame", "product",
+        "ActionModel", "FrameMorphism", "KripkeFrame", "are_isomorphic",
+        "find_isomorphism", "is_morphism", "is_proper", "new_frame", "product",
     ], "kernel"),
     **dict.fromkeys([
-        "ActionModel", "Atom", "And", "AfterAction", "FALSE", "Formula",
-        "Implies", "Know", "KripkeModel", "Not", "Or", "TRUE",
+        "Atom", "And", "AfterAction", "FALSE", "Formula", "Implies", "Know",
+        "KripkeModel", "Not", "Or", "TRUE",
         "compose_actions", "eval_formula", "knowledge_loss_check",
         "parse_formula", "product_update",
     ], "logic"),

@@ -9,18 +9,16 @@ orderings everywhere and no timestamps.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
-from json.encoder import encode_basestring_ascii
 
 from . import __version__
 
-# Only the standard library is imported up front.  Each command imports
-# the epikit modules it runs where it runs them, so a process compiles no
-# module its command does not use: --version loads none, model protocol
-# and mc protocol load record, kernel, logic and schedules, and check
-# everything but topology.
+# Only the standard library is imported up front, and not its JSON codec.
+# Each command imports the epikit modules it runs where it runs them, so
+# a process compiles no module its command does not use: --version loads
+# none, model protocol and mc protocol load record, kernel, logic and
+# schedules, and check everything but logic and topology.
 
 DEFAULT_MAX_N = 5
 # more schedules than this are refused unless --max-n-override is given;
@@ -84,6 +82,8 @@ def _check_n(args) -> None:
 
 def _read_json(path: str, from_json):
     """``from_json`` of the JSON file at ``path``, refused if too deep."""
+    import json
+
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -115,7 +115,7 @@ def _sized_task(args):
 def _resolve_state(args) -> int:
     """A state is an index or, for the schedule-indexed input and protocol
     models built here, schedule text."""
-    if args.state.isdigit():
+    if args.state.isascii() and args.state.isdigit():
         return int(args.state)
     if args.model_file or args.kind == "output":
         raise CliError("schedule text names a state of the input and protocol models only")
@@ -199,6 +199,9 @@ def json_text(data) -> str:
     empty containers, which fit on one line, go to ``json.dumps``.  Open
     containers wait on an explicit stack, so no nesting meets the
     recursion limit."""
+    import json
+    from json.encoder import encode_basestring_ascii
+
     out: list[str] = []
     # per open container: its (lead, value) pairs left, its values' layout, its close
     stack: list = []
@@ -257,6 +260,9 @@ def _container(obj, layout: tuple[str, ...]):
 def _key_text(key) -> str:
     """A dict key and its ``": "`` as ``json.dumps`` writes them: an
     int, float, bool or None key as its JSON text, quoted."""
+    import json
+    from json.encoder import encode_basestring_ascii
+
     if not isinstance(key, str):
         if key is not None and not isinstance(key, (int, float)):  # bool is an int
             raise TypeError(
@@ -272,6 +278,8 @@ def json_text_size(data) -> int:
     once, by ``id``, in a loop over an explicit stack, and serves every
     place it occurs (one level deeper, its text gains two spaces after
     each newline): the time is linear in the distinct containers."""
+    import json
+
     top = _layout("\n")
     sizes: dict[int, tuple[int, int]] = {}
     stack = [data]
@@ -399,9 +407,10 @@ def _add_shared(parser, need_task=False):
     parser.add_argument("--max-n-override", action="store_true",
                         help="lift the default caps on --n and on the schedule count")
     if need_task:
-        parser.add_argument("--task", choices=["testset", "two-testset", "two_testset", "snapshot"],
-                            help="built-in task name")
-        parser.add_argument("--task-file", help="JSON task description")
+        task = parser.add_mutually_exclusive_group()
+        task.add_argument("--task", choices=["testset", "two-testset", "two_testset", "snapshot"],
+                          help="built-in task name")
+        task.add_argument("--task-file", help="JSON task description")
 
 
 def build_parser() -> _Parser:

@@ -1,9 +1,14 @@
-"""Kripke frames, frame morphisms, products, and isomorphism search.
+"""Kripke frames, frame morphisms, action models, products, and
+isomorphism search.
 
 A frame stores one equivalence relation per agent as dense class labels:
 ``partitions[a][s]`` is the class of state ``s`` for agent ``a``, and two
 states are related for ``a`` exactly when their labels are equal.  All
 structures are immutable; every operation here is a pure function.
+
+The action model record is kept here, with the frames, and not with the
+formulas of :mod:`epikit.logic`: deciding a task reads action frames but
+evaluates no formula, so it loads no formula code.
 """
 
 from __future__ import annotations
@@ -71,6 +76,32 @@ class FrameMorphism(Record):
 
     def __call__(self, state: int) -> int:
         return self.mapping[state]
+
+
+class ActionModel(Record):
+    """Action points with per-agent indistinguishability and preconditions.
+
+    A precondition is a formula of :mod:`epikit.logic` or a frozen set of
+    the input states where the point fires.  ``sees``, when present,
+    records for each point and agent which agents' current states that
+    agent observes while the action runs.  Schedule actions carry it (a
+    process reads the states of everyone scheduled before or with it); it
+    is what makes iterated composition reproduce the multi-round relation,
+    since a later round re-announces the states of every process a
+    snapshot contains.
+    """
+
+    frame: KripkeFrame
+    preconditions: tuple["Formula | frozenset[int]", ...]
+    sees: tuple[tuple[tuple[int, ...], ...], ...] | None = None
+
+    def __post_init__(self):
+        if len(self.preconditions) != self.frame.state_count:
+            raise ValueError("need one precondition per action point")
+
+    @property
+    def point_count(self) -> int:
+        return self.frame.state_count
 
 
 def new_frame(

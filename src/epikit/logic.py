@@ -1,4 +1,4 @@
-"""Epistemic formulas, Kripke models, action models, and product update.
+"""Epistemic formulas, Kripke models, and product update.
 
 The formula language is propositional logic plus the knowledge operator
 ``K[a]`` and a dynamic operator for pointed actions of already-built
@@ -9,7 +9,9 @@ and an action model to the pairs whose precondition holds.
 Preconditions come in two forms: an arbitrary formula, or a frozen set of
 state indices of the intended input model ("point-set" form).  The
 point-set form is what schedule and task action models use, where each
-action point is enabled at an explicitly known set of input states.
+action point is enabled at an explicitly known set of input states.  The
+action model record is :class:`epikit.kernel.ActionModel`, re-exported
+here.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from functools import cached_property, partial
 
 from .kernel import (
+    ActionModel,
     FormatError,
     FrameMorphism,
     KripkeFrame,
@@ -125,33 +128,6 @@ def _trusted_model(frame: KripkeFrame, ap: tuple, valuation: tuple) -> KripkeMod
     for name, value in zip(KripkeModel._fields, (frame, ap, valuation)):
         object.__setattr__(model, name, value)
     return model
-
-
-Precondition = Formula | frozenset
-
-
-class ActionModel(Record):
-    """Action points with per-agent indistinguishability and preconditions.
-
-    ``sees``, when present, records for each point and agent which agents'
-    current states that agent observes while the action runs.  Schedule
-    actions carry it (a process reads the states of everyone scheduled
-    before or with it); it is what makes iterated composition reproduce
-    the multi-round relation, since a later round re-announces the states
-    of every process a snapshot contains.
-    """
-
-    frame: KripkeFrame
-    preconditions: tuple[Precondition, ...]
-    sees: tuple[tuple[tuple[int, ...], ...], ...] | None = None
-
-    def __post_init__(self):
-        if len(self.preconditions) != self.frame.state_count:
-            raise ValueError("need one precondition per action point")
-
-    @property
-    def point_count(self) -> int:
-        return self.frame.state_count
 
 
 def is_model_morphism(f: FrameMorphism, src: KripkeModel, dst: KripkeModel) -> bool:

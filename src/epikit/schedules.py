@@ -13,9 +13,11 @@ from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import combinations, islice, product as iproduct
 
-from .kernel import KripkeFrame, new_frame
-from .logic import ActionModel, KripkeModel, _trusted_model
+from .kernel import ActionModel, KripkeFrame, new_frame
 from .record import Record
+
+# ``logic`` (formulas and Kripke models) is imported by the two model
+# builders alone: deciding a task reads frames and compiles no formula code
 
 
 class BlockAction(Record):
@@ -103,7 +105,8 @@ def schedule(*rounds: BlockAction | Sequence[Sequence[int]]) -> Schedule:
 
 def parse_schedule(text: str) -> Schedule:
     """Parse the text syntax: rounds split on ';', classes on '|', ids on
-    ','.  Whitespace is ignored, so ``0|1,2 ; 0,1,2`` works."""
+    ','.  Spaces are ignored, so ``0|1,2 ; 0,1,2`` works.  An id is ASCII
+    decimal digits: ``int`` would also read ``+1``, ``0_1`` and ``٣``."""
     rounds = []
     for part in text.replace(" ", "").split(";"):
         if not part:
@@ -112,7 +115,14 @@ def parse_schedule(text: str) -> Schedule:
         for cls in part.split("|"):
             if not cls:
                 raise ValueError(f"empty class in schedule text {text!r}")
-            classes.append([int(tok) for tok in cls.split(",")])
+            ids = cls.split(",")
+            for tok in ids:
+                if not (tok.isascii() and tok.isdigit()):
+                    raise ValueError(
+                        f"process id {tok!r} in schedule text {text!r} is not "
+                        "a decimal number"
+                    )
+            classes.append([int(tok) for tok in ids])
         rounds.append(block_action(*classes))
     return Schedule(tuple(rounds))
 
@@ -400,6 +410,8 @@ def input_model(n: int, rounds: int) -> KripkeModel:
     """The initial model: one state per schedule, all states alike to every
     process (only the environment knows the schedule).  State atoms name
     the schedule; id atoms hold everywhere."""
+    from .logic import _trusted_model
+
     ctx = schedule_context(n, rounds)
     frame = new_frame(len(ctx.texts), n + 1, [[0] * len(ctx.texts)] * (n + 1))
     return _trusted_model(frame, *_schedule_atoms(ctx))
@@ -414,6 +426,8 @@ def protocol_model(
     state, so the product is the context's frame with the input atoms.
     Built, like :func:`input_model`, without the constructor's checks of
     a caller's parts."""
+    from .logic import _trusted_model
+
     ctx = schedule_context(n, rounds, abstraction)
     return _trusted_model(ctx.frame, *_schedule_atoms(ctx))
 

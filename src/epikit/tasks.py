@@ -13,8 +13,7 @@ from collections.abc import Callable, Sequence
 from functools import cached_property, reduce
 from itertools import accumulate, combinations
 
-from .kernel import KripkeFrame, _check_json_object, new_frame
-from .logic import ActionModel, KripkeModel, product_update
+from .kernel import ActionModel, KripkeFrame, _check_json_object, new_frame
 from .record import Record
 from .schedules import (
     Schedule,
@@ -176,6 +175,8 @@ def output_model(task: InputlessTask) -> tuple[KripkeModel, dict[tuple[int, int]
     """Product update of the input model with the task action model.
     States are (schedule, tuple) pairs related for i iff the i-th
     decisions agree."""
+    from .logic import product_update
+
     return product_update(input_model(task.n, task.rounds), task_action_model(task))
 
 

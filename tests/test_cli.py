@@ -178,6 +178,24 @@ def test_run_refuses_a_class_that_repeats_an_id():
     assert proc.stderr == "error: concurrency class (1, 1) repeats an id\n"
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["run", "--schedule", "0|0_1"], "0_1"),
+    (["run", "--schedule", "+1"], "+1"),
+    (["run", "--schedule", "\u0663"], "\u0663"),  # ARABIC-INDIC DIGIT THREE
+    (["run", "--schedule", "\u00b2"], "\u00b2"),  # SUPERSCRIPT TWO
+    (["mc", "protocol", "--n", "1", "--state", "+1|0_0", "--formula", "sched_1|0"], "+1"),
+    (["mc", "protocol", "--n", "1", "--state", "\u0663", "--formula", "id_0"], "\u0663"),
+    (["mc", "protocol", "--n", "1", "--state", "\u00b2", "--formula", "id_0"], "\u00b2"),
+], ids=["underscore", "sign", "arabic-indic digit", "superscript", "mc sign",
+        "mc arabic-indic digit", "mc superscript"])
+def test_schedule_text_takes_ascii_decimal_ids_only(capsys, argv, token):
+    # int() reads all of these, so 0|0_1 ran as 0|1 and +1|0_0 named 1|0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: process id {token!r} in schedule text ")
+    assert err.count("\n") == 1
+
+
 def test_run_json_size_at_twelve_rounds_exceeds_the_default_cap():
     from epikit.schedules import parse_schedule
     from epikit.simengine import record_to_json, run
@@ -646,6 +664,26 @@ def test_check_requires_task(capsys):
     assert "task" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["model", "output"],
+    ["mc", "output", "--state", "0", "--formula", "true"],
+    ["export", "task", "--json"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_task_and_task_file_together_are_refused(capsys, argv, testset_file, tmp_path):
+    # the file used to win without a word: check printed its verdict, not
+    # the builtin's
+    export = tmp_path / "out.json"
+    if argv[0] == "export":
+        argv = argv + [str(export)]
+    code, out, err = run_cli(
+        capsys, *argv, "--n", "1", "--task", "snapshot", "--task-file", str(testset_file)
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: argument --task-file: not allowed with argument --task\n"
+    assert not export.exists()
+
+
 # ---------------------------------------------------------------------------
 # exports and round trips
 
@@ -919,6 +957,7 @@ def test_json_exports_are_those_of_json_dumps(capsys, tmp_path):
 
 _IMPORTS_AFTER = """
 import contextlib, io, sys
+before = set(sys.modules)
 from epikit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     try:
@@ -926,22 +965,31 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit:
         pass
 print(" ".join(sorted(m for m in sys.modules if m.startswith("epikit"))))
+# the modules of the JSON codec this process loaded (site may load it first)
+print(" ".join(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "json")))
 """
-_MODELS = {"epikit", "epikit.cli", "epikit.record", "epikit.kernel", "epikit.logic",
-           "epikit.schedules"}
+_BASE = {"epikit", "epikit.cli", "epikit.record", "epikit.kernel", "epikit.schedules"}
+_MODELS = _BASE | {"epikit.logic"}
+# a decision reads frames alone, so it loads no formula code
+_DECIDE = _BASE | {"epikit.tasks", "epikit.solver"}
 
 
 @pytest.mark.parametrize("argv, modules", [
     (["--version"], {"epikit", "epikit.cli"}),
     (["model", "protocol", "--n", "2", "--rounds", "2"], _MODELS),
     (["mc", "protocol", "--state", "0|1|2", "--formula", "K[0] id_0"], _MODELS),
-    (["check", "--n", "1", "--task", "testset"],
-     _MODELS | {"epikit.tasks", "epikit.solver"}),
+    (["check", "--n", "1", "--task", "testset"], _DECIDE),
+    (["check", "--n", "1", "--task", "testset", "--report"], _DECIDE),
     # only a Solvable verdict runs the simulator, to verify its certificate
-    (["check", "--n", "2", "--task", "snapshot"],
-     _MODELS | {"epikit.simengine", "epikit.tasks", "epikit.solver"}),
-], ids=["version", "model protocol", "mc protocol", "check", "check solvable"])
-def test_each_command_imports_only_the_modules_it_runs(argv, modules):
+    (["check", "--n", "2", "--task", "snapshot"], _DECIDE | {"epikit.simengine"}),
+    (["check", "--n", "1", "--task-file", "TASK_FILE"], _DECIDE | {"epikit.simengine"}),
+], ids=["version", "model protocol", "mc protocol", "check", "check --report",
+        "check solvable", "check --task-file"])
+def test_each_command_imports_only_the_modules_it_runs(argv, modules, tmp_path):
+    # a task every decision solves
+    task_file = tmp_path / "task.json"
+    task_file.write_text(json.dumps({"n": 1, "N": 1, "tuples": [[0, 0]], "delta": [[0]] * 3}))
+    argv = [str(task_file) if arg == "TASK_FILE" else arg for arg in argv]
     # a new process, so the modules this test process holds do not count
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORTS_AFTER, *argv],
@@ -950,7 +998,18 @@ def test_each_command_imports_only_the_modules_it_runs(argv, modules):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.split()) == modules
+    assert set(proc.stdout.splitlines()[0].split()) == modules
+
+
+def test_version_loads_no_json_codec():
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_AFTER, "--version"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["epikit epikit.cli", ""]
 
 
 def test_cli_solve_is_the_package_solve():

@@ -58,6 +58,10 @@ def test_a_name_loads_only_its_submodule_and_what_that_imports():
     for name, loaded in [
         ("parse_formula", "['epikit', 'epikit.kernel', 'epikit.logic', 'epikit.record']"),
         ("frame_to_complex", "['epikit', 'epikit.kernel', 'epikit.record', 'epikit.topology']"),
+        ("ActionModel", "['epikit', 'epikit.kernel', 'epikit.record']"),
+        # a decision reads frames alone: no formula code
+        ("solve", "['epikit', 'epikit.kernel', 'epikit.record', 'epikit.schedules', "
+                  "'epikit.solver', 'epikit.tasks']"),
     ]:
         out = _in_a_new_process(
             "import sys\n"
