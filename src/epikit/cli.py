@@ -160,10 +160,9 @@ def _render(args, what: str, dot: bool) -> str:
     if what == "schedules":
         if dot:
             raise CliError("schedules export only as --json")
-        from .schedules import schedule_context, schedule_to_json
+        from .schedules import enum_schedules, schedule_to_json
 
-        scheds = schedule_context(args.n, args.rounds).schedules
-        data = [schedule_to_json(s) for s in scheds]
+        data = [schedule_to_json(s) for s in enum_schedules(args.n, args.rounds)]
     elif what == "task":
         if dot:
             raise CliError("tasks export only as --json")
@@ -390,10 +389,9 @@ def cmd_check(args) -> int:
 
 def cmd_export(args) -> int:
     _check_n(args)
-    if bool(args.dot) == bool(args.json):
-        raise CliError("choose exactly one of --dot PATH or --json PATH")
-    text = _render(args, args.what, bool(args.dot))
-    with open(args.dot or args.json, "w") as fh:
+    dot = args.dot is not None
+    text = _render(args, args.what, dot)
+    with open(args.dot if dot else args.json, "w") as fh:
         fh.write(text)
     return EXIT_OK
 
@@ -462,8 +460,9 @@ def build_parser() -> _Parser:
         "protocol-complex", "output-complex", "task",
     ])
     _add_shared(p, need_task=True)
-    p.add_argument("--dot", metavar="PATH", help="write DOT here")
-    p.add_argument("--json", metavar="PATH", help="write JSON here")
+    out = p.add_mutually_exclusive_group(required=True)
+    out.add_argument("--dot", metavar="PATH", help="write DOT here")
+    out.add_argument("--json", metavar="PATH", help="write JSON here")
     p.set_defaults(func=cmd_export)
 
     return parser

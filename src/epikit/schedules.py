@@ -297,17 +297,18 @@ def final_states(
 # the shared schedule context
 
 class ScheduleContext:
-    """The canonical schedules of (n, rounds), their final states under
-    one abstraction and the frame of the view classes those give.
+    """The canonical schedules of (n, rounds) as text, their final states
+    under one abstraction and the frame of the view classes those give.
 
     Get it from :func:`schedule_context`, which builds one per key and
-    process, so the model builders, the task tabulation and the solver
-    share it instead of enumerating again.  Its four tables (schedule
-    records, final states from one :func:`final_states` call, texts and
-    the frame) are each built on first use; the final states stay per
-    prefix of rounds, and the frame is read off them.  A plain class,
-    not a :class:`Record`: it is a cache shared by identity, not a value
-    compared by its fields.
+    process, so the model builders, the solver and the reports share it
+    instead of walking the schedules again.  Its three tables (final
+    states from one :func:`final_states` call, texts and the frame) are
+    each built on first use; the final states stay per prefix of rounds,
+    and the frame is read off them.  It keeps no :class:`Schedule`
+    records: a caller that needs them calls :func:`enum_schedules`.  A
+    plain class, not a :class:`Record`: it is a cache shared by identity,
+    not a value compared by its fields.
     """
 
     def __init__(self, n: int, rounds: int, abstraction: Abstraction):
@@ -316,10 +317,6 @@ class ScheduleContext:
         self.n = n
         self.rounds = rounds
         self.abstraction = abstraction
-
-    @cached_property
-    def schedules(self) -> tuple[Schedule, ...]:
-        return tuple(enum_schedules(self.n, self.rounds))
 
     @cached_property
     def finals(self) -> FinalStates:
@@ -332,9 +329,9 @@ class ScheduleContext:
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
-        """``texts[k]`` is ``schedules[k].text()``.  The canonical order is
-        the cartesian power of the block-action order, so the texts are
-        that power of the actions' texts."""
+        """``texts[k]`` is ``enum_schedules(n, rounds)[k].text()``.  The
+        canonical order is the cartesian power of the block-action order,
+        so the texts are that power of the actions' texts."""
         acts = enum_block_actions(self.n)
         return tuple(
             map(";".join, iproduct([a.text() for a in acts], repeat=self.rounds))

@@ -220,9 +220,7 @@ def _text(own, subs) -> str:
 
 def _text_length(own, subs) -> int:
     """``len(_text(own, subs))``, given each sub's length."""
-    return len(f"({own} saw {{}})") + sum(
-        len(f", {j}:") + sub for j, sub in subs
-    ) - 2 * bool(subs)  # the first entry has no ", "
+    return len(_text(own, [(j, "") for j, _ in subs])) + sum(sub for _, sub in subs)
 
 
 def _trace(record: RunRecord, leaf, node) -> list:

@@ -81,7 +81,11 @@ class _Search:
     UIP hold, and removes the UIP's value from that variable's
     remaining-values mask.  Learned nogoods are watched on two literals:
     once all but one hold, the last one's value is removed.  A variable
-    with one value left is assigned it; one with none is a conflict.
+    with one value left is assigned it, so an unassigned one keeps two or
+    more and a removal never empties a domain: the first root propagation
+    queues every schedule and so assigns every single-valued variable (or
+    meets a conflict, which ends the search), and later a domain that
+    falls to one value is assigned at the same level and undone with it.
 
     Each decision takes the lowest-numbered unassigned variable and its
     smallest remaining value, and then the first complete assignment is
@@ -205,9 +209,7 @@ class _Search:
         self.removed_by[self.lit_base[vid] + choice] = nogood
         if dom & (dom - 1):
             return True
-        if not dom:
-            self.conflict = self._removal_reasons(vid, self.full[vid])
-            return False
+        # one value is left (see the class docstring)
         return self._assign(vid, dom.bit_length() - 1, _LAST_VALUE)
 
     def _watch(self, lit: int) -> bool:
@@ -453,14 +455,14 @@ def verify_certificate(
 
     ctx = schedule_context(task.n, task.rounds, abstraction)
     n_agents = task.process_count
-    # kept until the frame is built, so that no id is reused
-    finals = simengine.canonical_finals(task.n, task.rounds, abstraction)
-    sim = new_frame(len(finals), n_agents, [[id(f[a]) for f in finals] for a in range(n_agents)])
     if len(decision.values) != n_agents:
         raise SolverError(
             f"decision map covers {len(decision.values)} agents, "
             f"the task has {n_agents}"
         )
+    # kept until the frame is built, so that no id is reused
+    finals = simengine.canonical_finals(task.n, task.rounds, abstraction)
+    sim = new_frame(len(finals), n_agents, [[id(f[a]) for f in finals] for a in range(n_agents)])
     for a in range(n_agents):
         if len(decision.values[a]) != sim.num_classes(a):
             raise SolverError(

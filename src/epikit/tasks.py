@@ -18,8 +18,8 @@ from .record import Record
 from .schedules import (
     Schedule,
     enum_block_actions,
+    enum_schedules,
     input_model,
-    schedule_context,
     schedule_count,
 )
 
@@ -155,7 +155,7 @@ def make_task(
     output = OutputFrame(tuple(tuple(t) for t in tuples))
     table = tuple(
         tuple(t for t, out in enumerate(output.tuples) if delta(sched, out))
-        for sched in schedule_context(n, rounds).schedules
+        for sched in enum_schedules(n, rounds)
     )
     return InputlessTask(name, n, rounds, output, table)
 

@@ -41,6 +41,8 @@ class ChromaticComplex(Record):
         for facet in self.facets:
             if len(facet) != len(colors):
                 raise ValueError("complex is not pure: facet size != color count")
+            if not all(0 <= v < len(self.vertices) for v in facet):
+                raise ValueError(f"facet {facet} is out of range for {len(self.vertices)} vertices")
             facet_colors = {self.vertices[v][0] for v in facet}
             if len(facet_colors) != len(facet):
                 raise ValueError("facet repeats a color")

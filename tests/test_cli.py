@@ -57,6 +57,28 @@ def test_schedules_two_rounds(capsys):
     assert len(out.strip().splitlines()) == 9
 
 
+def test_schedules_refuses_a_negative_n(capsys):
+    code, out, err = run_cli(capsys, "schedules", "--n", "-1")
+    assert (code, out, err) == (1, "", "error: --n must be >= 0\n")
+
+
+# sha256 of `schedules --n 1 --rounds 2 --json` (1,629 bytes), which the
+# export of the same object must match
+SCHEDULES_N1R2_SHA256 = "cb0c7d80f4e9672edb6bef8fd2141380abca7b8adf1a7ab0a2fc2ba8b7f25d12"
+
+
+def test_schedules_json_and_its_export_are_pinned(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "schedules", "--n", "1", "--rounds", "2", "--json")
+    assert (code, err, len(out)) == (0, "", 1629)
+    assert hashlib.sha256(out.encode()).hexdigest() == SCHEDULES_N1R2_SHA256
+    path = tmp_path / "F"
+    code, _, err = run_cli(
+        capsys, "export", "schedules", "--n", "1", "--rounds", "2", "--json", str(path)
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SCHEDULES_N1R2_SHA256
+
+
 def test_schedules_cap_refused_with_estimate(capsys):
     code, out, err = run_cli(capsys, "schedules", "--n", "6")
     assert code == 1
@@ -176,6 +198,13 @@ def test_run_refuses_a_class_that_repeats_an_id():
     proc = _cli("run", "--schedule", "0|1,1")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: concurrency class (1, 1) repeats an id\n"
+
+
+@pytest.mark.parametrize("sched, what", [("0;;0", "empty round"), ("0||1", "empty class")])
+def test_run_refuses_an_empty_round_or_class(capsys, sched, what):
+    code, out, err = run_cli(capsys, "run", "--schedule", sched)
+    assert (code, out) == (1, "")
+    assert err == f"error: {what} in schedule text {sched!r}\n"
 
 
 @pytest.mark.parametrize("argv, token", [
@@ -320,6 +349,18 @@ def test_mc_schedule_text_names_a_state_of_schedule_indexed_models(kind):
     by_index = _cli(*argv, "--state", str(1 * 13 + 6))
     assert (by_text.returncode, by_text.stdout, by_text.stderr) == (0, "true\n", "")
     assert (by_index.returncode, by_index.stdout, by_index.stderr) == (0, "true\n", "")
+
+
+@pytest.mark.parametrize("state, message", [
+    ("0;0", "schedule '0;0' is not a state of this model"),
+    ("99", "state 99 out of range"),
+])
+def test_mc_refuses_a_state_the_model_lacks(capsys, state, message):
+    # one round at n=1: three states, none of them a two-round schedule
+    code, out, err = run_cli(
+        capsys, "mc", "protocol", "--n", "1", "--state", state, "--formula", "id_0"
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_mc_schedule_text_is_refused_on_the_output_model():
@@ -732,7 +773,19 @@ def test_export_dot_output_complex(capsys, tmp_path):
 def test_export_needs_exactly_one_format(capsys, tmp_path):
     code, _, err = run_cli(capsys, "export", "schedules", "--n", "1")
     assert code == 1
-    assert "exactly one" in err
+    assert err == "error: one of the arguments --dot --json is required\n"
+    code, _, err = run_cli(capsys, "export", "schedules", "--n", "1",
+                           "--dot", str(tmp_path / "a"), "--json", str(tmp_path / "b"))
+    assert code == 1
+    assert err == "error: argument --json: not allowed with argument --dot\n"
+
+
+def test_export_with_both_formats_writes_nothing(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "export", "protocol-model", "--n", "1",
+                             "--dot", str(tmp_path / "m.dot"), "--json", str(tmp_path / "m.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -947,7 +1000,8 @@ def test_json_exports_are_those_of_json_dumps(capsys, tmp_path):
     for argv in (["model", "protocol", "--n", "2"],
                  ["complex", "protocol", "--n", "2"],
                  ["check", "--n", "1", "--task", "testset", "--report"],
-                 ["run", "--schedule", "0|1,2;0,1,2", "--json"]):
+                 ["run", "--schedule", "0|1,2;0,1,2", "--json"],
+                 ["schedules", "--n", "2", "--json"]):
         code, out, _ = run_cli(capsys, *argv)
         assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 

@@ -443,6 +443,26 @@ def test_color_refinement_matches_the_per_state_refinement():
         assert _refine_colors(f, g) == refine_colors_per_state(f, g)
 
 
+def test_color_refinement_separates_frames_whose_class_sizes_differ():
+    # find_isomorphism prunes on the color multisets alone: the first round
+    # colors a state by its class size under each agent
+    rng = random.Random(4000)
+    mismatched = 0
+    for _ in range(4000):
+        states, agents = rng.randint(1, 12), rng.randint(1, 3)
+        make = rng.choice([random_frame, regular_frame])
+        f, g = make(rng, states, agents), make(rng, states, agents)
+        sizes = [
+            [sorted(map(len, classes)) for classes in frame.classes_by_agent]
+            for frame in (f, g)
+        ]
+        if sizes[0] != sizes[1]:
+            mismatched += 1
+            cf, cg = _refine_colors(f, g)
+            assert sorted(cf) != sorted(cg)
+    assert mismatched > 1000
+
+
 def cycles_frame(lengths):
     """Two agents whose classes are the alternate edges of disjoint even
     cycles of the given lengths."""

@@ -244,7 +244,7 @@ def test_seen_ids_transitive():
 
 def heard_of_finals(ctx):
     """Each schedule's final heard-of sets, simulated run by run."""
-    return [run(sched, _heard_of).finals for sched in ctx.schedules]
+    return [run(sched, _heard_of).finals for sched in enum_schedules(ctx.n, ctx.rounds)]
 
 
 def recursive_seen_ids(state):
@@ -302,7 +302,7 @@ def test_seen_ids_with_one_memo_match_a_walk_per_view_class(n, rounds):
 def test_seen_ids_with_one_memo_agree_with_the_simulator_references(n, rounds):
     ctx = schedule_context(n, rounds)
     groups = [frozenset(g) for size in (1, 2) for g in combinations(range(n + 1), size)]
-    for sched, finals in zip(ctx.schedules, ctx.finals):
+    for sched, finals in zip(enum_schedules(n, rounds), ctx.finals):
         seen = [walked_seen_ids(state) for state in finals]
         for a in range(n + 1):
             assert (seen[a] == {a}) == never_reads_others(a, sched)
@@ -346,10 +346,10 @@ def test_context_finals_match_lone_runs_under_seeded_abstractions(n, rounds):
     # one call per distinct (prefix, process, view) step, although every
     # schedule extends each prefix it starts with
     assert abstraction.calls == distinct_steps(n, rounds)
-    assert ctx.texts == tuple(s.text() for s in ctx.schedules)
+    assert ctx.texts == tuple(s.text() for s in enum_schedules(n, rounds))
     assert finals == final_states(n, rounds, abstraction)
     one_object: dict = {}
-    for sched, states in zip(ctx.schedules, finals):
+    for sched, states in zip(enum_schedules(n, rounds), finals):
         assert states == run(sched, abstraction).finals
         for state in states:
             assert one_object.setdefault(state, state) is state
@@ -360,7 +360,7 @@ def test_full_information_context_finals_match_lone_runs(n, rounds):
     ctx = schedule_context(n, rounds)
     assert ctx.finals == final_states(n, rounds)
     one_object: dict = {}
-    for sched, states in zip(ctx.schedules, ctx.finals):
+    for sched, states in zip(enum_schedules(n, rounds), ctx.finals):
         assert states == run(sched).finals
         for state in states:
             assert one_object.setdefault(state, state) is state
@@ -495,7 +495,7 @@ def test_action_model_reads_the_context_frame_and_last_round_views(n, rounds):
     assert model.frame is ctx.frame
     assert model.sees == tuple(
         tuple(tuple(sorted(view1(a, s.rounds[-1]))) for a in range(n + 1))
-        for s in ctx.schedules
+        for s in enum_schedules(n, rounds)
     )
 
 
@@ -555,10 +555,11 @@ def test_singleton_input_model_knows_schedule():
 def checked_model(ctx, frame):
     """The model of ``frame`` with the schedule atoms, through the public
     constructor and its checks; the atoms come from the schedule records."""
-    ap = tuple(f"sched_{s.text()}" for s in ctx.schedules)
+    scheds = enum_schedules(ctx.n, ctx.rounds)
+    ap = tuple(f"sched_{s.text()}" for s in scheds)
     ap += tuple(f"id_{i}" for i in range(ctx.n + 1))
-    ids = frozenset(range(len(ctx.schedules), len(ap)))
-    valuation = tuple(frozenset((k,)) | ids for k in range(len(ctx.schedules)))
+    ids = frozenset(range(len(scheds), len(ap)))
+    valuation = tuple(frozenset((k,)) | ids for k in range(len(scheds)))
     return KripkeModel(frame, ap, valuation)
 
 
@@ -570,7 +571,7 @@ def test_built_models_equal_the_checked_constructor(n, rounds, kind):
     model = protocol_model(n, rounds, abstraction)
     assert type(model) is KripkeModel
     assert model == checked_model(ctx, ctx.frame)
-    count = len(ctx.schedules)
+    count = len(enum_schedules(n, rounds))
     blind = new_frame(count, n + 1, [[0] * count] * (n + 1))
     assert input_model(n, rounds) == checked_model(ctx, blind)
 
@@ -611,7 +612,7 @@ def test_protocol_model_is_the_papers_product_update(n, rounds, kind):
     assert model.frame is ctx.frame
     # the atoms, by name, from the schedule records
     ids = {f"id_{i}" for i in range(n + 1)}
-    assert len(model.ap) == len(ctx.schedules) + n + 1
+    assert len(model.ap) == len(enum_schedules(n, rounds)) + n + 1
     assert [{model.ap[i] for i in atoms} for atoms in model.valuation] == [
-        {f"sched_{s.text()}"} | ids for s in ctx.schedules
+        {f"sched_{s.text()}"} | ids for s in enum_schedules(n, rounds)
     ]

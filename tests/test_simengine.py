@@ -86,7 +86,7 @@ def test_simulator_agrees_with_view_algebra():
     # the same final states arise from array mechanics and from the view
     # formula; both paths share only the schedule
     for ctx in (schedule_context(2, 1), schedule_context(1, 2)):
-        for sched, finals in zip(ctx.schedules, ctx.finals):
+        for sched, finals in zip(enum_schedules(ctx.n, ctx.rounds), ctx.finals):
             assert run(sched).finals == finals
 
 
@@ -114,7 +114,7 @@ def test_simulator_agrees_with_view_algebra_under_random_abstractions(
 ):
     abstraction = random_abstraction(random.Random(seed))
     ctx = schedule_context(n, rounds, abstraction)
-    for sched, finals in zip(ctx.schedules, ctx.finals):
+    for sched, finals in zip(enum_schedules(n, rounds), ctx.finals):
         assert run(sched, abstraction).finals == finals
 
 

@@ -227,6 +227,18 @@ def test_certificate_with_the_wrong_agent_count_rejected(extra):
         verify_certificate(task, wrong)
 
 
+def test_the_agent_count_is_checked_before_any_schedule_runs(monkeypatch):
+    task = builtin("snapshot", 1, 1)
+    values = solve(task).decision.values
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before the agent count was checked")
+
+    monkeypatch.setattr(simengine, "canonical_finals", refuse)
+    with pytest.raises(SolverError, match="^decision map covers 3 agents, the task has 2$"):
+        verify_certificate(task, DecisionMap(values + ((7,),)))
+
+
 def test_certificate_json_lists_classes():
     task = builtin("snapshot", 2)
     verdict = solve(task)
@@ -737,6 +749,68 @@ def test_differential_cases_meet_conflicts():
     # backjump and learn
     learned = [solve(_differential_case(seed)[0]).stats.learned for seed in range(90)]
     assert sum(1 for count in learned if count) >= 30
+
+
+# (n, rounds, values per agent, range of the share of tuples a row
+# allows): a task whose tuples alone force an agent's value at the root,
+# which no differential shape above gives
+SINGLE_VALUED_SHAPES = (
+    (1, 1, (1, 3), (0.4, 0.8)),
+    (1, 2, (2, 1), (0.6, 0.95)),
+    (1, 2, (3, 1), (0.5, 0.8)),
+    (2, 1, (2, 1, 3), (0.6, 0.9)),
+    (2, 1, (1, 2, 2), (0.7, 0.95)),
+    (2, 2, (1, 1, 1), (1.0, 1.0)),  # every agent single-valued
+)
+
+
+def _single_valued_case(seed):
+    """Every tuple over the shape's values, each row allowing each tuple
+    with one probability drawn from the shape's range."""
+    rng = random.Random(seed)
+    n, rounds, widths, (low, high) = SINGLE_VALUED_SHAPES[seed % len(SINGLE_VALUED_SHAPES)]
+    tuples = list(iproduct(*map(range, widths)))
+    allow = rng.uniform(low, high)
+    allowed = {s: {t for t in tuples if rng.random() < allow} for s in enum_schedules(n, rounds)}
+    return make_task("single-valued", n, rounds, tuples, lambda s, out: out in allowed[s])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_single_valued_agents_are_decided_as_the_references_decide(seed):
+    task = _single_valued_case(seed)
+    assert 1 in [len(task.output.values_for(a)) for a in range(task.process_count)]
+    verdict = solve(task)
+    frame = protocol_action_model(task.n, task.rounds).frame
+    expected = ChronologicalSearch(task, frame).solve()
+    assert verdict.solvable == (expected is not None)
+    assert verdict.decision == expected
+    assert brute_force_first(task) == expected
+
+
+def test_single_valued_cases_meet_conflicts():
+    learned = [solve(_single_valued_case(seed)).stats.learned for seed in range(30)]
+    assert sum(1 for count in learned if count) >= 5
+
+
+def test_a_removal_leaves_the_variable_a_value(monkeypatch):
+    # _Search._remove has no empty-domain branch: it relies on every
+    # unassigned variable keeping two or more values
+    remove = _Search._remove
+    seen = []
+
+    def checked(self, vid, choice, nogood):
+        seen.append(vid)
+        assert self.choice[vid] < 0 and bin(self.domain[vid]).count("1") >= 2
+        return remove(self, vid, choice, nogood)
+
+    monkeypatch.setattr(_Search, "_remove", checked)
+    for seed in range(30):
+        solve(_single_valued_case(seed))
+    assert seen
+    for seed in range(90):
+        solve(_differential_case(seed)[0])
+    solve(builtin("two_testset", 2, 2))
+    assert len(seen) > 500
 
 
 def test_learning_cuts_the_two_round_two_testset_search():

@@ -12,7 +12,7 @@ from itertools import combinations, product
 import pytest
 
 from epikit.kernel import is_proper
-from epikit.schedules import enum_block_actions, enum_schedules, parse_schedule, view1
+from epikit.schedules import enum_block_actions, enum_schedules, input_model, parse_schedule, view1
 from epikit.simengine import run
 from epikit.tasks import (
     InputlessTask,
@@ -296,8 +296,9 @@ def test_winners_builtins_build_no_final_states_or_schedule_context(monkeypatch,
 
                 monkeypatch.setattr(module, attr, counting)
     builtin(name, 2, 2)
-    assert calls == []
     make_task("t", 2, 1, [(0, 0, 0)], lambda sched, out: True)
+    assert calls == []
+    input_model(2, 1)
     assert calls == ["schedule_context"]  # the counting is live
 
 

@@ -188,6 +188,14 @@ def test_malformed_complexes_rejected():
         ChromaticComplex(((0, "a"), (1, "b")), ((0, 1), (0, 1)))
 
 
+@pytest.mark.parametrize("facet", [(-2, -1), (0, 5)])
+def test_facet_vertex_indices_must_name_a_vertex(facet):
+    # unchecked, a negative index reads from the end and one past it raises IndexError
+    with pytest.raises(ValueError) as info:
+        ChromaticComplex(((0, "a"), (1, "b")), (facet,))
+    assert str(info.value) == f"facet {facet} is out of range for 2 vertices"
+
+
 # ---------------------------------------------------------------------------
 # simplicial maps
 
