@@ -9,8 +9,10 @@ orderings everywhere and no timestamps.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from functools import cache
+from itertools import chain
 
 from . import __version__
 
@@ -194,10 +196,10 @@ def json_text(data) -> str:
     """``json.dumps(data, indent=2)``, byte for byte, in a fraction of
     the time: before Python 3.13 the library takes its pure-Python
     encoder for any indent.
-    Lists of ints or strings are joined in one call; other leaves and
-    empty containers, which fit on one line, go to ``json.dumps``.  Open
-    containers wait on an explicit stack, so no nesting meets the
-    recursion limit."""
+    Lists of ints or strings, and lists of rows of them, are joined in
+    one call; other leaves and empty containers, which fit on one line,
+    go to ``json.dumps``.  Open containers wait on an explicit stack, so
+    no nesting meets the recursion limit."""
     import json
     from json.encoder import encode_basestring_ascii
 
@@ -212,10 +214,16 @@ def json_text(data) -> str:
             out.append(encode_basestring_ascii(obj))
         elif kind is int:
             out.append(int.__repr__(obj))
-        elif (kind is list or kind is tuple) and (kinds := set(map(type, obj))) in (_INTS, _STRS):
-            _, _, sep, list_open, list_close, _, _ = layout
-            show = int.__repr__ if kinds == _INTS else encode_basestring_ascii
-            out.append(list_open + sep.join(map(show, obj)) + list_close)
+        elif (kind is list or kind is tuple) and (shape := _joined_shape(obj)) is not None:
+            rows, leaf = shape
+            show = int.__repr__ if leaf is int else encode_basestring_ascii
+            _, inner, sep, list_open, list_close, _, _ = layout
+            if rows:
+                _, _, row_sep, row_open, row_close, _, _ = layouts(inner)
+                items = [row_open + row_sep.join(map(show, row)) + row_close for row in obj]
+            else:
+                items = map(show, obj)
+            out.append(list_open + sep.join(items) + list_close)
         elif (container := _container(obj, layout)) is None:
             out.append(json.dumps(obj))
         else:
@@ -230,9 +238,23 @@ def json_text(data) -> str:
         layout = stack[-1][1]
 
 
-# the element types of the lists that json_text joins in one call
+# the leaf types of the lists that json_text joins in one call
 _INTS = {int}
 _STRS = {str}
+
+
+def _joined_shape(items) -> tuple[bool, type] | None:
+    """``(False, leaf type)`` for a list of ints or of strings, ``(True,
+    leaf type)`` for a non-empty list of non-empty rows, each a list or
+    tuple, whose leaves are all ints or all strings, and None for any
+    other list: :func:`json_text` joins the first two kinds in one call."""
+    kinds = set(map(type, items))
+    rows = bool(kinds) and kinds <= {list, tuple} and all(items)
+    if rows:
+        kinds = set(map(type, chain.from_iterable(items)))
+    if kinds == _INTS or kinds == _STRS:
+        return rows, next(iter(kinds))
+    return None
 
 
 def _layout(newline: str) -> tuple[str, ...]:
@@ -469,13 +491,25 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; the exit code is returned, or raised by argparse
+    as ``SystemExit`` for ``--version`` and ``--help``.
+
+    The command runs without the cyclic garbage collector: its tables
+    (schedules, states, frames, rows) hold no reference cycles, yet their
+    allocation sets off collector passes over them.  The caller's setting
+    is restored on the way out, so a program calling ``main`` keeps its
+    own."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

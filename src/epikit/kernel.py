@@ -112,8 +112,11 @@ def new_frame(
     """Build a canonical frame from per-agent labelings.
 
     Labels may be any hashable values; they are renumbered densely per
-    agent in order of first occurrence (gaps are silently closed).
-    Raises ValueError on shape mismatch.
+    agent in order of first occurrence (gaps are silently closed).  A
+    row already numbered so is kept as it is, found with one hash pass
+    over its labels and one pass over their types: it must hold ``int``
+    labels alone, so ``False``/``True`` or ``0.0`` labels are renumbered
+    to ints.  Raises ValueError on shape mismatch.
     """
     if state_count < 0 or agent_count < 1:
         raise ValueError("state_count must be >= 0 and agent_count >= 1")
@@ -123,13 +126,17 @@ def new_frame(
         )
     canon: list[tuple[int, ...]] = []
     for a, row in enumerate(partitions):
-        row = list(row)
+        row = tuple(row)
         if len(row) != state_count:
             raise ValueError(
                 f"agent {a}: labeling covers {len(row)} states, frame has {state_count}"
             )
-        seen: dict[Hashable, int] = {}
-        canon.append(tuple([seen.setdefault(lbl, len(seen)) for lbl in row]))
+        labels = dict.fromkeys(row)  # in order of first occurrence
+        dense = list(labels) == list(range(len(labels)))
+        if not (dense and list(map(type, row)).count(int) == len(row)):
+            number = dict(zip(labels, range(len(labels))))
+            row = tuple(map(number.__getitem__, row))
+        canon.append(row)
     return KripkeFrame(state_count, agent_count, tuple(canon))
 
 

@@ -21,12 +21,20 @@ from .record import Record
 
 
 class BlockAction(Record):
-    """Ordered partition of {0..n} into non-empty concurrency classes."""
+    """Ordered partition of {0..n} into non-empty concurrency classes.
+
+    The loop that validates the classes also works out, once per action,
+    ``process_count``, ``views`` (``views[i]`` is agent i's view,
+    :func:`view1`, as a sorted id tuple: the sorted union of the classes
+    up to and including its own) and the text of :meth:`text`."""
 
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         seen: set[int] = set()
+        view: tuple[int, ...] = ()
+        views: dict[int, tuple[int, ...]] = {}
+        texts = []
         for cls in self.classes:
             if not cls:
                 raise ValueError("concurrency classes must be non-empty")
@@ -38,30 +46,22 @@ class BlockAction(Record):
             if seen & ids:
                 raise ValueError("concurrency classes must be disjoint")
             seen |= ids
-        if seen != set(range(len(seen))) or not seen:
+            view = tuple(sorted(view + cls))
+            for i in cls:
+                views[i] = view
+            texts.append(",".join(map(str, cls)))
+        count = len(seen)
+        if seen != set(range(count)) or not seen:
             raise ValueError("classes must cover the id set 0..n exactly")
-
-    @cached_property
-    def process_count(self) -> int:
-        return sum(len(c) for c in self.classes)
+        object.__setattr__(self, "process_count", count)
+        object.__setattr__(self, "views", tuple(map(views.__getitem__, range(count))))
+        object.__setattr__(self, "_text", "|".join(texts))
 
     def view(self, agent: int) -> frozenset[int]:
         return view1(agent, self)
 
-    @cached_property
-    def views(self) -> tuple[tuple[int, ...], ...]:
-        """``views[i]``: agent i's view (:func:`view1`) as a sorted id
-        tuple, worked out once per action."""
-        return tuple(
-            tuple(sorted(view1(i, self))) for i in range(self.process_count)
-        )
-
     def text(self) -> str:
         return self._text
-
-    @cached_property
-    def _text(self) -> str:
-        return "|".join(",".join(str(i) for i in cls) for cls in self.classes)
 
 
 class Schedule(Record):
@@ -134,15 +134,23 @@ def schedule_to_json(sched: Schedule) -> dict:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _ordered_partitions(ids: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not ids:
-        yield ()
-        return
-    for k in range(1, len(ids) + 1):
-        for first in combinations(ids, k):
-            rest = tuple(x for x in ids if x not in first)
-            for tail in _ordered_partitions(rest):
-                yield (first,) + tail
+def _ordered_partitions(ids: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """Every ordered partition of ``ids``: each first class (by size,
+    then as ``combinations`` gives it) followed by each partition of the
+    ids it leaves.  The partitions of each subset are worked out once,
+    smallest subsets first, and shared by every first class that leaves
+    it; a subset is keyed in the order of ``ids``, as ``combinations``
+    gives it."""
+    parts: dict[tuple[int, ...], list] = {(): [()]}
+    for size in range(1, len(ids) + 1):
+        for sub in combinations(ids, size):
+            parts[sub] = [
+                (first,) + tail
+                for k in range(1, size + 1)
+                for first in combinations(sub, k)
+                for tail in parts[tuple(x for x in sub if x not in first)]
+            ]
+    return parts[ids]
 
 
 @lru_cache(maxsize=16)

@@ -13,6 +13,7 @@ the first satisfying assignment is the certificate.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import contains
 
 from .kernel import FrameMorphism, KripkeFrame, is_morphism, new_frame
 from .record import Record
@@ -445,11 +446,14 @@ def verify_certificate(
     scheduler's writes to an array, never off a view, so it stays an
     oracle.  The morphism check against the view algebra's frame is what
     makes the two agree.  Equal final states are one object within the
-    walk, so the simulator's frame labels an agent's classes by the
-    identity of its final state, as :attr:`ScheduleContext.frame` does:
-    an interning that failed could only split a class, which the
-    class-count check refuses.  Raises on partial maps and on agent-count
-    or class-count mismatches.
+    walk, so each agent's classes are numbered once, by the identity of
+    its final state in order of first occurrence, as
+    :attr:`ScheduleContext.frame` numbers them, and each schedule's
+    decided value is read through that numbering: an interning that
+    failed could only split a class, which the class-count check refuses.
+    The induced tuples are then looked up and checked against the task's
+    rows in one pass each.  Raises on partial maps and on agent-count or
+    class-count mismatches.
     """
     from . import simengine
 
@@ -460,26 +464,24 @@ def verify_certificate(
             f"decision map covers {len(decision.values)} agents, "
             f"the task has {n_agents}"
         )
-    # kept until the frame is built, so that no id is reused
+    # kept until the values are read, so that no id is reused
     finals = simengine.canonical_finals(task.n, task.rounds, abstraction)
-    sim = new_frame(len(finals), n_agents, [[id(f[a]) for f in finals] for a in range(n_agents)])
-    for a in range(n_agents):
-        if len(decision.values[a]) != sim.num_classes(a):
+    # per agent, its decided value at every schedule
+    decided = []
+    for a, states in enumerate(zip(*finals)):
+        ids = list(map(id, states))
+        classes = dict.fromkeys(ids)  # in order of first occurrence
+        if len(decision.values[a]) != len(classes):
             raise SolverError(
                 f"decision map for agent {a} covers {len(decision.values[a])} "
-                f"classes, simulator found {sim.num_classes(a)}"
+                f"classes, simulator found {len(classes)}"
             )
+        value_of = dict(zip(classes, decision.values[a]))
+        decided.append(map(value_of.__getitem__, ids))
 
-    # per agent, its decided value at every schedule
-    decided = [
-        list(map(decision.values[a].__getitem__, sim.partitions[a]))
-        for a in range(n_agents)
-    ]
-    image = []
-    for k, out in enumerate(zip(*decided)):
-        if not task.allows(k, out):
-            return False
-        image.append(task.output.index[out])
+    image = list(map(task.output.index.get, zip(*decided)))
+    if None in image or not all(map(contains, task.delta_table, image)):
+        return False
     return is_morphism(FrameMorphism(tuple(image)), ctx.frame, task.output.frame)
 
 

@@ -925,6 +925,12 @@ _JSON_EDGE_CASES = [
     {1: [1, 2], "a": {2.5: None}, None: {}, False: [[3], "x"]},
     {float("nan"): 1, float("inf"): [2], float("-inf"): (), -0.0: {"k": 1e300}},
     {True: {-(2**70): [{}]}, "1": [1, {None: [None]}], 2**64: "big"},
+    # lists of rows, which are joined in one call when every row is a
+    # non-empty list or tuple and the leaves are all ints or all strings
+    [[0, 1], [2**70, -3], [4]], {"rows": [["a", "\u00e9"], ["b"]]},
+    [[0, 1], (2, 3), [4]], [("x",), ["y", "z"]], [[1], []], [[], [1]],
+    [[True, False], [True]], [[1, 2], [True]], [[0.5, 1.0], [2.0]], [[1], [2.5]],
+    [[1, "a"], [2]], [[1], ["a"]], [[[1]], [[2]]], [[1], 2], [(), ()],
 ]
 
 
@@ -1064,6 +1070,41 @@ def test_version_loads_no_json_codec():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["epikit epikit.cli", ""]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--n", "1", "--task", "testset"], 2),
+    (["check", "--n", "1", "--task", "snapshot"], 0),
+    (["run", "--schedule", "0|1,1"], 1),
+    (["no-such-command"], 1),
+    (["--version"], SystemExit),
+], ids=["verdict", "solvable", "error", "usage error", "version"])
+def test_main_leaves_the_cyclic_collector_as_it_found_it(argv, code, enabled, capsys):
+    import gc
+
+    seen = []
+    real = cli.build_parser
+
+    def build_parser():
+        seen.append(gc.isenabled())
+        return real()
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "build_parser", build_parser)
+            if code is SystemExit:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]  # the command itself ran without it
+    capsys.readouterr()
 
 
 def test_cli_solve_is_the_package_solve():

@@ -96,6 +96,64 @@ def test_canonicalization_idempotent():
         assert again == f
 
 
+def relabel_reference(row):
+    """Each label numbered in order of first occurrence, one at a time."""
+    seen = {}
+    return tuple([seen.setdefault(label, len(seen)) for label in row])
+
+
+def seeded_rows(rng, size):
+    """Rows of one length: dense ones, kept as they come, and rows a
+    dense row's labels would pass for, which must be renumbered."""
+    dense = list(relabel_reference([rng.randrange(max(1, size)) for _ in range(size)]))
+    classes = max(dense, default=-1) + 1
+    permuted = list(range(classes))
+    rng.shuffle(permuted)
+    yield dense
+    yield tuple(dense)
+    yield [permuted[c] for c in dense]
+    yield [c + 1 for c in dense]  # no label 0
+    yield [c * 2 for c in dense]  # gaps
+    yield [str(c) for c in dense]
+    yield [object() for _ in dense]  # id-like labels, all distinct
+    yield [id(permuted) + c for c in dense]
+    yield [bool(c % 2) for c in dense]
+    yield [float(c) for c in dense]
+    yield [c if k % 2 else float(c) for k, c in enumerate(dense)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_new_frame_matches_the_one_at_a_time_relabel(seed):
+    rng = random.Random(seed)
+    for size in (0, 1, 2, 5, 40):
+        for row in seeded_rows(rng, size):
+            frame = new_frame(size, 1, [row])
+            assert frame.partitions[0] == relabel_reference(row)
+            assert set(map(type, frame.partitions[0])) <= {int}
+
+
+@pytest.mark.parametrize(
+    "row,expected",
+    [
+        ([False, True], (0, 1)),
+        ([True, False, True], (0, 1, 0)),
+        ([0, 0.0, 1], (0, 0, 1)),
+        ([0.0, 1.0], (0, 1)),
+        ([0, 1, True], (0, 1, 1)),
+        ([], ()),
+    ],
+)
+def test_labels_equal_to_dense_ints_are_renumbered_to_ints(row, expected):
+    kept = new_frame(len(row), 1, [row]).partitions[0]
+    assert kept == expected == relabel_reference(row)
+    assert all(type(c) is int for c in kept)
+
+
+def test_a_dense_row_is_kept_as_it_comes():
+    row = (0, 1, 0, 2, 1)
+    assert new_frame(5, 1, [row]).partitions[0] is row
+
+
 # ---------------------------------------------------------------------------
 # is_proper
 

@@ -3,7 +3,8 @@
 The enumeration oracle here predates the generator it checks: ordered set
 partitions are rebuilt from permutations plus composition cut points and
 deduplicated, and the counts are cross-checked against the binomial
-recurrence.  Nothing in this file reuses the generator's recursion.
+recurrence.  Nothing in this file reuses the generator's recursion; its
+table of shared partitions is checked against a plain recursion.
 """
 
 import random
@@ -15,6 +16,8 @@ import pytest
 from epikit.kernel import FrameMorphism, is_morphism, new_frame
 from epikit.logic import Atom, Know, KripkeModel, eval_formula, product_update
 from epikit.schedules import (
+    BlockAction,
+    _ordered_partitions,
     block_action,
     enum_block_actions,
     enum_schedules,
@@ -85,6 +88,26 @@ def test_block_action_counts(n, count):
     assert {a.classes for a in generated} == oracle
 
 
+def plain_ordered_partitions(ids):
+    """Every first class, then every ordered partition of the ids it
+    leaves, worked out again for each first class."""
+    if not ids:
+        return [()]
+    return [
+        (first,) + tail
+        for k in range(1, len(ids) + 1)
+        for first in combinations(ids, k)
+        for tail in plain_ordered_partitions(tuple(x for x in ids if x not in first))
+    ]
+
+
+@pytest.mark.parametrize(
+    "ids", [tuple(range(count)) for count in range(7)] + [(1, 3, 4, 7)]
+)
+def test_shared_partitions_match_the_plain_recursion_in_order(ids):
+    assert list(_ordered_partitions(ids)) == plain_ordered_partitions(ids)
+
+
 @pytest.mark.parametrize("n,rounds", [(0, 1), (0, 5), (1, 3), (2, 2), (3, 2)])
 def test_schedule_count_stops_at_its_limit(n, rounds):
     count = fubini_recurrence(n + 1) ** rounds
@@ -141,6 +164,61 @@ def test_block_action_validation():
     for text in ("0|1,1", "0,0"):  # a repeat would count one process too many
         with pytest.raises(ValueError, match="repeats an id"):
             parse_schedule(text)
+
+
+@pytest.mark.parametrize(
+    "classes,message",
+    [
+        (((0,), ()), "concurrency classes must be non-empty"),
+        (((1, 0),), "classes must be sorted id tuples"),
+        (((0,), (1, 1)), r"concurrency class \(1, 1\) repeats an id"),
+        (((0, 1), (1, 2)), "concurrency classes must be disjoint"),
+        (((0,), (2,)), "classes must cover the id set 0..n exactly"),
+        ((), "classes must cover the id set 0..n exactly"),
+    ],
+)
+def test_block_action_validation_messages(classes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BlockAction(classes)
+
+
+def nested_join_text(act):
+    """The text as it was once joined at every read: classes on '|', ids on ','."""
+    return "|".join(",".join(str(i) for i in cls) for cls in act.classes)
+
+
+def assert_tables_match_their_definitions(act):
+    """The process count, views and text worked out at construction are
+    what their definitions give: the classes' sizes, :func:`view1` and
+    the nested join."""
+    assert act.process_count == sum(map(len, act.classes))
+    assert act.views == tuple(
+        tuple(sorted(view1(i, act))) for i in range(act.process_count)
+    )
+    assert act.text() == nested_join_text(act)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_enumerated_actions_work_out_their_tables_at_construction(n):
+    for act in enum_block_actions(n):
+        assert_tables_match_their_definitions(act)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_parsed_and_built_actions_work_out_the_same_tables(seed):
+    rng = random.Random(seed)
+    for _ in range(50):
+        n = rng.randrange(6)
+        ids = list(range(n + 1))
+        rng.shuffle(ids)
+        cuts = sorted(rng.sample(range(1, n + 1), rng.randrange(n + 1)))
+        classes = [ids[i:j] for i, j in zip([0, *cuts], [*cuts, n + 1])]
+        built = block_action(*classes)
+        assert_tables_match_their_definitions(built)
+        text = "|".join(",".join(map(str, cls)) for cls in classes)
+        for act in parse_schedule(f"{text};{text}").rounds:
+            assert act == built
+            assert_tables_match_their_definitions(act)
 
 
 def test_schedule_text_roundtrip():

@@ -236,17 +236,38 @@ def test_silent_writes_read_as_unwritten_cells():
         assert [j for j, _ in snap] == [0, 2]
 
 
+class UnreadViews:
+    """Stands in for a block action's views: every read of it fails."""
+
+    def refuse(self, *args):
+        raise AssertionError("the simulator read a view")
+
+    __getitem__ = __iter__ = __len__ = __contains__ = refuse
+    __eq__ = __hash__ = __bool__ = __getattr__ = refuse
+
+
 def test_canonical_finals_reads_no_view(monkeypatch):
-    # fresh actions, whose views are not worked out yet, and a view
-    # function that refuses: the walk must see only the classes
+    # fresh actions, built with views that refuse every read in place of
+    # those worked out at construction, and a view function that refuses:
+    # the walk must see only the classes
     expected = [run(s).finals for s in enum_schedules(2, 2)]
-    schedules.enum_block_actions.cache_clear()
+    build = schedules.BlockAction.__init__
+
+    def build_without_views(self, classes):
+        build(self, classes)
+        object.__setattr__(self, "views", UnreadViews())
 
     def no_views(agent, act):
         raise AssertionError("the simulator read a view")
 
+    monkeypatch.setattr(schedules.BlockAction, "__init__", build_without_views)
     monkeypatch.setattr(schedules, "view1", no_views)
-    assert canonical_finals(2, 2) == expected
+    schedules.enum_block_actions.cache_clear()
+    try:
+        assert canonical_finals(2, 2) == expected
+    finally:
+        # the next caller gets actions with their views
+        schedules.enum_block_actions.cache_clear()
 
 
 def test_canonical_finals_refuses_zero_rounds():
