@@ -197,12 +197,9 @@ def json_text(data) -> str:
     the time: before Python 3.13 the library takes its pure-Python
     encoder for any indent.
     Lists of ints or strings, and lists of rows of them, are joined in
-    one call; other leaves and empty containers, which fit on one line,
-    go to ``json.dumps``.  Open containers wait on an explicit stack, so
+    one call; other values that fit on one line are written by
+    :func:`_leaf_text`.  Open containers wait on an explicit stack, so
     no nesting meets the recursion limit."""
-    import json
-    from json.encoder import encode_basestring_ascii
-
     out: list[str] = []
     # per open container: its (lead, value) pairs left, its values' layout, its close
     stack: list = []
@@ -210,22 +207,26 @@ def json_text(data) -> str:
     obj, layout = data, layouts("\n")
     while True:
         kind = type(obj)
-        if kind is str:
-            out.append(encode_basestring_ascii(obj))
-        elif kind is int:
+        if kind is int:
             out.append(int.__repr__(obj))
         elif (kind is list or kind is tuple) and (shape := _joined_shape(obj)) is not None:
             rows, leaf = shape
-            show = int.__repr__ if leaf is int else encode_basestring_ascii
             _, inner, sep, list_open, list_close, _, _ = layout
+            quote, show = "", int.__repr__ if leaf is int else _leaf_text
+            if leaf is str and _plain("".join(chain.from_iterable(obj) if rows else obj)):
+                quote, show = '"', str  # written as they are, inside quotes
             if rows:
                 _, _, row_sep, row_open, row_close, _, _ = layouts(inner)
+                row_sep = quote + row_sep + quote
+                row_open, row_close = row_open + quote, quote + row_close
                 items = [row_open + row_sep.join(map(show, row)) + row_close for row in obj]
             else:
+                sep = quote + sep + quote
+                list_open, list_close = list_open + quote, quote + list_close
                 items = map(show, obj)
             out.append(list_open + sep.join(items) + list_close)
         elif (container := _container(obj, layout)) is None:
-            out.append(json.dumps(obj))
+            out.append(_leaf_text(obj))
         else:
             leads, values, close = container
             stack.append((zip(leads, values), layouts(layout[1]), close))
@@ -257,6 +258,35 @@ def _joined_shape(items) -> tuple[bool, type] | None:
     return None
 
 
+def _plain(text: str) -> bool:
+    """Whether JSON writes ``text`` as it is between quotes: printable
+    ASCII with no quote or backslash.  A joined text is plain exactly
+    when each of its parts is."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _leaf_text(obj) -> str:
+    """A scalar, or an empty list, tuple or dict, as ``json.dumps`` writes
+    it; only a float, a string that needs escaping or a value it refuses
+    loads the JSON codec."""
+    if type(obj) is str and _plain(obj):
+        return '"' + obj + '"'
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if obj is True or obj is False or obj is None:
+        return _LITERALS[obj]
+    if isinstance(obj, (list, tuple)):
+        return "[]"
+    if isinstance(obj, dict):
+        return "{}"
+    import json
+
+    return json.dumps(obj)
+
+
 def _layout(newline: str) -> tuple[str, ...]:
     """``(newline, inner, sep, list open, list close, dict open, dict close)``:
     the text around a container at line break ``newline``, values at ``inner``."""
@@ -281,16 +311,13 @@ def _container(obj, layout: tuple[str, ...]):
 def _key_text(key) -> str:
     """A dict key and its ``": "`` as ``json.dumps`` writes them: an
     int, float, bool or None key as its JSON text, quoted."""
-    import json
-    from json.encoder import encode_basestring_ascii
-
     if not isinstance(key, str):
         if key is not None and not isinstance(key, (int, float)):  # bool is an int
             raise TypeError(
                 f"keys must be str, int, float, bool or None, not {type(key).__name__}"
             )
-        key = json.dumps(key)
-    return encode_basestring_ascii(key) + ": "
+        key = _leaf_text(key)
+    return _leaf_text(key) + ": "
 
 
 def json_text_size(data) -> int:
@@ -299,15 +326,13 @@ def json_text_size(data) -> int:
     once, by ``id``, in a loop over an explicit stack, and serves every
     place it occurs (one level deeper, its text gains two spaces after
     each newline): the time is linear in the distinct containers."""
-    import json
-
     top = _layout("\n")
     sizes: dict[int, tuple[int, int]] = {}
     stack = [data]
     while stack:
         obj = stack.pop()
         # a value written whole is its text alone, as json.dumps writes it
-        leads, values, close = _container(obj, top) or ([json.dumps(obj)], (), "")
+        leads, values, close = _container(obj, top) or ([_leaf_text(obj)], (), "")
         todo = [value for value in values if id(value) not in sizes]
         if todo:
             stack += [obj, *todo]  # come back once every item is sized

@@ -88,10 +88,16 @@ class _Search:
     meets a conflict, which ends the search), and later a domain that
     falls to one value is assigned at the same level and undone with it.
 
-    Each decision takes the lowest-numbered unassigned variable and its
-    smallest remaining value, and then the first complete assignment is
-    the lexicographically first solution S in variable order, the
-    certificate plain depth-first search would find:
+    Each decision takes the first unassigned variable of an order and its
+    smallest remaining value.  The order is the variable numbers until
+    the first conflict; its nogood is learned at the root, and from there
+    the variables of the most schedules come first (fail first, Haralick
+    and Elliott 1980; ties by class index, then agent), which refutes
+    sooner.  A complete assignment that order reaches with decisions is
+    dropped for a search from the root in number order under every
+    nogood.  A search in number order ends with the lexicographically
+    first solution S in that order, the certificate plain depth-first
+    search would find:
 
     - Every nogood is implied by the task, so every removed value and
       every implied literal is implied by the task plus the decisions at
@@ -106,6 +112,9 @@ class _Search:
       No nogood excludes S, so the search cannot end Unsolvable; it ends
       only with every decision agreeing with S, and the assignment it
       ends with is S.
+
+    A complete assignment reached at the root is implied by the task, so
+    it is the only solution, S.
 
     The view classes are those of ``frame``, the schedule action model's
     frame, read as its dual complex: the variables are the vertices and
@@ -347,11 +356,14 @@ class _Search:
         self.queue.clear()
 
     def _learn(self, nogood: list[int]) -> bool:
-        """Record ``nogood`` after the backjump and remove its UIP value."""
+        """Record ``nogood``, and remove its UIP value unless the search
+        returned to the root, where no other literal holds."""
         self.learned += 1
         if len(nogood) > 1:
             self.watches[nogood[0]].append(nogood)
             self.watches[nogood[1]].append(nogood)
+            if self.choice[self.lit_var[nogood[1]]] < 0:
+                return True
         vid = self.lit_var[nogood[0]]
         return self._remove(vid, nogood[0] - self.lit_base[vid], nogood)
 
@@ -363,25 +375,54 @@ class _Search:
         if not all(self.live):
             return False  # a schedule allows no tuple
         self.queue = list(range(len(self.live)))
-        ok = self._propagate()
-        n_vars = len(self.variables)
+        canonical = range(len(self.variables))
+        found = self._decide(canonical, self._propagate(), restart=True)
+        if found is None:
+            nogood = self._analyze()
+            self._backjump(0)
+            ok = self._learn(nogood) and self._propagate()
+            found = self._decide(self._refutation_order(), ok)
+            if found and self.marks:
+                self._backjump(0)
+                found = self._decide(canonical, True)
+        return found
+
+    def _refutation_order(self) -> list[int]:
+        """The variables by the number of schedules they constrain, most
+        first, then by class index, then by agent."""
+        touching, variables = self.touching, self.variables
+        return sorted(
+            range(len(variables)),
+            key=lambda v: (-len(touching[v]), variables[v][1], variables[v][0]),
+        )
+
+    def _decide(self, order, ok: bool, restart: bool = False) -> bool | None:
+        """Decide in ``order`` from the root, whose propagation returned
+        ``ok``: True once every variable has a value, False at a conflict
+        at the root, and with ``restart`` None at the first conflict."""
         choice = self.choice
-        vid = 0
+        n_vars = len(order)
+        pos = 0
+        decided_at: list[int] = []  # per level, its decision's position
         while True:
             while not ok:
                 self.backtracks += 1
                 if not self.marks:
                     return False
+                if restart:
+                    return None
                 nogood = self._analyze()
                 back = self.level[self.lit_var[nogood[1]]] if len(nogood) > 1 else 0
-                # the variable decided at level back + 1 heads its trail
-                vid = self.trail[self.marks[back][0]]
+                pos = decided_at[back]
+                del decided_at[back:]
                 self._backjump(back)
                 ok = self._learn(nogood) and self._propagate()
-            while vid < n_vars and choice[vid] >= 0:
-                vid += 1
-            if vid == n_vars:
+            while pos < n_vars and choice[order[pos]] >= 0:
+                pos += 1
+            if pos == n_vars:
                 return True
+            vid = order[pos]
+            decided_at.append(pos)
             self.nodes += 1
             self.marks.append((len(self.trail), len(self.log)))
             dom = self.domain[vid]

@@ -1034,22 +1034,28 @@ _MODELS = _BASE | {"epikit.logic"}
 _DECIDE = _BASE | {"epikit.tasks", "epikit.solver"}
 
 
-@pytest.mark.parametrize("argv, modules", [
-    (["--version"], {"epikit", "epikit.cli"}),
-    (["model", "protocol", "--n", "2", "--rounds", "2"], _MODELS),
-    (["mc", "protocol", "--state", "0|1|2", "--formula", "K[0] id_0"], _MODELS),
-    (["check", "--n", "1", "--task", "testset"], _DECIDE),
-    (["check", "--n", "1", "--task", "testset", "--report"], _DECIDE),
+# what each command loads: its epikit modules, and whether it may load the
+# JSON codec (only to read a file; every output here is ints and plain
+# strings, which the writer writes without it)
+@pytest.mark.parametrize("argv, modules, codec", [
+    (["--version"], {"epikit", "epikit.cli"}, False),
+    (["model", "protocol", "--n", "2", "--rounds", "2"], _MODELS, False),
+    (["mc", "protocol", "--state", "0|1|2", "--formula", "K[0] id_0"], _MODELS, False),
+    (["check", "--n", "1", "--task", "testset"], _DECIDE, False),
+    (["check", "--n", "1", "--task", "testset", "--report"], _DECIDE, False),
     # only a Solvable verdict runs the simulator, to verify its certificate
-    (["check", "--n", "2", "--task", "snapshot"], _DECIDE | {"epikit.simengine"}),
-    (["check", "--n", "1", "--task-file", "TASK_FILE"], _DECIDE | {"epikit.simengine"}),
+    (["check", "--n", "2", "--task", "snapshot"], _DECIDE | {"epikit.simengine"}, False),
+    (["check", "--n", "2", "--task", "snapshot", "--certificate", "CERT"],
+     _DECIDE | {"epikit.simengine"}, False),
+    (["check", "--n", "1", "--task-file", "TASK_FILE"], _DECIDE | {"epikit.simengine"}, True),
 ], ids=["version", "model protocol", "mc protocol", "check", "check --report",
-        "check solvable", "check --task-file"])
-def test_each_command_imports_only_the_modules_it_runs(argv, modules, tmp_path):
+        "check solvable", "check --certificate", "check --task-file"])
+def test_each_command_imports_only_the_modules_it_runs(argv, modules, codec, tmp_path):
     # a task every decision solves
     task_file = tmp_path / "task.json"
     task_file.write_text(json.dumps({"n": 1, "N": 1, "tuples": [[0, 0]], "delta": [[0]] * 3}))
-    argv = [str(task_file) if arg == "TASK_FILE" else arg for arg in argv]
+    paths = {"TASK_FILE": str(task_file), "CERT": str(tmp_path / "cert.json")}
+    argv = [paths.get(arg, arg) for arg in argv]
     # a new process, so the modules this test process holds do not count
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORTS_AFTER, *argv],
@@ -1058,7 +1064,10 @@ def test_each_command_imports_only_the_modules_it_runs(argv, modules, tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.splitlines()[0].split()) == modules
+    loaded, json_modules = proc.stdout.splitlines()
+    assert set(loaded.split()) == modules
+    if not codec:
+        assert json_modules == ""
 
 
 def test_version_loads_no_json_codec():

@@ -6,7 +6,9 @@ three-process task at one round), written against raw views without the
 solver's data structures.
 """
 
+import inspect
 import random
+import sys
 from itertools import product as iproduct
 
 import pytest
@@ -704,9 +706,9 @@ def _differential_case(seed):
     return _threshold_task(rng, n, rounds, width, rng.uniform(low, high)), brute
 
 
-# seed 97 is the first case whose search meets a learned nogood with
-# every literal already holding (the conflict branch of _Search._watch)
-@pytest.mark.parametrize("seed", [*range(90), 97])
+# seed 205 reaches the conflict branch of _Search._watch (see
+# test_a_watched_nogood_can_find_all_its_literals_holding)
+@pytest.mark.parametrize("seed", [*range(90), 97, 205])
 def test_learning_search_finds_the_canonical_first_certificate(seed):
     task, brute = _differential_case(seed)
     verdict = solve(task)
@@ -792,6 +794,94 @@ def test_single_valued_cases_meet_conflicts():
     assert sum(1 for count in learned if count) >= 5
 
 
+def _line_hits(function, text, call):
+    """How often ``call()`` runs the line of ``function`` that holds ``text``."""
+    lines, start = inspect.getsourcelines(function)
+    target = start + next(i for i, line in enumerate(lines) if text in line)
+    code = function.__code__
+    hits = 0
+
+    def local(frame, event, arg):
+        nonlocal hits
+        hits += event == "line" and frame.f_lineno == target
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        call()
+    finally:
+        sys.settrace(before)
+    return hits
+
+
+def test_a_watched_nogood_can_find_all_its_literals_holding():
+    # two literals of a learned nogood can come to hold in one propagation
+    # step, before the watch of either is visited; the visit then finds
+    # every literal holding, a conflict
+    task = _differential_case(205)[0]
+    assert _line_hits(_Search._watch, "for held in nogood", lambda: solve(task))
+
+
+def _certified_searches(monkeypatch):
+    """The searches, from now on, whose refutation stage ends with
+    decisions on the trail, so that a canonical search gives the
+    certificate."""
+    refutations, certified = [], []
+    build, decide = _Search._refutation_order, _Search._decide
+
+    def refutation_order(self):
+        refutations.append(build(self))
+        return refutations[-1]
+
+    def recorded(self, order, ok, restart=False):
+        found = decide(self, order, ok, restart)
+        if refutations and order is refutations[-1] and found and self.marks:
+            certified.append(self)
+        return found
+
+    monkeypatch.setattr(_Search, "_refutation_order", refutation_order)
+    monkeypatch.setattr(_Search, "_decide", recorded)
+    return certified
+
+
+def test_the_certificate_after_a_refutation_stage_is_the_canonical_first(monkeypatch):
+    certified = _certified_searches(monkeypatch)
+    tasks = [task for task, brute in map(_differential_case, range(90)) if brute]
+    tasks += map(_single_valued_case, range(30))
+    staged = 0
+    for task in tasks:
+        certified.clear()
+        verdict = solve(task)
+        if certified:
+            staged += 1
+            frame = protocol_action_model(task.n, task.rounds).frame
+            expected = ChronologicalSearch(task, frame).solve()
+            assert verdict.decision == expected == brute_force_first(task)
+    assert staged >= 10
+
+
+def test_a_conflict_free_search_builds_no_refutation_order(monkeypatch):
+    built = []
+    build = _Search._refutation_order
+    monkeypatch.setattr(
+        _Search, "_refutation_order", lambda self: built.append(self) or build(self)
+    )
+    tasks = [builtin(name, n, rounds) for name, n, rounds in BUILTIN_STATS]
+    tasks += [_differential_case(seed)[0] for seed in range(90)]
+    tasks += map(_single_valued_case, range(30))
+    rng = random.Random(46)
+    tasks += [_planted_task(rng, 2, 2, None)[0] for _ in range(10)]
+    decided_without_conflict = 0
+    for task in tasks:
+        built.clear()
+        stats = solve(task).stats
+        # the first conflict above the root learns a nogood
+        assert bool(built) == (stats.learned > 0)
+        decided_without_conflict += stats.nodes > 0 and not built
+    assert decided_without_conflict >= 10
+
+
 def test_a_removal_leaves_the_variable_a_value(monkeypatch):
     # _Search._remove has no empty-domain branch: it relies on every
     # unassigned variable keeping two or more values
@@ -843,7 +933,7 @@ BUILTIN_STATS = {
     ("testset", 3, 1): (0, 1, 5, 0),
     ("testset", 3, 2): (0, 1, 32, 0),
     ("two_testset", 2, 1): (0, 1, 8, 0),
-    ("two_testset", 2, 2): (87, 52, 1428, 51),
+    ("two_testset", 2, 2): (112, 31, 690, 30),
     ("snapshot", 2, 1): (0, 0, 12, 0),
     ("snapshot", 3, 1): (0, 0, 32, 0),
     ("snapshot", 4, 1): (0, 0, 80, 0),
