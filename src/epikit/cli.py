@@ -424,13 +424,14 @@ def cmd_check(args) -> int:
     _check_n(args)
     task = _sized_task(args)
     verdict = solve(task)
+    # the file first: a path that cannot be written leaves no verdict
+    if verdict.solvable and args.certificate:
+        with open(args.certificate, "w") as fh:
+            fh.write(json_text(decision_to_json(task, verdict)) + "\n")
     if args.report:
         print(json_text(verdict_report(task, verdict)))
     else:
         print("solvable" if verdict.solvable else "unsolvable")
-    if verdict.solvable and args.certificate:
-        with open(args.certificate, "w") as fh:
-            fh.write(json_text(decision_to_json(task, verdict)) + "\n")
     return EXIT_OK if verdict.solvable else EXIT_UNSOLVABLE
 
 

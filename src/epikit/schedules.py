@@ -23,18 +23,14 @@ from .record import Record
 class BlockAction(Record):
     """Ordered partition of {0..n} into non-empty concurrency classes.
 
-    The loop that validates the classes also works out, once per action,
-    ``process_count``, ``views`` (``views[i]`` is agent i's view,
-    :func:`view1`, as a sorted id tuple: the sorted union of the classes
-    up to and including its own) and the text of :meth:`text`."""
+    Once its classes are checked, an action works out ``process_count``,
+    ``views`` (``views[i]`` is agent i's view, :func:`view1`, as a sorted
+    id tuple) and the text of :meth:`text` (see :func:`_fill_tables`)."""
 
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         seen: set[int] = set()
-        view: tuple[int, ...] = ()
-        views: dict[int, tuple[int, ...]] = {}
-        texts = []
         for cls in self.classes:
             if not cls:
                 raise ValueError("concurrency classes must be non-empty")
@@ -46,22 +42,42 @@ class BlockAction(Record):
             if seen & ids:
                 raise ValueError("concurrency classes must be disjoint")
             seen |= ids
-            view = tuple(sorted(view + cls))
-            for i in cls:
-                views[i] = view
-            texts.append(",".join(map(str, cls)))
-        count = len(seen)
-        if seen != set(range(count)) or not seen:
+        if seen != set(range(len(seen))) or not seen:
             raise ValueError("classes must cover the id set 0..n exactly")
-        object.__setattr__(self, "process_count", count)
-        object.__setattr__(self, "views", tuple(map(views.__getitem__, range(count))))
-        object.__setattr__(self, "_text", "|".join(texts))
+        _fill_tables(self)
 
     def view(self, agent: int) -> frozenset[int]:
         return view1(agent, self)
 
     def text(self) -> str:
         return self._text
+
+
+def _fill_tables(act: BlockAction) -> None:
+    """Set the tables of an action whose classes are valid: its
+    ``process_count``, its ``views`` (agent i's view is the sorted union
+    of the classes up to and including its own) and its text, worked
+    out once per action."""
+    view: tuple[int, ...] = ()
+    views: dict[int, tuple[int, ...]] = {}
+    for cls in act.classes:
+        view = tuple(sorted(view + cls))
+        for i in cls:
+            views[i] = view
+    count = len(views)
+    object.__setattr__(act, "process_count", count)
+    object.__setattr__(act, "views", tuple(map(views.__getitem__, range(count))))
+    text = "|".join([",".join(map(str, cls)) for cls in act.classes])
+    object.__setattr__(act, "_text", text)
+
+
+def _trusted_action(classes: tuple[tuple[int, ...], ...]) -> BlockAction:
+    """The action of classes the package built itself, without the checks
+    of ``__post_init__``, which are for classes a caller hands in."""
+    act = object.__new__(BlockAction)
+    object.__setattr__(act, "classes", classes)
+    _fill_tables(act)
+    return act
 
 
 class Schedule(Record):
@@ -158,11 +174,13 @@ def enum_block_actions(n: int) -> tuple[BlockAction, ...]:
     """All block actions over {0..n}, shortest first, then lexicographic
     on the class sequence.  The order is the state numbering used by
     every schedule-indexed model, so it must never change.  Built once
-    per n and process, so each action's views and text are worked out once."""
+    per n and process, so each action's views and text are worked out
+    once, and without the checks of ``BlockAction``: every ordered
+    partition is a valid action."""
     if n < 0:
         raise ValueError("n must be >= 0")
     parts = sorted(_ordered_partitions(tuple(range(n + 1))), key=lambda p: (len(p), p))
-    return tuple(BlockAction(p) for p in parts)
+    return tuple(map(_trusted_action, parts))
 
 
 def enum_schedules(n: int, rounds: int) -> list[Schedule]:
@@ -251,14 +269,16 @@ def final_states(
     all rounds of the k-th schedule of :func:`enum_schedules`.
 
     Derived from the view structure alone: round r hands agent i the
-    written values of everyone in its round-r view.  The memory-array
-    simulator recomputes the same thing operationally and the two must
-    agree; keep this path free of simulator code.  The schedule tree is
-    walked round by round, each prefix's (write, state) pairs stepped by
-    every block action with one abstraction call per (prefix, process,
-    view).  The last level is returned as it comes out, per prefix and
-    view (see :class:`FinalStates`), not expanded per schedule.  Equal
-    states or writes are one object (so both must be hashable).
+    written values of everyone in its round-r view, leaving out a write
+    of None (the simulator reads a cell holding None as not written).
+    The memory-array simulator recomputes the same thing operationally
+    and the two must agree; keep this path free of simulator code.  The
+    schedule tree is walked round by round, each prefix's (write, state)
+    pairs stepped by every block action with one abstraction call per
+    (prefix, process, view).  The last level is returned as it comes
+    out, per prefix and view (see :class:`FinalStates`), not expanded per
+    schedule.  Equal states or writes are one object (so both must be
+    hashable).
     """
     acts = enum_block_actions(n)
     if rounds < 1:
@@ -276,11 +296,14 @@ def final_states(
     for rnd in range(1, rounds + 1):
         stepped_level = []
         for before in level:
+            # per process, the (id, value) its write puts in a snapshot,
+            # or None for a write of None, which no snapshot holds
+            cells = [None if w is None else (j, w) for j, (w, _) in enumerate(before)]
             steps = []
             for i, own_views in enumerate(views):
                 stepped = []
                 for view in own_views:
-                    snap = tuple((j, before[j][0]) for j in view)
+                    snap = tuple(filter(None, map(cells.__getitem__, view)))
                     write, state = abstraction(rnd, before[i][1], snap)
                     if rnd == rounds:  # nothing reads the last writes
                         stepped.append(distinct.setdefault(state, state))

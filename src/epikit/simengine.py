@@ -22,10 +22,17 @@ out and nothing of :mod:`epikit.schedules` but the schedule types, the
 action enumeration and the default abstraction is read, and the written
 sets come from the scheduler's writes, so a fault in the views cannot
 reach the simulator through them.  Equal local states come out as one
-object within a call, found by value, never by view.
+object within a call, found by value, never by view.  The walk's last
+level comes out per prefix of all rounds but the last, each process's
+final state per written set; :func:`canonical_finals` expands it per
+schedule, and :func:`class_rows`, which the certificate check of
+:mod:`epikit.solver` reads, numbers each process's classes off it
+without expanding it.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .record import Record
 from .schedules import (
@@ -142,6 +149,27 @@ def canonical_finals(
     per (prefix, process, written set).  Within one call equal final
     states are one object (so writes and states must be hashable).
     """
+    return _expand(*_last_level(n, rounds, abstraction))
+
+
+def _expand(prefixes: list, picks: list) -> list[tuple]:
+    """A level per schedule: under each prefix in order, for each action,
+    every process's entry at its slot."""
+    return [
+        tuple(map(list.__getitem__, steps, pick)) for steps in prefixes for pick in picks
+    ]
+
+
+def _last_level(
+    n: int, rounds: int, abstraction: Abstraction | None = None
+) -> tuple[list, list]:
+    """The walk of :func:`canonical_finals`, whose last level is returned
+    as it comes out: ``prefixes[p][i][w]`` is process i's final state
+    after the p-th prefix of all rounds but the last and its w-th
+    distinct written set, and ``picks[x][i]`` is the slot of process i's
+    set under the x-th block action.  Schedule k is prefix
+    ``k // len(picks)`` followed by action ``k % len(picks)``.  Equal
+    final states are one object, which lives as long as ``prefixes``."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     acts = enum_block_actions(n)
@@ -157,7 +185,7 @@ def canonical_finals(
     # per prefix, each process's (write, state); round 1 writes the ids
     level: list = [tuple((i, i) for i in range(n + 1))]
     for rnd in range(1, rounds + 1):
-        after: list = []
+        stepped_level = []
         for before in level:
             cells = _cells([write for write, _ in before], canon)
             snaps: dict[int, tuple] = {}  # written set -> snapshot, under this prefix
@@ -172,9 +200,34 @@ def canonical_finals(
                     # nothing reads the last writes
                     stepped.append(canon(state) if rnd == rounds else (write, canon(state)))
                 steps.append(stepped)
-            after.extend([tuple(map(list.__getitem__, steps, pick)) for pick in picks])
-        level = after
-    return level
+            stepped_level.append(steps)
+        if rnd == rounds:
+            return stepped_level, picks
+        level = _expand(stepped_level, picks)
+
+
+def class_rows(
+    n: int, rounds: int, abstraction: Abstraction | None = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Per process, its classes over the canonical schedules (two alike
+    iff its final states are equal) as a row, the class of each
+    schedule numbered by first occurrence, and their count.
+
+    Read off the last level of one :func:`canonical_finals` walk as it
+    comes out: after each prefix, the process's final states are
+    labelled once, by identity (equal states are one object), and the
+    labels are spread over the block actions by its written-set slots.
+    Prefixes in order and slots in index order number the classes by
+    first occurrence, since slots are numbered in action order."""
+    # kept until every row is labelled, so that no id is reused
+    prefixes, picks = _last_level(n, rounds, abstraction)
+    for i, slots in enumerate(zip(*picks)):
+        seen: dict[int, int] = {}
+        row: list[int] = []
+        for steps in prefixes:
+            labels = [seen.setdefault(id(state), len(seen)) for state in steps[i]]
+            row.extend(map(labels.__getitem__, slots))
+        yield tuple(row), len(seen)
 
 
 def oracle_indist(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import contains
 
-from .kernel import FrameMorphism, KripkeFrame, is_morphism, new_frame
+from .kernel import KripkeFrame, new_frame
 from .record import Record
 from .schedules import Abstraction, protocol_action_model, schedule_context
 from .tasks import InputlessTask, Value, _value_to_json
@@ -481,20 +481,19 @@ def verify_certificate(
     the output complex (the duality of :mod:`epikit.topology`).
 
     View classes are re-derived by running every schedule once in the
-    memory simulator, in one :func:`simengine.canonical_finals` walk of
-    the schedule tree, and grouping final states, not by reusing the view
-    algebra: the walk reads what each process snapshots off the
-    scheduler's writes to an array, never off a view, so it stays an
-    oracle.  The morphism check against the view algebra's frame is what
-    makes the two agree.  Equal final states are one object within the
-    walk, so each agent's classes are numbered once, by the identity of
-    its final state in order of first occurrence, as
-    :attr:`ScheduleContext.frame` numbers them, and each schedule's
-    decided value is read through that numbering: an interning that
-    failed could only split a class, which the class-count check refuses.
-    The induced tuples are then looked up and checked against the task's
+    memory simulator, in one walk of the schedule tree
+    (:func:`simengine.class_rows`), not by reusing the view algebra: the
+    walk reads what each process snapshots off the scheduler's writes to
+    an array, never off a view, so it stays an oracle.  Each agent's
+    classes come as one row over the schedules, numbered by first
+    occurrence as :attr:`ScheduleContext.frame` numbers the view
+    algebra's, and the row must equal the frame's: any disagreement
+    between the simulator and the view algebra is refused, whatever the
+    map decides.  With the rows equal, schedule k decides the map's value
+    for its class, so the morphism condition holds by construction; the
+    induced tuples are then looked up and checked against the task's
     rows in one pass each.  Raises on partial maps and on agent-count or
-    class-count mismatches.
+    class-count mismatches, before any refusal.
     """
     from . import simengine
 
@@ -505,25 +504,22 @@ def verify_certificate(
             f"decision map covers {len(decision.values)} agents, "
             f"the task has {n_agents}"
         )
-    # kept until the values are read, so that no id is reused
-    finals = simengine.canonical_finals(task.n, task.rounds, abstraction)
-    # per agent, its decided value at every schedule
+    agrees = True
     decided = []
-    for a, states in enumerate(zip(*finals)):
-        ids = list(map(id, states))
-        classes = dict.fromkeys(ids)  # in order of first occurrence
-        if len(decision.values[a]) != len(classes):
+    for a, ((labels, count), row) in enumerate(
+        zip(simengine.class_rows(task.n, task.rounds, abstraction), ctx.frame.partitions)
+    ):
+        if len(decision.values[a]) != count:
             raise SolverError(
                 f"decision map for agent {a} covers {len(decision.values[a])} "
-                f"classes, simulator found {len(classes)}"
+                f"classes, simulator found {count}"
             )
-        value_of = dict(zip(classes, decision.values[a]))
-        decided.append(map(value_of.__getitem__, ids))
-
-    image = list(map(task.output.index.get, zip(*decided)))
-    if None in image or not all(map(contains, task.delta_table, image)):
+        agrees = agrees and labels == row
+        decided.append(map(decision.values[a].__getitem__, row))
+    if not agrees:
         return False
-    return is_morphism(FrameMorphism(tuple(image)), ctx.frame, task.output.frame)
+    image = map(task.output.index.get, zip(*decided))
+    return all(map(contains, task.delta_table, image))
 
 
 def conflict_core(

@@ -434,6 +434,17 @@ def test_check_solvable_exit_zero(capsys, tmp_path):
     assert data["task"] == "snapshot"
 
 
+@pytest.mark.parametrize("report", [False, True])
+def test_check_with_an_unwritable_certificate_prints_no_verdict(tmp_path, report):
+    cert = tmp_path / "missing" / "cert.json"
+    args = ["check", "--n", "1", "--task", "snapshot", "--certificate", str(cert)]
+    proc = _cli(*args, *(["--report"] if report else []))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert not cert.exists()
+
+
 def test_check_unsolvable_exit_two(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--n", "2", "--rounds", "1", "--task", "two-testset"

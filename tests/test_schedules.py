@@ -221,6 +221,19 @@ def test_parsed_and_built_actions_work_out_the_same_tables(seed):
             assert_tables_match_their_definitions(act)
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_enumerated_actions_equal_the_checked_ones(n):
+    # the enumeration builds its actions without the constructor's checks;
+    # each must be the action the checked constructor gives its classes
+    for act in enum_block_actions(n):
+        checked = BlockAction(act.classes)
+        assert type(act) is BlockAction
+        assert act == checked and hash(act) == hash(checked)
+        assert act.views == checked.views
+        assert act.text() == checked.text()
+        assert act.process_count == checked.process_count
+
+
 def test_schedule_text_roundtrip():
     sched = parse_schedule("0|1,2 ; 0,1,2")
     assert sched.rounds[0] == block_action([0], [1, 2])

@@ -14,10 +14,9 @@ from itertools import product as iproduct
 import pytest
 
 from epikit import schedules, simengine, solver
-from epikit.kernel import FrameMorphism, is_morphism, is_proper
+from epikit.kernel import FrameMorphism, is_morphism, is_proper, new_frame
 from epikit.logic import is_model_morphism
 from epikit.schedules import (
-    BlockAction,
     Schedule,
     enum_schedules,
     protocol_action_model,
@@ -36,6 +35,8 @@ from epikit.solver import (
 )
 from epikit.tasks import InputlessTask, OutputFrame, builtin, make_task, output_model
 from epikit.topology import morphism_to_simplicial
+
+from test_simengine import silent_on_even_snapshots
 
 P, Q, R = 0, 1, 2
 
@@ -153,12 +154,12 @@ def test_certificate_survives_verification():
 def test_verification_runs_each_schedule_once(monkeypatch):
     walks = []
 
-    def counting_finals(n, rounds, abstraction=None):
+    def counting_walk(n, rounds, abstraction=None):
         walks.append((n, rounds))
-        return real_finals(n, rounds, abstraction)
+        return real_walk(n, rounds, abstraction)
 
-    real_finals = simengine.canonical_finals
-    monkeypatch.setattr(simengine, "canonical_finals", counting_finals)
+    real_walk = simengine._last_level
+    monkeypatch.setattr(simengine, "_last_level", counting_walk)
     task = builtin("snapshot", 2)
     verdict = solve(task)
     assert verify_certificate(task, verdict.decision)
@@ -189,7 +190,12 @@ def test_search_and_models_build_no_schedule_record(monkeypatch):
 def test_snapshot_certificate_builds_actions_and_records_once(monkeypatch):
     schedules._cached_context.cache_clear()
     schedules.enum_block_actions.cache_clear()
-    actions = count_records(monkeypatch, BlockAction)
+    # enumerated and checked actions both get their tables here
+    actions = []
+    real_fill = schedules._fill_tables
+    monkeypatch.setattr(
+        schedules, "_fill_tables", lambda act: actions.append(real_fill(act))
+    )
     records = count_records(monkeypatch, Schedule)
     task = builtin("snapshot", 4)
     assert verify_certificate(task, solve(task).decision)
@@ -469,6 +475,19 @@ def _candidate_maps(rng, task, planted, abstraction):
     return maps
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_task_solved_under_none_writes_verifies(n):
+    # a write of None reads as an unwritten cell in the simulator and in
+    # the view algebra alike, so the certificate the search finds on the
+    # view classes passes the simulator's check (it raised SolverError)
+    task = make_task("one tuple", n, 2, [(0,) * (n + 1)], lambda s, out: True)
+    verdict = solve(task, abstraction=silent_on_even_snapshots)
+    assert verdict.solvable
+    assert verify_certificate(
+        task, verdict.decision, abstraction=silent_on_even_snapshots
+    )
+
+
 def _verdict_or_error(check, *args, **kwargs):
     try:
         return check(*args, **kwargs)
@@ -494,26 +513,60 @@ def test_verifier_agrees_with_three_check_reference(seed):
 def test_verifier_catches_a_simulator_that_disagrees(monkeypatch):
     # a simulator that answers each schedule with the next schedule's run
     # keeps every class count, and the task allows every combination of
-    # values, so only the morphism check can refuse; the reference reads
-    # lone runs and the verifier the tree walk, so both are shifted
+    # values, so only the comparison of classes can refuse; the reference
+    # reads lone runs and the verifier the tree walk, so both are shifted
+    # (one round has one prefix, so rotating the actions' slots shifts
+    # every schedule by one)
     task = builtin("snapshot", 2)
     verdict = solve(task)
     combos = list(iproduct(*(task.output.values_for(a) for a in range(3))))
     anything = make_task("anything", 2, 1, combos, lambda s, out: True)
     scheds = enum_schedules(2, 1)
     shifted = {s: scheds[(k + 1) % len(scheds)] for k, s in enumerate(scheds)}
-    real_run, real_finals = simengine.run, simengine.canonical_finals
+    real_run, real_walk = simengine.run, simengine._last_level
 
-    def shifted_finals(n, rounds, abstraction=None):
-        finals = real_finals(n, rounds, abstraction)
-        return finals[1:] + finals[:1]
+    def shifted_walk(n, rounds, abstraction=None):
+        prefixes, picks = real_walk(n, rounds, abstraction)
+        assert len(prefixes) == 1
+        return prefixes, picks[1:] + picks[:1]
 
     monkeypatch.setattr(
         simengine, "run", lambda s, abstraction=None: real_run(shifted[s], abstraction)
     )
-    monkeypatch.setattr(simengine, "canonical_finals", shifted_finals)
+    monkeypatch.setattr(simengine, "_last_level", shifted_walk)
     assert not reference_verify(anything, verdict.decision)
     assert not verify_certificate(anything, verdict.decision)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_verifier_refuses_simulator_classes_other_than_the_frames(monkeypatch, seed):
+    # a simulator that answers each schedule with another schedule's final
+    # states (a seeded permutation) keeps every class count; a map that
+    # decides one value per agent is a morphism whatever the classes are
+    # and the task allows its one tuple everywhere, so the map is accepted
+    # on the true classes and only the comparison of classes can refuse
+    rng = random.Random(seed)
+    n, rounds = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+    finals = simengine.canonical_finals(n, rounds)
+    frame = schedules.schedule_context(n, rounds).frame
+    while True:
+        moved = rng.sample(finals, len(finals))
+        rows = [[id(states[a]) for states in moved] for a in range(n + 1)]
+        if new_frame(len(moved), n + 1, rows).partitions != frame.partitions:
+            break
+    task = make_task("one tuple", n, rounds, [(0,) * (n + 1)], lambda s, out: True)
+    decision = DecisionMap(tuple((0,) * len(c) for c in frame.classes_by_agent))
+    assert verify_certificate(task, decision)
+
+    def moved_walk(n, rounds, abstraction=None):
+        # every schedule a prefix of its own, stepped by one action
+        return [[[state] for state in states] for states in moved], [(0,) * (n + 1)]
+
+    monkeypatch.setattr(simengine, "_last_level", moved_walk)
+    assert [count for _, count in simengine.class_rows(n, rounds)] == [
+        len(c) for c in frame.classes_by_agent
+    ]
+    assert not verify_certificate(task, decision)
 
 
 # ---------------------------------------------------------------------------
