@@ -1,10 +1,10 @@
 """Test isolation shared by every test directory.
 
-``epikit.schedules`` keeps one schedule context per (n, rounds,
-abstraction) for the life of the process, which is what a command-line
-run wants.  Each test starts without those contexts, so that no test sees
-work an earlier test left behind: the span tests, for one, count the
-calls a fresh process makes.
+``epikit.schedules`` keeps one schedule context per (n, rounds) for the
+life of the process, which is what a command-line run wants.  Each test
+starts without those contexts, so that no test sees work an earlier test
+left behind: the span tests, for one, count the calls a fresh process
+makes.
 """
 
 import sys
@@ -18,4 +18,4 @@ def _fresh_schedule_contexts():
     # here rather than importing it keeps this file free of the src path
     schedules = sys.modules.get("epikit.schedules")
     if schedules is not None:
-        schedules._cached_context.cache_clear()
+        schedules.schedule_context.cache_clear()

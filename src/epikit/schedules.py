@@ -9,7 +9,7 @@ is a sequence of N block actions, each applied to a fresh array.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import combinations, islice, product as iproduct
 
@@ -210,22 +210,6 @@ def indist_1(agent: int, a: BlockAction, b: BlockAction) -> bool:
     return view1(agent, a) == view1(agent, b)
 
 
-# A protocol abstraction maps (round, old local state, snapshot) to the
-# pair (value to write next round, new local state).  The snapshot is a
-# tuple of (id, written value) sorted by id.  Full information keeps and
-# writes everything: the new state is (own id, snapshot).
-Abstraction = Callable[[int, object, tuple], tuple[object, object]]
-
-
-def _own_id(state) -> int:
-    return state if isinstance(state, int) else state[0]
-
-
-def full_information(rnd: int, state, snapshot: tuple) -> tuple[object, object]:
-    new_state = (_own_id(state), snapshot)
-    return new_state, new_state
-
-
 class FinalStates(Sequence):
     """The final states of every schedule, kept as the walk of
     :func:`final_states` leaves them: per prefix of all rounds but the
@@ -262,28 +246,25 @@ class FinalStates(Sequence):
         return tuple(self) == tuple(other)
 
 
-def final_states(
-    n: int, rounds: int, abstraction: Abstraction | None = None
-) -> FinalStates:
+def final_states(n: int, rounds: int) -> FinalStates:
     """``final_states(n, rounds)[k][i]``: process i's local state after
     all rounds of the k-th schedule of :func:`enum_schedules`.
 
-    Derived from the view structure alone: round r hands agent i the
-    written values of everyone in its round-r view, leaving out a write
-    of None (the simulator reads a cell holding None as not written).
-    The memory-array simulator recomputes the same thing operationally
-    and the two must agree; keep this path free of simulator code.  The
-    schedule tree is walked round by round, each prefix's (write, state)
-    pairs stepped by every block action with one abstraction call per
-    (prefix, process, view).  The last level is returned as it comes
-    out, per prefix and view (see :class:`FinalStates`), not expanded per
-    schedule.  Equal states or writes are one object (so both must be
-    hashable).
+    Full information, derived from the view structure alone: round 1
+    writes the ids, every later round each process's state, and round r
+    leaves agent i the state ``(i, snapshot)``, the snapshot holding the
+    ``(id, written value)`` of everyone in its round-r view, by id.  The
+    memory-array simulator recomputes the same thing operationally and
+    the two must agree; keep this path free of simulator code.  The
+    schedule tree is walked round by round, each prefix's states stepped
+    by every block action with one step per (prefix, process, view).  The
+    last level is returned as it comes out, per prefix and view (see
+    :class:`FinalStates`), not expanded per schedule.  Equal states are
+    one object.
     """
     acts = enum_block_actions(n)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    abstraction = abstraction or full_information
     # per process, its distinct views in order of first occurrence, and
     # per action where each process's view stands among them
     views: list[dict] = [{} for _ in range(n + 1)]
@@ -292,27 +273,19 @@ def final_states(
         for act in acts
     )
     distinct: dict = {}
-    level = [tuple((i, i) for i in range(n + 1))]  # round 1 writes the ids
+    level = [tuple(range(n + 1))]  # round 1 writes the ids
     for rnd in range(1, rounds + 1):
         stepped_level = []
         for before in level:
             # per process, the (id, value) its write puts in a snapshot,
-            # or None for a write of None, which no snapshot holds
-            cells = [None if w is None else (j, w) for j, (w, _) in enumerate(before)]
+            # built once per prefix and shared by every snapshot holding it
+            cells = list(enumerate(before))
             steps = []
             for i, own_views in enumerate(views):
                 stepped = []
                 for view in own_views:
-                    snap = tuple(filter(None, map(cells.__getitem__, view)))
-                    write, state = abstraction(rnd, before[i][1], snap)
-                    if rnd == rounds:  # nothing reads the last writes
-                        stepped.append(distinct.setdefault(state, state))
-                        continue
-                    # full information writes its state: hash it once
-                    same = state is write
-                    write = distinct.setdefault(write, write)
-                    state = write if same else distinct.setdefault(state, state)
-                    stepped.append((write, state))
+                    state = (i, tuple(map(cells.__getitem__, view)))
+                    stepped.append(distinct.setdefault(state, state))
                 steps.append(tuple(stepped))
             stepped_level.append(tuple(steps))
         if rnd == rounds:
@@ -329,7 +302,7 @@ def final_states(
 
 class ScheduleContext:
     """The canonical schedules of (n, rounds) as text, their final states
-    under one abstraction and the frame of the view classes those give.
+    and the frame of the view classes those give.
 
     Get it from :func:`schedule_context`, which builds one per key and
     process, so the model builders, the solver and the reports share it
@@ -342,12 +315,11 @@ class ScheduleContext:
     not a value compared by its fields.
     """
 
-    def __init__(self, n: int, rounds: int, abstraction: Abstraction):
+    def __init__(self, n: int, rounds: int):
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
         self.n = n
         self.rounds = rounds
-        self.abstraction = abstraction
 
     @cached_property
     def finals(self) -> FinalStates:
@@ -356,7 +328,7 @@ class ScheduleContext:
         Equal states are kept as one object: there are far fewer distinct
         local states than (schedule, process) pairs, and the nested
         full-information states are large."""
-        return final_states(self.n, self.rounds, self.abstraction)
+        return final_states(self.n, self.rounds)
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
@@ -393,24 +365,15 @@ class ScheduleContext:
 
 
 @lru_cache(maxsize=16)
-def _cached_context(n: int, rounds: int, abstraction: Abstraction) -> ScheduleContext:
-    return ScheduleContext(n, rounds, abstraction)
-
-
-def schedule_context(
-    n: int, rounds: int, abstraction: Abstraction | None = None
-) -> ScheduleContext:
-    """The shared context for (n, rounds, abstraction); no abstraction
-    means full information."""
-    return _cached_context(n, rounds, abstraction or full_information)
+def schedule_context(n: int, rounds: int) -> ScheduleContext:
+    """The shared context for (n, rounds)."""
+    return ScheduleContext(n, rounds)
 
 
 # ---------------------------------------------------------------------------
 # models
 
-def protocol_action_model(
-    n: int, rounds: int, abstraction: Abstraction | None = None
-) -> ActionModel:
+def protocol_action_model(n: int, rounds: int) -> ActionModel:
     """The N-round schedule action model.
 
     One point per schedule in canonical order; two points are alike for an
@@ -419,7 +382,7 @@ def protocol_action_model(
     state carrying the same schedule.  Points record who observes whom in
     the last round, which is what sequential composition needs.
     """
-    frame = schedule_context(n, rounds, abstraction).frame
+    frame = schedule_context(n, rounds).frame
     preconditions = tuple(frozenset((k,)) for k in range(frame.state_count))
     # who observes whom depends only on the last round, which varies fastest
     acts = enum_block_actions(n)
@@ -445,9 +408,7 @@ def input_model(n: int, rounds: int) -> KripkeModel:
     return _trusted_model(frame, *_schedule_atoms(ctx))
 
 
-def protocol_model(
-    n: int, rounds: int, abstraction: Abstraction | None = None
-) -> KripkeModel:
+def protocol_model(n: int, rounds: int) -> KripkeModel:
     """The product update of the input model with the schedule action
     model, read off the schedule context.  Point k's precondition {k}
     keeps exactly the pairs (k, k), and the input frame relates every
@@ -456,7 +417,7 @@ def protocol_model(
     a caller's parts."""
     from .logic import _trusted_model
 
-    ctx = schedule_context(n, rounds, abstraction)
+    ctx = schedule_context(n, rounds)
     return _trusted_model(ctx.frame, *_schedule_atoms(ctx))
 
 

@@ -14,20 +14,19 @@ schedule tree, round by round: the runs under one prefix of actions share
 its rounds, and under one prefix the values every process will write are
 fixed, so a snapshot is fixed by the set of cells written when it is
 taken.  The scheduler writes each block action's classes into a fresh
-array once, which gives every process that set, and the abstraction is
-called once per (prefix, process, written set).  Both shortcuts stay in
-the simulator's own terms, a prefix of actions and the cells of an array,
-so it remains an oracle independent of the view algebra: no view is worked
-out and nothing of :mod:`epikit.schedules` but the schedule types, the
-action enumeration and the default abstraction is read, and the written
-sets come from the scheduler's writes, so a fault in the views cannot
-reach the simulator through them.  Equal local states come out as one
-object within a call, found by value, never by view.  The walk's last
-level comes out per prefix of all rounds but the last, each process's
-final state per written set; :func:`canonical_finals` expands it per
-schedule, and :func:`class_rows`, which the certificate check of
-:mod:`epikit.solver` reads, numbers each process's classes off it
-without expanding it.
+array once, which gives every process that set, and a new local state is
+made once per (prefix, process, written set).  Both shortcuts stay in the
+simulator's own terms, a prefix of actions and the cells of an array, so
+it remains an oracle independent of the view algebra: no view is worked
+out and nothing of :mod:`epikit.schedules` but the schedule types and the
+action enumeration is read, and the written sets come from the
+scheduler's writes, so a fault in the views cannot reach the simulator
+through them.  Equal local states come out as one object within a call,
+found by value, never by view.  The walk's last level comes out per
+prefix of all rounds but the last, each process's final state per
+written set; :func:`canonical_finals` expands it per schedule, and
+:func:`class_rows`, which the certificate check of :mod:`epikit.solver`
+reads, numbers each process's classes off it without expanding it.
 """
 
 from __future__ import annotations
@@ -35,13 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .record import Record
-from .schedules import (
-    Abstraction,
-    BlockAction,
-    Schedule,
-    enum_block_actions,
-    full_information,
-)
+from .schedules import BlockAction, Schedule, enum_block_actions
 
 
 class RunRecord(Record):
@@ -96,60 +89,52 @@ def _written(act: BlockAction) -> list[int]:
     return out
 
 
-def _cells(writes: tuple, canon: _Canon) -> tuple:
-    """Per process, the (id, value) pair its write puts in the array, or
-    None when the value is None: a cell that holds None reads as not
-    written."""
-    return tuple(None if w is None else canon((j, w)) for j, w in enumerate(writes))
+def _cells(states: tuple, canon: _Canon) -> tuple:
+    """Per process, the (id, value) pair its write of its state puts in
+    the array."""
+    return tuple([canon((j, state)) for j, state in enumerate(states)])
 
 
 def _snapshot(cells: tuple, written: int, canon: _Canon) -> tuple:
     """The array read when the cells in ``written`` hold their writes."""
-    return canon(tuple([
-        cell for j, cell in enumerate(cells) if written >> j & 1 and cell is not None
-    ]))
+    return canon(tuple([cell for j, cell in enumerate(cells) if written >> j & 1]))
 
 
-def run(sched: Schedule, abstraction: Abstraction | None = None) -> RunRecord:
+def run(sched: Schedule) -> RunRecord:
     """Execute one schedule and record its snapshots and final states.
 
-    Values written in round r live only in round r's array; a process's
-    pending write for round r+1 is produced by the abstraction from its
-    state after round r (full information by default), which must be a
-    function of its arguments.  Within one run equal writes and states
-    are one object (so both must be hashable).
+    Full information: round 1 writes the ids and every later round each
+    process's state, into that round's array alone, and a process's
+    state after a round is ``(own id, snapshot)``.  Within one run equal
+    states are one object.
     """
-    return _run(sched, abstraction or full_information, _Canon())
+    return _run(sched, _Canon())
 
 
-def _run(sched: Schedule, abstraction: Abstraction, canon: _Canon) -> RunRecord:
-    """:func:`run`, with equal writes and states found in ``canon``,
-    which several runs may share."""
-    states = writes = tuple(range(sched.process_count))  # round 1 writes the ids
+def _run(sched: Schedule, canon: _Canon) -> RunRecord:
+    """:func:`run`, with equal states found in ``canon``, which several
+    runs may share."""
+    states = tuple(range(sched.process_count))  # round 1 writes the ids
     snapshots = []
-    for rnd, act in enumerate(sched.rounds, start=1):
-        cells = _cells(writes, canon)
+    for act in sched.rounds:
+        cells = _cells(states, canon)
         snaps = tuple([_snapshot(cells, w, canon) for w in _written(act)])
-        steps = [abstraction(rnd, state, snap) for state, snap in zip(states, snaps)]
-        writes = tuple([canon(write) for write, _ in steps])
-        states = tuple([canon(state) for _, state in steps])
+        states = tuple([canon((i, snap)) for i, snap in enumerate(snaps)])
         snapshots.append(snaps)
     return RunRecord(sched, tuple(snapshots), states)
 
 
-def canonical_finals(
-    n: int, rounds: int, abstraction: Abstraction | None = None
-) -> list[tuple]:
+def canonical_finals(n: int, rounds: int) -> list[tuple]:
     """``canonical_finals(n, rounds)[k]``: the final states of the k-th
     schedule of :func:`epikit.schedules.enum_schedules`, equal to
     ``run(schedule).finals``.
 
     One walk of the schedule tree, round by round: every prefix of
-    actions is stepped by every block action, with one abstraction call
-    per (prefix, process, written set).  Within one call equal final
-    states are one object (so writes and states must be hashable).
+    actions is stepped by every block action, with one new state per
+    (prefix, process, written set).  Within one call equal final states
+    are one object.
     """
-    return _expand(*_last_level(n, rounds, abstraction))
+    return _expand(*_last_level(n, rounds))
 
 
 def _expand(prefixes: list, picks: list) -> list[tuple]:
@@ -160,9 +145,7 @@ def _expand(prefixes: list, picks: list) -> list[tuple]:
     ]
 
 
-def _last_level(
-    n: int, rounds: int, abstraction: Abstraction | None = None
-) -> tuple[list, list]:
+def _last_level(n: int, rounds: int) -> tuple[list, list]:
     """The walk of :func:`canonical_finals`, whose last level is returned
     as it comes out: ``prefixes[p][i][w]`` is process i's final state
     after the p-th prefix of all rounds but the last and its w-th
@@ -173,7 +156,6 @@ def _last_level(
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     acts = enum_block_actions(n)
-    abstraction = abstraction or full_information
     canon = _Canon()
     # per process, its distinct written sets in order of first occurrence,
     # and per action where each process's set stands among them
@@ -182,12 +164,12 @@ def _last_level(
         tuple([sets[i].setdefault(w, len(sets[i])) for i, w in enumerate(_written(act))])
         for act in acts
     ]
-    # per prefix, each process's (write, state); round 1 writes the ids
-    level: list = [tuple((i, i) for i in range(n + 1))]
+    # per prefix, each process's state; round 1 writes the ids
+    level: list = [tuple(range(n + 1))]
     for rnd in range(1, rounds + 1):
         stepped_level = []
         for before in level:
-            cells = _cells([write for write, _ in before], canon)
+            cells = _cells(before, canon)
             snaps: dict[int, tuple] = {}  # written set -> snapshot, under this prefix
             steps = []
             for i, own_sets in enumerate(sets):
@@ -196,9 +178,7 @@ def _last_level(
                     snap = snaps.get(w)
                     if snap is None:
                         snap = snaps[w] = _snapshot(cells, w, canon)
-                    write, state = abstraction(rnd, before[i][1], snap)
-                    # nothing reads the last writes
-                    stepped.append(canon(state) if rnd == rounds else (write, canon(state)))
+                    stepped.append(canon((i, snap)))
                 steps.append(stepped)
             stepped_level.append(steps)
         if rnd == rounds:
@@ -206,9 +186,7 @@ def _last_level(
         level = _expand(stepped_level, picks)
 
 
-def class_rows(
-    n: int, rounds: int, abstraction: Abstraction | None = None
-) -> Iterator[tuple[tuple[int, ...], int]]:
+def class_rows(n: int, rounds: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Per process, its classes over the canonical schedules (two alike
     iff its final states are equal) as a row, the class of each
     schedule numbered by first occurrence, and their count.
@@ -220,7 +198,7 @@ def class_rows(
     Prefixes in order and slots in index order number the classes by
     first occurrence, since slots are numbered in action order."""
     # kept until every row is labelled, so that no id is reused
-    prefixes, picks = _last_level(n, rounds, abstraction)
+    prefixes, picks = _last_level(n, rounds)
     for i, slots in enumerate(zip(*picks)):
         seen: dict[int, int] = {}
         row: list[int] = []
@@ -230,17 +208,15 @@ def class_rows(
         yield tuple(row), len(seen)
 
 
-def oracle_indist(
-    agent: int, u: Schedule, v: Schedule, abstraction: Abstraction | None = None
-) -> bool:
+def oracle_indist(agent: int, u: Schedule, v: Schedule) -> bool:
     """Whether the agent ends up in the same local state under both
     schedules.  Both must range over the same ids and round count."""
     if u.process_count != v.process_count or u.round_count != v.round_count:
         raise ValueError("schedules must share process and round counts")
     # one table for both runs: equal states are one object, so no
     # comparison walks through their nesting (one level per round)
-    abstraction, canon = abstraction or full_information, _Canon()
-    return _run(u, abstraction, canon).finals[agent] is _run(v, abstraction, canon).finals[agent]
+    canon = _Canon()
+    return _run(u, canon).finals[agent] is _run(v, canon).finals[agent]
 
 
 def _shown(values, leaf, node) -> dict:

@@ -17,7 +17,7 @@ from operator import contains
 
 from .kernel import KripkeFrame, new_frame
 from .record import Record
-from .schedules import Abstraction, protocol_action_model, schedule_context
+from .schedules import protocol_action_model, schedule_context
 from .tasks import InputlessTask, Value, _value_to_json
 
 
@@ -439,14 +439,14 @@ class _Search:
         return DecisionMap(tuple(tuple(v) for v in values))
 
 
-def solve(task: InputlessTask, *, abstraction: Abstraction | None = None) -> Verdict:
+def solve(task: InputlessTask) -> Verdict:
     """Complete search over decision maps, learning a nogood from every
     conflict (see :class:`_Search`).
 
     A Solvable verdict carries the canonically first certificate and is
     re-verified through the simulator path before being returned.
     """
-    frame = protocol_action_model(task.n, task.rounds, abstraction).frame
+    frame = protocol_action_model(task.n, task.rounds).frame
     classes = frame.classes_by_agent
     search = _Search(task, frame)
     solvable = search.run()
@@ -456,17 +456,12 @@ def solve(task: InputlessTask, *, abstraction: Abstraction | None = None) -> Ver
     if not solvable:
         return Verdict(False, None, classes, stats)
     decision = search.decision()
-    if not verify_certificate(task, decision, abstraction=abstraction):
+    if not verify_certificate(task, decision):
         raise SolverError("internal error: found certificate failed verification")
     return Verdict(True, decision, classes, stats)
 
 
-def verify_certificate(
-    task: InputlessTask,
-    decision: DecisionMap,
-    *,
-    abstraction: Abstraction | None = None,
-) -> bool:
+def verify_certificate(task: InputlessTask, decision: DecisionMap) -> bool:
     """Re-check a decision map through the simulator.
 
     Solvability is one condition: the map sending schedule k to the
@@ -497,7 +492,7 @@ def verify_certificate(
     """
     from . import simengine
 
-    ctx = schedule_context(task.n, task.rounds, abstraction)
+    ctx = schedule_context(task.n, task.rounds)
     n_agents = task.process_count
     if len(decision.values) != n_agents:
         raise SolverError(
@@ -507,7 +502,7 @@ def verify_certificate(
     agrees = True
     decided = []
     for a, ((labels, count), row) in enumerate(
-        zip(simengine.class_rows(task.n, task.rounds, abstraction), ctx.frame.partitions)
+        zip(simengine.class_rows(task.n, task.rounds), ctx.frame.partitions)
     ):
         if len(decision.values[a]) != count:
             raise SolverError(
@@ -522,9 +517,7 @@ def verify_certificate(
     return all(map(contains, task.delta_table, image))
 
 
-def conflict_core(
-    task: InputlessTask, abstraction: Abstraction | None = None
-) -> tuple[int, ...]:
+def conflict_core(task: InputlessTask) -> tuple[int, ...]:
     """Greedy shrink of the schedule set keeping unsolvability.
 
     Drops canonical-order blocks of schedules while unsolvability
@@ -537,7 +530,7 @@ def conflict_core(
     task unsolvable, since a solution would restrict to its schedules;
     so the whole task is searched only when the shrink dropped nothing.
     """
-    frame = schedule_context(task.n, task.rounds, abstraction).frame
+    frame = schedule_context(task.n, task.rounds).frame
     core = list(range(len(task.delta_table)))
     chunk = max(1, len(core) // 2)
     while chunk >= 1:
@@ -554,9 +547,7 @@ def conflict_core(
     return tuple(core)
 
 
-def verdict_report(
-    task: InputlessTask, verdict: Verdict, abstraction: Abstraction | None = None
-) -> dict:
+def verdict_report(task: InputlessTask, verdict: Verdict) -> dict:
     """The verdict with class inventories and search statistics, JSON-ready;
     only an unsolvable verdict searches again, for its conflict core."""
     texts = schedule_context(task.n, task.rounds).texts
@@ -575,7 +566,7 @@ def verdict_report(
     if verdict.solvable:
         report["decision"] = _decision_values(verdict)
     else:
-        core = conflict_core(task, abstraction)
+        core = conflict_core(task)
         report["conflict_core"] = [texts[k] for k in core]
     return report
 

@@ -188,15 +188,25 @@ def output_model(task: InputlessTask) -> tuple[KripkeModel, dict[tuple[int, int]
 # process of the others, so they stay independent of the view algebra
 # and of the block-action rule the builtins are tabulated by.
 
-def _heard_of(rnd: int, state, snapshot: tuple) -> tuple[frozenset[int], frozenset[int]]:
-    """The abstraction whose local state is the set of ids a process has
-    heard of: its own, and each writer it reads with everything that
-    writer had heard of."""
-    if rnd == 1:  # the states and the writes are still the ids
-        heard = frozenset((state, *(j for j, _ in snapshot)))
-    else:  # a writer's set holds its own id
-        heard = state.union(*(written for _, written in snapshot))
-    return heard, heard
+def _seen_ids(state) -> frozenset[int]:
+    """Every process id in a full-information local state: its own and,
+    through each snapshot, that of every state it read (a snapshot pairs
+    each state read with its writer's id, which is that state's own).  One
+    loop over an explicit stack walks each shared sub-state once, so the
+    nesting (one level per round) meets no recursion limit."""
+    ids: set[int] = set()
+    walked: set[int] = set()
+    stack = [state]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, int):  # a round-1 write
+            ids.add(value)
+        elif id(value) not in walked:
+            walked.add(id(value))
+            own, snap = value
+            ids.add(own)
+            stack += [sub for _, sub in snap]
+    return frozenset(ids)
 
 
 def never_reads_others(agent: int, sched: Schedule) -> bool:
@@ -204,7 +214,7 @@ def never_reads_others(agent: int, sched: Schedule) -> bool:
     directly or through an intermediary."""
     from .simengine import run
 
-    return run(sched, _heard_of).finals[agent] == {agent}
+    return _seen_ids(run(sched).finals[agent]) == {agent}
 
 
 def reads_only(agents: frozenset[int], sched: Schedule) -> bool:
@@ -212,8 +222,8 @@ def reads_only(agents: frozenset[int], sched: Schedule) -> bool:
     outside the group."""
     from .simengine import run
 
-    finals = run(sched, _heard_of).finals
-    return all(finals[i] <= agents for i in agents)
+    finals = run(sched).finals
+    return all(_seen_ids(finals[i]) <= agents for i in agents)
 
 
 def _one_hot_tuples(width: int) -> list[OutputTuple]:

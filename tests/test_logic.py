@@ -348,7 +348,7 @@ def test_projection_to_input_loses_knowledge_only():
 
 def test_coarsening_identity_is_model_morphism():
     full = protocol_model(2, 1)
-    coarse = protocol_model(2, 1, lambda rnd, st, snap: (0, 0))
+    coarse = input_model(2, 1)
     ident = FrameMorphism(tuple(range(13)))
     assert is_model_morphism(ident, full, coarse)
     for name in full.ap:

@@ -13,7 +13,8 @@ from math import comb
 
 import pytest
 
-from epikit.kernel import FrameMorphism, is_morphism, new_frame
+from epikit import schedules
+from epikit.kernel import new_frame
 from epikit.logic import Atom, Know, KripkeModel, eval_formula, product_update
 from epikit.schedules import (
     BlockAction,
@@ -23,7 +24,6 @@ from epikit.schedules import (
     enum_schedules,
     final_states,
     fubini,
-    full_information,
     indist_1,
     input_model,
     parse_schedule,
@@ -36,7 +36,7 @@ from epikit.schedules import (
     view1,
 )
 from epikit.simengine import run
-from epikit.tasks import _heard_of, never_reads_others, reads_only
+from epikit.tasks import _seen_ids, never_reads_others, reads_only
 
 P, Q, R = 0, 1, 2
 
@@ -330,12 +330,15 @@ def test_seen_ids_transitive():
     # from p in round 2 once p has seen r
     s = parse_schedule("1|0,2;1,0|2")
     assert R not in view1(Q, s.rounds[0])
-    assert R in run(s, _heard_of).finals[Q]
+    assert R in _seen_ids(run(s).finals[Q])
 
 
 def heard_of_finals(ctx):
     """Each schedule's final heard-of sets, simulated run by run."""
-    return [run(sched, _heard_of).finals for sched in enum_schedules(ctx.n, ctx.rounds)]
+    return [
+        tuple(map(_seen_ids, run(sched).finals))
+        for sched in enum_schedules(ctx.n, ctx.rounds)
+    ]
 
 
 def recursive_seen_ids(state):
@@ -404,67 +407,19 @@ def test_seen_ids_with_one_memo_agree_with_the_simulator_references(n, rounds):
 # ---------------------------------------------------------------------------
 # final states in one walk of the schedule tree
 
-def seeded_abstraction(seed):
-    """A deterministic abstraction drawn from the seed: its answer depends
-    on the seed and the arguments only, not on the order of the calls.
-    The write is tagged apart from the new state, so it never equals it.
-    ``calls`` counts the calls."""
-
-    def abstraction(rnd, state, snap):
-        abstraction.calls += 1
-        rng = random.Random(repr((seed, rnd, state, snap)))
-        parts = [snap, tuple(j for j, _ in snap), state, rng.randrange(2)]
-        return ("w", rng.choice(parts)), ("s", rng.choice(parts))
-
-    abstraction.calls = 0
-    return abstraction
-
-
-def distinct_steps(n, rounds):
-    """(prefix, process, view) triples over (n, rounds): every proper
-    prefix, n + 1 processes, 2**n views holding the process."""
-    return sum(fubini(n + 1) ** r for r in range(rounds)) * (n + 1) * 2**n
-
-
 CONTEXT_SIZES = [(n, r) for n in range(3) for r in (1, 2, 3)] + [(3, 1), (3, 2)]
 
 
 @pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
-def test_context_finals_match_lone_runs_under_seeded_abstractions(n, rounds):
-    abstraction = seeded_abstraction(100 * n + rounds)
-    ctx = schedule_context(n, rounds, abstraction)
-    finals = ctx.finals
-    # one call per distinct (prefix, process, view) step, although every
-    # schedule extends each prefix it starts with
-    assert abstraction.calls == distinct_steps(n, rounds)
-    assert ctx.texts == tuple(s.text() for s in enum_schedules(n, rounds))
-    assert finals == final_states(n, rounds, abstraction)
-    one_object: dict = {}
-    for sched, states in zip(enum_schedules(n, rounds), finals):
-        assert states == run(sched, abstraction).finals
-        for state in states:
-            assert one_object.setdefault(state, state) is state
-
-
-@pytest.mark.parametrize("n, rounds", [(1, 3), (2, 2)])
 def test_full_information_context_finals_match_lone_runs(n, rounds):
     ctx = schedule_context(n, rounds)
+    assert ctx.texts == tuple(s.text() for s in enum_schedules(n, rounds))
     assert ctx.finals == final_states(n, rounds)
     one_object: dict = {}
     for sched, states in zip(enum_schedules(n, rounds), ctx.finals):
         assert states == run(sched).finals
         for state in states:
             assert one_object.setdefault(state, state) is state
-
-
-def test_contexts_that_differ_in_abstraction_share_no_work():
-    first, second = seeded_abstraction(1), seeded_abstraction(2)
-    one = schedule_context(2, 2, first)
-    other = schedule_context(2, 2, second)
-    assert one.finals != other.finals
-    assert first.calls == second.calls == distinct_steps(2, 2)
-    assert one.finals == final_states(2, 2, first)
-    assert other.finals == final_states(2, 2, second)
 
 
 def test_final_states_reject_a_negative_n_and_no_rounds():
@@ -488,31 +443,6 @@ def test_final_states_read_like_the_tuple_of_rows():
     assert finals != list(rows)
 
 
-def counted(step):
-    """The abstraction ``step`` under a new identity, counting its calls."""
-
-    def abstraction(rnd, state, snap):
-        abstraction.calls += 1
-        return step(rnd, state, snap)
-
-    abstraction.calls = 0
-    return abstraction
-
-
-def view_only(rnd, state, snap):
-    # the ids in the last snapshot: equal after prefixes that differ
-    ids = frozenset(j for j, _ in snap)
-    return ids, ids
-
-
-FRAME_ABSTRACTIONS = {
-    "full information": lambda n, rounds: full_information,
-    "seeded": lambda n, rounds: seeded_abstraction(10 * n + rounds),
-    "view only": lambda n, rounds: view_only,
-    "constant": lambda n, rounds: lambda rnd, state, snap: (0, 0),
-}
-
-
 def reference_frame(ctx):
     """The frame over the ids of each schedule's expanded row of final
     states, relabelled by ``new_frame``."""
@@ -521,15 +451,21 @@ def reference_frame(ctx):
     return new_frame(len(rows), ctx.n + 1, partitions)
 
 
-@pytest.mark.parametrize("kind", sorted(FRAME_ABSTRACTIONS))
 @pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
-def test_frame_read_off_the_prefixes_matches_the_expanded_rows(n, rounds, kind):
-    abstraction = counted(FRAME_ABSTRACTIONS[kind](n, rounds))
-    ctx = schedule_context(n, rounds, abstraction)
+def test_frame_read_off_the_prefixes_matches_the_expanded_rows(n, rounds, monkeypatch):
+    walks = []
+
+    def counting_walk(n, rounds):
+        walks.append((n, rounds))
+        return real_walk(n, rounds)
+
+    real_walk = schedules.final_states
+    monkeypatch.setattr(schedules, "final_states", counting_walk)
+    ctx = schedule_context(n, rounds)
     frame = ctx.frame
     assert len(ctx.finals) == len(ctx.texts)
     # the frame and the final states share one walk
-    assert abstraction.calls == distinct_steps(n, rounds)
+    assert walks == [(n, rounds)]
     assert frame == reference_frame(ctx)
 
 
@@ -595,23 +531,6 @@ def test_block_actions_are_built_once_per_n(n):
     assert enum_block_actions(n) is enum_block_actions(n)
 
 
-def test_constant_abstraction_collapses_everything():
-    constant = lambda rnd, state, snap: ("-", "-")
-    model = protocol_action_model(2, 2, constant)
-    assert [model.frame.num_classes(a) for a in range(3)] == [1, 1, 1]
-
-
-def test_coarsening_never_splits_classes():
-    # identity on points is a morphism from the full-information frame to
-    # any abstracted frame
-    constant = lambda rnd, state, snap: (0, 0)
-    full = protocol_action_model(2, 2)
-    for abstraction in (view_only, constant):
-        coarse = protocol_action_model(2, 2, abstraction)
-        ident = FrameMorphism(tuple(range(169)))
-        assert is_morphism(ident, full.frame, coarse.frame)
-
-
 # ---------------------------------------------------------------------------
 # input and protocol models
 
@@ -654,12 +573,10 @@ def checked_model(ctx, frame):
     return KripkeModel(frame, ap, valuation)
 
 
-@pytest.mark.parametrize("kind", ["full information", "seeded"])
 @pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
-def test_built_models_equal_the_checked_constructor(n, rounds, kind):
-    abstraction = None if kind == "full information" else seeded_abstraction(n + rounds)
-    ctx = schedule_context(n, rounds, abstraction)
-    model = protocol_model(n, rounds, abstraction)
+def test_built_models_equal_the_checked_constructor(n, rounds):
+    ctx = schedule_context(n, rounds)
+    model = protocol_model(n, rounds)
     assert type(model) is KripkeModel
     assert model == checked_model(ctx, ctx.frame)
     count = len(enum_schedules(n, rounds))
@@ -675,31 +592,21 @@ def test_protocol_model_states_follow_schedules():
         assert model.satisfies_atom(k, model.ap[k])
 
 
-PROTOCOL_ABSTRACTIONS = {
-    "full information": lambda: None,
-    "collapsing": lambda: lambda rnd, state, snap: (0, 0),
-    "seeded 1": lambda: seeded_abstraction(1),
-    "seeded 2": lambda: seeded_abstraction(2),
-}
-
-
 # (3, 3) is left out, as above: its reference builds 421,875 schedule
 # records, point-set preconditions and product pairs
-@pytest.mark.parametrize("kind", sorted(PROTOCOL_ABSTRACTIONS))
 @pytest.mark.parametrize(
     "n, rounds", [(n, r) for n in range(4) for r in (1, 2, 3) if (n, r) != (3, 3)]
 )
-def test_protocol_model_is_the_papers_product_update(n, rounds, kind):
+def test_protocol_model_is_the_papers_product_update(n, rounds):
     # the paper's construction: the input model updated by the schedule
     # action model, whose point k is enabled at input state k alone
-    abstraction = PROTOCOL_ABSTRACTIONS[kind]()
     reference, pairing = product_update(
-        input_model(n, rounds), protocol_action_model(n, rounds, abstraction)
+        input_model(n, rounds), protocol_action_model(n, rounds)
     )
     assert pairing == {(k, k): k for k in range(reference.frame.state_count)}
-    model = protocol_model(n, rounds, abstraction)
+    model = protocol_model(n, rounds)
     assert model == reference
-    ctx = schedule_context(n, rounds, abstraction)
+    ctx = schedule_context(n, rounds)
     assert model.frame is ctx.frame
     # the atoms, by name, from the schedule records
     ids = {f"id_{i}" for i in range(n + 1)}

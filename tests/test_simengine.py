@@ -10,7 +10,6 @@ from epikit.schedules import (
     Schedule,
     enum_block_actions,
     enum_schedules,
-    full_information,
     parse_schedule,
     schedule_context,
 )
@@ -91,52 +90,21 @@ def test_simulator_agrees_with_view_algebra():
             assert run(sched).finals == finals
 
 
-def random_abstraction(rng):
-    """A deterministic abstraction drawn at random: each (round, state,
-    snapshot) gets a fixed (write, new state) pair the first time it is
-    asked for, each part being the snapshot, its ids, the old state or a
-    bit."""
-    table = {}
-
-    def abstraction(rnd, state, snap):
-        key = (rnd, state, snap)
-        if key not in table:
-            parts = [snap, tuple(j for j, _ in snap), state, rng.randrange(2)]
-            table[key] = (rng.choice(parts), rng.choice(parts))
-        return table[key]
-
-    return abstraction
-
-
-@pytest.mark.parametrize("n, rounds", [(1, 1), (1, 2), (2, 1), (2, 2)])
-@pytest.mark.parametrize("seed", range(3))
-def test_simulator_agrees_with_view_algebra_under_random_abstractions(
-    n, rounds, seed
-):
-    abstraction = random_abstraction(random.Random(seed))
-    ctx = schedule_context(n, rounds, abstraction)
-    for sched, finals in zip(enum_schedules(n, rounds), ctx.finals):
-        assert run(sched, abstraction).finals == finals
-
-
-def reference_run(sched, abstraction=None):
-    """The simulator before its writes and states were shared, kept as it
-    was: the abstraction called for every process in every round."""
-    abstraction = abstraction or full_information
+def reference_run(sched):
+    """The simulator before its states were shared, kept as it was: every
+    process writes and steps anew in every round."""
     n_proc = sched.process_count
-    states: list = list(range(n_proc))
-    pending: list = list(range(n_proc))
+    states: list = list(range(n_proc))  # round 1 writes the ids
     all_snaps: list[tuple] = []
-    for rnd, act in enumerate(sched.rounds, start=1):
+    for act in sched.rounds:
         mem: list = [None] * n_proc  # fresh single-writer array
         snaps: list = [None] * n_proc
         for cls in act.classes:
             for i in cls:
-                mem[i] = pending[i]
+                mem[i] = states[i]
             for i in cls:
                 snaps[i] = tuple((j, mem[j]) for j in range(n_proc) if mem[j] is not None)
-        for i in range(n_proc):
-            pending[i], states[i] = abstraction(rnd, states[i], snaps[i])
+        states = [(i, snaps[i]) for i in range(n_proc)]
         all_snaps.append(tuple(snaps))
     return RunRecord(sched, tuple(all_snaps), tuple(states))
 
@@ -177,11 +145,8 @@ def batches(rng):
 def test_runs_agrees_with_the_per_schedule_reference(order, seed):
     rng = random.Random(seed)
     batch = batches(rng)[order]
-    # seed 0 runs full information, the others a seeded abstraction that
-    # both simulators share, so an entry fixed by one is read by the other
-    abstraction = random_abstraction(rng) if seed else None
-    records = [run(s, abstraction) for s in batch]
-    assert records == [reference_run(s, abstraction) for s in batch]
+    records = [run(s) for s in batch]
+    assert records == [reference_run(s) for s in batch]
     # equal final states and written values of one run are one object
     for record in records:
         canon: dict = {}
@@ -199,64 +164,27 @@ def test_trace_size_is_the_length_of_the_trace(seed):
         assert _trace_size(record) == len(format_trace(record)), sched.text()
 
 
-def silent_on_even_snapshots(rnd, state, snap):
-    """Full information, except that after a snapshot of even size the
-    process writes None, which the next round reads as an unwritten cell."""
-    write, new_state = full_information(rnd, state, snap)
-    return (None if len(snap) % 2 == 0 else write), new_state
-
-
-FINALS_ABSTRACTIONS = {
-    "full information": lambda: None,
-    "random 1": lambda: random_abstraction(random.Random(1)),
-    "random 2": lambda: random_abstraction(random.Random(2)),
-    "silent": lambda: silent_on_even_snapshots,
-}
-
-
 FINALS_SIZES = [*((n, rounds) for n in range(3) for rounds in (1, 2, 3)), (3, 1), (3, 2)]
 
 
-@pytest.mark.parametrize("kind", FINALS_ABSTRACTIONS)
 @pytest.mark.parametrize("n, rounds", FINALS_SIZES)
-def test_canonical_finals_agrees_with_each_run(n, rounds, kind):
-    abstraction = FINALS_ABSTRACTIONS[kind]()
-    finals = canonical_finals(n, rounds, abstraction)
-    assert finals == [run(s, abstraction).finals for s in enum_schedules(n, rounds)]
+def test_canonical_finals_agrees_with_each_run(n, rounds):
+    finals = canonical_finals(n, rounds)
+    assert finals == [run(s).finals for s in enum_schedules(n, rounds)]
     # equal final states of one call are one object
     canon: dict = {}
     for state in chain.from_iterable(finals):
         assert canon.setdefault(state, state) is state
 
 
-@pytest.mark.parametrize("kind", FINALS_ABSTRACTIONS)
 @pytest.mark.parametrize("n, rounds", FINALS_SIZES)
-def test_class_rows_are_the_frames_rows(n, rounds, kind):
+def test_class_rows_are_the_frames_rows(n, rounds):
     # the certificate check compares these rows with the frame's as they
     # are, so the simulator's classes must be numbered by the frame's rule
-    abstraction = FINALS_ABSTRACTIONS[kind]()
-    rows = list(class_rows(n, rounds, abstraction))
-    frame = schedule_context(n, rounds, abstraction).frame
+    rows = list(class_rows(n, rounds))
+    frame = schedule_context(n, rounds).frame
     assert [labels for labels, _ in rows] == list(frame.partitions)
     assert [count for _, count in rows] == list(map(len, frame.classes_by_agent))
-
-
-def test_silent_writes_read_as_unwritten_cells():
-    # round 1 snapshots of sizes 1, 2 and 3: process 1 writes None, so
-    # in round 2 everyone reads the cells of 0 and 2 alone
-    finals = canonical_finals(2, 2, silent_on_even_snapshots)
-    k = [s.text() for s in enum_schedules(2, 2)].index("0|1|2;0,1,2")
-    for _, snap in finals[k]:
-        assert [j for j, _ in snap] == [0, 2]
-
-
-@pytest.mark.parametrize("n, rounds", [(1, 2), (2, 2), (3, 2)])
-def test_view_algebra_leaves_out_a_write_of_none(n, rounds):
-    # the view algebra once put (id, None) in a snapshot where the
-    # simulator reads an unwritten cell, so their classes differed
-    assert schedules.final_states(n, rounds, silent_on_even_snapshots) == tuple(
-        canonical_finals(n, rounds, silent_on_even_snapshots)
-    )
 
 
 class UnreadViews:

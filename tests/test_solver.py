@@ -36,8 +36,6 @@ from epikit.solver import (
 from epikit.tasks import InputlessTask, OutputFrame, builtin, make_task, output_model
 from epikit.topology import morphism_to_simplicial
 
-from test_simengine import silent_on_even_snapshots
-
 P, Q, R = 0, 1, 2
 
 
@@ -154,9 +152,9 @@ def test_certificate_survives_verification():
 def test_verification_runs_each_schedule_once(monkeypatch):
     walks = []
 
-    def counting_walk(n, rounds, abstraction=None):
+    def counting_walk(n, rounds):
         walks.append((n, rounds))
-        return real_walk(n, rounds, abstraction)
+        return real_walk(n, rounds)
 
     real_walk = simengine._last_level
     monkeypatch.setattr(simengine, "_last_level", counting_walk)
@@ -180,7 +178,7 @@ def count_records(monkeypatch, cls):
 
 
 def test_search_and_models_build_no_schedule_record(monkeypatch):
-    schedules._cached_context.cache_clear()
+    schedules.schedule_context.cache_clear()
     built = count_records(monkeypatch, Schedule)
     assert not solve(builtin("testset", 3, 2)).solvable
     protocol_model(3, 2)
@@ -188,7 +186,7 @@ def test_search_and_models_build_no_schedule_record(monkeypatch):
 
 
 def test_snapshot_certificate_builds_actions_and_records_once(monkeypatch):
-    schedules._cached_context.cache_clear()
+    schedules.schedule_context.cache_clear()
     schedules.enum_block_actions.cache_clear()
     # enumerated and checked actions both get their tables here
     actions = []
@@ -262,40 +260,6 @@ def test_no_certificate_json_for_an_unsolvable_verdict():
     assert not verdict.solvable
     with pytest.raises(SolverError, match="unsolvable"):
         decision_to_json(task, verdict)
-
-
-# ---------------------------------------------------------------------------
-# full-information dominance
-
-def test_abstracted_solution_transfers_to_full_information():
-    # a task solvable under a collapsing abstraction stays solvable with
-    # full information; the composed decision map certifies it
-    task = make_task("always-one", 2, 1, ((1, 1, 1),), lambda s, out: True)
-    constant = lambda rnd, state, snap: (0, 0)
-    coarse = solve(task, abstraction=constant)
-    assert coarse.solvable
-    assert all(len(per_agent) == 1 for per_agent in coarse.decision.values)
-
-    fine = solve(task)
-    assert fine.solvable
-    # compose: every full-information class inherits the coarse class value
-    composed = DecisionMap(
-        tuple(
-            tuple(coarse.decision.value(a, 0) for _ in per_agent)
-            for a, per_agent in enumerate(fine.decision.values)
-        )
-    )
-    assert verify_certificate(task, composed)
-
-
-def test_snapshot_solvable_under_view_preserving_abstraction():
-    view_only = lambda rnd, state, snap: (
-        tuple(j for j, _ in snap),
-        tuple(j for j, _ in snap),
-    )
-    task = builtin("snapshot", 2)
-    assert solve(task, abstraction=view_only).solvable
-    assert solve(task).solvable
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +338,7 @@ def test_snapshot_report_zero_backtracks():
 # ---------------------------------------------------------------------------
 # the one-condition verifier against the paper's three-check form
 
-def reference_verify(task, decision, abstraction=None):
+def reference_verify(task, decision):
     """The certificate check in the paper's form: simulator classes, the
     allowed-tuple check, a morphism of Kripke models from the protocol
     model into the output model (both built by product update), its
@@ -385,7 +349,7 @@ def reference_verify(task, decision, abstraction=None):
     index = [{} for _ in range(n_agents)]
     sim_class = [[] for _ in range(n_agents)]
     for sched in scheds:
-        finals = simengine.run(sched, abstraction).finals
+        finals = simengine.run(sched).finals
         for a in range(n_agents):
             sim_class[a].append(index[a].setdefault(finals[a], len(index[a])))
     for a in range(n_agents):
@@ -397,7 +361,7 @@ def reference_verify(task, decision, abstraction=None):
     ]
     if not all(task.allows(k, out) for k, out in enumerate(outs)):
         return False
-    proto = protocol_model(task.n, task.rounds, abstraction)
+    proto = protocol_model(task.n, task.rounds)
     out_model, pairing = output_model(task)
     tuple_index = {t: i for i, t in enumerate(task.output.tuples)}
     h = FrameMorphism(
@@ -414,20 +378,11 @@ def reference_verify(task, decision, abstraction=None):
     return True
 
 
-def _last_view(rnd, state, snap):
-    ids = tuple(j for j, _ in snap)
-    return ids, ids
-
-
-def _snap_size(rnd, state, snap):
-    return len(snap), len(snap)
-
-
-def _planted_task(rng, n, rounds, abstraction):
+def _planted_task(rng, n, rounds):
     """Random binary tuples and rows, plus one planted decision map on the
     simulator classes whose tuples every row allows."""
     scheds = enum_schedules(n, rounds)
-    finals = [simengine.run(s, abstraction).finals for s in scheds]
+    finals = [simengine.run(s).finals for s in scheds]
     index = [{} for _ in range(n + 1)]
     classes = [
         [index[a].setdefault(f[a], len(index[a])) for f in finals]
@@ -449,11 +404,11 @@ def _planted_task(rng, n, rounds, abstraction):
     return task, DecisionMap(tuple(tuple(p) for p in planted))
 
 
-def _candidate_maps(rng, task, planted, abstraction):
+def _candidate_maps(rng, task, planted):
     """Certificates, perturbed maps, maps off the task's tuples and maps
     with a wrong class count."""
     maps = [planted]
-    verdict = solve(task, abstraction=abstraction)
+    verdict = solve(task)
     if verdict.solvable:
         maps.append(verdict.decision)
     for base in list(maps):
@@ -475,19 +430,6 @@ def _candidate_maps(rng, task, planted, abstraction):
     return maps
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_a_task_solved_under_none_writes_verifies(n):
-    # a write of None reads as an unwritten cell in the simulator and in
-    # the view algebra alike, so the certificate the search finds on the
-    # view classes passes the simulator's check (it raised SolverError)
-    task = make_task("one tuple", n, 2, [(0,) * (n + 1)], lambda s, out: True)
-    verdict = solve(task, abstraction=silent_on_even_snapshots)
-    assert verdict.solvable
-    assert verify_certificate(
-        task, verdict.decision, abstraction=silent_on_even_snapshots
-    )
-
-
 def _verdict_or_error(check, *args, **kwargs):
     try:
         return check(*args, **kwargs)
@@ -500,13 +442,10 @@ def test_verifier_agrees_with_three_check_reference(seed):
     rng = random.Random(seed)
     n = rng.choice((1, 2))
     rounds = rng.choice((1, 2))
-    abstraction = (None, _last_view, _snap_size)[seed % 3]
-    task, planted = _planted_task(rng, n, rounds, abstraction)
-    for decision in _candidate_maps(rng, task, planted, abstraction):
-        expected = _verdict_or_error(reference_verify, task, decision, abstraction)
-        got = _verdict_or_error(
-            verify_certificate, task, decision, abstraction=abstraction
-        )
+    task, planted = _planted_task(rng, n, rounds)
+    for decision in _candidate_maps(rng, task, planted):
+        expected = _verdict_or_error(reference_verify, task, decision)
+        got = _verdict_or_error(verify_certificate, task, decision)
         assert got == expected
 
 
@@ -525,14 +464,12 @@ def test_verifier_catches_a_simulator_that_disagrees(monkeypatch):
     shifted = {s: scheds[(k + 1) % len(scheds)] for k, s in enumerate(scheds)}
     real_run, real_walk = simengine.run, simengine._last_level
 
-    def shifted_walk(n, rounds, abstraction=None):
-        prefixes, picks = real_walk(n, rounds, abstraction)
+    def shifted_walk(n, rounds):
+        prefixes, picks = real_walk(n, rounds)
         assert len(prefixes) == 1
         return prefixes, picks[1:] + picks[:1]
 
-    monkeypatch.setattr(
-        simengine, "run", lambda s, abstraction=None: real_run(shifted[s], abstraction)
-    )
+    monkeypatch.setattr(simengine, "run", lambda s: real_run(shifted[s]))
     monkeypatch.setattr(simengine, "_last_level", shifted_walk)
     assert not reference_verify(anything, verdict.decision)
     assert not verify_certificate(anything, verdict.decision)
@@ -558,7 +495,7 @@ def test_verifier_refuses_simulator_classes_other_than_the_frames(monkeypatch, s
     decision = DecisionMap(tuple((0,) * len(c) for c in frame.classes_by_agent))
     assert verify_certificate(task, decision)
 
-    def moved_walk(n, rounds, abstraction=None):
+    def moved_walk(n, rounds):
         # every schedule a prefix of its own, stepped by one action
         return [[[state] for state in states] for states in moved], [(0,) * (n + 1)]
 
@@ -924,7 +861,7 @@ def test_a_conflict_free_search_builds_no_refutation_order(monkeypatch):
     tasks += [_differential_case(seed)[0] for seed in range(90)]
     tasks += map(_single_valued_case, range(30))
     rng = random.Random(46)
-    tasks += [_planted_task(rng, 2, 2, None)[0] for _ in range(10)]
+    tasks += [_planted_task(rng, 2, 2)[0] for _ in range(10)]
     decided_without_conflict = 0
     for task in tasks:
         built.clear()

@@ -14,7 +14,7 @@ from epikit.kernel import (
     new_frame,
     product,
 )
-from epikit.schedules import protocol_action_model, protocol_model
+from epikit.schedules import input_model, protocol_action_model, protocol_model
 from epikit.solver import solve
 from epikit.tasks import builtin
 from epikit.topology import (
@@ -404,7 +404,7 @@ def test_morphism_to_simplicial_matches_the_both_complexes_form():
 
 def test_morphism_to_simplicial_refuses_improper_frames_as_before():
     full = protocol_model(2, 1).frame
-    coarse = protocol_model(2, 1, lambda rnd, st, snap: (0, 0)).frame
+    coarse = input_model(2, 1).frame
     point = new_frame(1, 3, [[0], [0], [0]])
     assert is_proper(full) and not is_proper(coarse)
     cases = [
