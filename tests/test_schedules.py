@@ -14,7 +14,7 @@ from math import comb
 import pytest
 
 from epikit import schedules
-from epikit.kernel import new_frame
+from epikit.kernel import FrameMorphism, is_morphism, new_frame
 from epikit.logic import Atom, Know, KripkeModel, eval_formula, product_update
 from epikit.schedules import (
     BlockAction,
@@ -37,6 +37,8 @@ from epikit.schedules import (
 )
 from epikit.simengine import run
 from epikit.tasks import _seen_ids, never_reads_others, reads_only
+
+from test_simengine import coarsen, protocol_finals
 
 P, Q, R = 0, 1, 2
 
@@ -407,7 +409,30 @@ def test_seen_ids_with_one_memo_agree_with_the_simulator_references(n, rounds):
 # ---------------------------------------------------------------------------
 # final states in one walk of the schedule tree
 
+def seeded_abstraction(seed):
+    """A deterministic protocol drawn from the seed: its answer depends
+    on the seed and the arguments only, not on the order of the calls.
+    The write is tagged apart from the new state, so it never equals it."""
+
+    def abstraction(rnd, state, snap):
+        rng = random.Random(repr((seed, rnd, state, snap)))
+        parts = [snap, tuple(j for j, _ in snap), state, rng.randrange(2)]
+        return ("w", rng.choice(parts)), ("s", rng.choice(parts))
+
+    return abstraction
+
+
 CONTEXT_SIZES = [(n, r) for n in range(3) for r in (1, 2, 3)] + [(3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
+def test_context_finals_match_lone_runs_under_seeded_abstractions(n, rounds):
+    # the context's full-information finals determine what each schedule,
+    # run alone under a seeded protocol, ends in
+    protocol = seeded_abstraction(100 * n + rounds)
+    ctx = schedule_context(n, rounds)
+    expected = [protocol_finals(s, protocol) for s in enum_schedules(n, rounds)]
+    assert coarsen(protocol, ctx.finals, rounds) == expected
 
 
 @pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
@@ -451,8 +476,13 @@ def reference_frame(ctx):
     return new_frame(len(rows), ctx.n + 1, partitions)
 
 
+# full information is the one protocol epikit builds; the kind stays in
+# the test ids, which other protocols once shared
+@pytest.mark.parametrize("kind", ["full information"])
 @pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
-def test_frame_read_off_the_prefixes_matches_the_expanded_rows(n, rounds, monkeypatch):
+def test_frame_read_off_the_prefixes_matches_the_expanded_rows(
+    n, rounds, kind, monkeypatch
+):
     walks = []
 
     def counting_walk(n, rounds):
@@ -531,6 +561,26 @@ def test_block_actions_are_built_once_per_n(n):
     assert enum_block_actions(n) is enum_block_actions(n)
 
 
+def view_only(rnd, state, snap):
+    # the ids in the last snapshot: equal after prefixes that differ
+    ids = frozenset(j for j, _ in snap)
+    return ids, ids
+
+
+def test_coarsening_never_splits_classes():
+    # identity on points is a morphism from the full-information frame to
+    # the frame of any protocol, so a task solvable under that protocol is
+    # solvable under full information
+    constant = lambda rnd, state, snap: (0, 0)
+    full = protocol_action_model(2, 2)
+    scheds = enum_schedules(2, 2)
+    for protocol in (view_only, constant, seeded_abstraction(7)):
+        rows = [protocol_finals(s, protocol) for s in scheds]
+        coarse = new_frame(len(rows), 3, [[row[a] for row in rows] for a in range(3)])
+        ident = FrameMorphism(tuple(range(169)))
+        assert is_morphism(ident, full.frame, coarse)
+
+
 # ---------------------------------------------------------------------------
 # input and protocol models
 
@@ -573,8 +623,9 @@ def checked_model(ctx, frame):
     return KripkeModel(frame, ap, valuation)
 
 
+@pytest.mark.parametrize("kind", ["full information"])
 @pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
-def test_built_models_equal_the_checked_constructor(n, rounds):
+def test_built_models_equal_the_checked_constructor(n, rounds, kind):
     ctx = schedule_context(n, rounds)
     model = protocol_model(n, rounds)
     assert type(model) is KripkeModel
@@ -594,10 +645,11 @@ def test_protocol_model_states_follow_schedules():
 
 # (3, 3) is left out, as above: its reference builds 421,875 schedule
 # records, point-set preconditions and product pairs
+@pytest.mark.parametrize("kind", ["full information"])
 @pytest.mark.parametrize(
     "n, rounds", [(n, r) for n in range(4) for r in (1, 2, 3) if (n, r) != (3, 3)]
 )
-def test_protocol_model_is_the_papers_product_update(n, rounds):
+def test_protocol_model_is_the_papers_product_update(n, rounds, kind):
     # the paper's construction: the input model updated by the schedule
     # action model, whose point k is enabled at input state k alone
     reference, pairing = product_update(

@@ -109,6 +109,100 @@ def reference_run(sched):
     return RunRecord(sched, tuple(all_snaps), tuple(states))
 
 
+# ---------------------------------------------------------------------------
+# every deterministic protocol coarsens full information
+#
+# epikit builds full information alone.  A protocol other than that is
+# written here, in the tests, as a step ``protocol(rnd, state, snapshot)
+# -> (write, new state)``, whose write of None reads as an unwritten cell;
+# ``coarsen`` computes its final states from the full-information ones.
+
+
+def full_information(rnd, state, snap):
+    new_state = (state if isinstance(state, int) else state[0], snap)
+    return new_state, new_state
+
+
+def protocol_finals(sched, protocol):
+    """Each process's final state when ``sched`` runs ``protocol``, on a
+    fresh memory array per round, as ``reference_run`` does."""
+    n_proc = sched.process_count
+    states: list = list(range(n_proc))
+    pending: list = list(range(n_proc))  # round 1 writes the ids
+    for rnd, act in enumerate(sched.rounds, start=1):
+        mem: list = [None] * n_proc
+        snaps: list = [None] * n_proc
+        for cls in act.classes:
+            for i in cls:
+                mem[i] = pending[i]
+            for i in cls:
+                snaps[i] = tuple((j, mem[j]) for j in range(n_proc) if mem[j] is not None)
+        for i in range(n_proc):
+            pending[i], states[i] = protocol(rnd, states[i], snaps[i])
+    return tuple(states)
+
+
+def coarsen(protocol, rows, rounds):
+    """Under ``protocol``, the final states of the processes whose
+    full-information final states after ``rounds`` rounds are ``rows``,
+    read off those states alone: a full-information snapshot holds each
+    writer's previous state, the reader's own among them."""
+    steps: dict = {}
+
+    def step(state, rnd):
+        # the (write, state) pair after rnd rounds
+        key = (rnd, state)
+        if key not in steps:
+            if rnd == 0:
+                steps[key] = state, state
+            else:
+                i, snap = state
+                own = step(dict(snap)[i], rnd - 1)[1]
+                writes = ((j, step(s, rnd - 1)[0]) for j, s in snap)
+                seen = tuple((j, w) for j, w in writes if w is not None)
+                steps[key] = protocol(rnd, own, seen)
+        return steps[key]
+
+    return [tuple(step(state, rounds)[1] for state in row) for row in rows]
+
+
+def random_abstraction(rng):
+    """A deterministic protocol drawn at random: each (round, state,
+    snapshot) gets a fixed (write, new state) pair the first time it is
+    asked for, each part being the snapshot, its ids, the old state or a
+    bit."""
+    table = {}
+
+    def abstraction(rnd, state, snap):
+        key = (rnd, state, snap)
+        if key not in table:
+            parts = [snap, tuple(j for j, _ in snap), state, rng.randrange(2)]
+            table[key] = (rng.choice(parts), rng.choice(parts))
+        return table[key]
+
+    return abstraction
+
+
+def silent_on_even_snapshots(rnd, state, snap):
+    """Full information, except that after a snapshot of even size the
+    process writes None, which the next round reads as an unwritten cell."""
+    write, new_state = full_information(rnd, state, snap)
+    return (None if len(snap) % 2 == 0 else write), new_state
+
+
+@pytest.mark.parametrize("n, rounds", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("seed", range(3))
+def test_simulator_agrees_with_view_algebra_under_random_abstractions(
+    n, rounds, seed
+):
+    # the view algebra's full-information finals determine what a random
+    # protocol's simulated runs end in
+    protocol = random_abstraction(random.Random(seed))
+    ctx = schedule_context(n, rounds)
+    expected = [protocol_finals(s, protocol) for s in enum_schedules(n, rounds)]
+    assert coarsen(protocol, ctx.finals, rounds) == expected
+
+
 def mixed_batch(rng, size):
     """Random schedules over n = 0..3 and 1..3 rounds; about half share a
     random prefix with the schedule before them."""
@@ -167,24 +261,57 @@ def test_trace_size_is_the_length_of_the_trace(seed):
 FINALS_SIZES = [*((n, rounds) for n in range(3) for rounds in (1, 2, 3)), (3, 1), (3, 2)]
 
 
+FINALS_PROTOCOLS = {
+    "full information": lambda: full_information,
+    "random 1": lambda: random_abstraction(random.Random(1)),
+    "random 2": lambda: random_abstraction(random.Random(2)),
+    "silent": lambda: silent_on_even_snapshots,
+}
+
+
+@pytest.mark.parametrize("kind", FINALS_PROTOCOLS)
 @pytest.mark.parametrize("n, rounds", FINALS_SIZES)
-def test_canonical_finals_agrees_with_each_run(n, rounds):
+def test_canonical_finals_agrees_with_each_run(n, rounds, kind):
     finals = canonical_finals(n, rounds)
-    assert finals == [run(s).finals for s in enum_schedules(n, rounds)]
+    scheds = enum_schedules(n, rounds)
+    assert finals == [run(s).finals for s in scheds]
     # equal final states of one call are one object
     canon: dict = {}
     for state in chain.from_iterable(finals):
         assert canon.setdefault(state, state) is state
+    # and they determine the kind's protocol's final states
+    protocol = FINALS_PROTOCOLS[kind]()
+    assert coarsen(protocol, finals, rounds) == [
+        protocol_finals(s, protocol) for s in scheds
+    ]
 
 
+@pytest.mark.parametrize("kind", FINALS_PROTOCOLS)
 @pytest.mark.parametrize("n, rounds", FINALS_SIZES)
-def test_class_rows_are_the_frames_rows(n, rounds):
+def test_class_rows_are_the_frames_rows(n, rounds, kind):
     # the certificate check compares these rows with the frame's as they
     # are, so the simulator's classes must be numbered by the frame's rule
     rows = list(class_rows(n, rounds))
     frame = schedule_context(n, rounds).frame
     assert [labels for labels, _ in rows] == list(frame.partitions)
     assert [count for _, count in rows] == list(map(len, frame.classes_by_agent))
+    # each class holds one final state of the kind's protocol, so a
+    # decision on that protocol's states is one on these classes
+    protocol = FINALS_PROTOCOLS[kind]()
+    states = [protocol_finals(s, protocol) for s in enum_schedules(n, rounds)]
+    for a, (labels, _) in enumerate(rows):
+        lifted: dict = {}
+        for label, row in zip(labels, states):
+            assert lifted.setdefault(label, row[a]) == row[a]
+
+
+def test_silent_writes_read_as_unwritten_cells():
+    # round 1 snapshots of sizes 1, 2 and 3: process 1 writes None, so
+    # in round 2 everyone reads the cells of 0 and 2 alone
+    finals = coarsen(silent_on_even_snapshots, canonical_finals(2, 2), 2)
+    k = [s.text() for s in enum_schedules(2, 2)].index("0|1|2;0,1,2")
+    for _, snap in finals[k]:
+        assert [j for j, _ in snap] == [0, 2]
 
 
 class UnreadViews:

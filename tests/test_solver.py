@@ -36,6 +36,8 @@ from epikit.solver import (
 from epikit.tasks import InputlessTask, OutputFrame, builtin, make_task, output_model
 from epikit.topology import morphism_to_simplicial
 
+from test_simengine import protocol_finals
+
 P, Q, R = 0, 1, 2
 
 
@@ -260,6 +262,27 @@ def test_no_certificate_json_for_an_unsolvable_verdict():
     assert not verdict.solvable
     with pytest.raises(SolverError, match="unsolvable"):
         decision_to_json(task, verdict)
+
+
+# ---------------------------------------------------------------------------
+# full-information dominance
+
+def test_abstracted_solution_transfers_to_full_information():
+    # a task solved under a collapsing protocol stays solvable with full
+    # information: every full-information class inherits the value that
+    # the protocol decides on its members' common state
+    task = make_task("always-one", 2, 1, ((1, 1, 1),), lambda s, out: True)
+    constant = lambda rnd, state, snap: (0, 0)
+    coarse = [protocol_finals(s, constant) for s in enum_schedules(2, 1)]
+    decide = {0: 1}  # the protocol's one state decides 1
+    fine = solve(task)
+    assert fine.solvable
+    values = []
+    for a, per_agent in enumerate(fine.classes):
+        for members in per_agent:
+            assert len({coarse[k][a] for k in members}) == 1
+        values.append(tuple(decide[coarse[members[0]][a]] for members in per_agent))
+    assert verify_certificate(task, DecisionMap(tuple(values)))
 
 
 # ---------------------------------------------------------------------------
