@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 # every public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys([
-        "ActionModel", "FrameMorphism", "KripkeFrame", "are_isomorphic",
-        "find_isomorphism", "is_morphism", "is_proper", "new_frame", "product",
+        "ActionModel", "FrameMorphism", "KripkeFrame", "is_morphism",
+        "is_proper", "new_frame", "product",
     ], "kernel"),
     **dict.fromkeys([
         "Atom", "And", "AfterAction", "FALSE", "Formula", "Implies", "Know",

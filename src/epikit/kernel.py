@@ -1,5 +1,4 @@
-"""Kripke frames, frame morphisms, action models, products, and
-isomorphism search.
+"""Kripke frames, frame morphisms, action models, and products.
 
 A frame stores one equivalence relation per agent as dense class labels:
 ``partitions[a][s]`` is the class of state ``s`` for agent ``a``, and two
@@ -70,7 +69,8 @@ class KripkeFrame(Record):
 
 
 class FrameMorphism(Record):
-    """A total map of states, ``mapping[u]`` = image of state ``u``."""
+    """A total map of states, ``mapping[u]`` = image of state ``u``.  No
+    command builds one; kept for is_model_morphism and the simplicial maps."""
 
     mapping: tuple[int, ...]
 
@@ -152,7 +152,7 @@ def product(
 
     States are pairs in row-major order (s * |G| + t); a pair is related
     for an agent exactly when both components are.  The projections are
-    Kripke frame morphisms.
+    Kripke frame morphisms.  Kept for README and the morphism tests.
     """
     if f.agent_count != g.agent_count:
         raise ValueError("product requires equal agent counts")
@@ -174,6 +174,7 @@ def is_morphism(f: FrameMorphism, src: KripkeFrame, dst: KripkeFrame) -> bool:
 
     Raises ValueError if the frames have different agent counts, or if
     the map is not total on src or hits an out-of-range codomain index.
+    Kept for is_model_morphism, morphism_to_simplicial and perfbench.
     """
     if src.agent_count != dst.agent_count:
         raise ValueError("morphism requires equal agent counts")
@@ -193,130 +194,8 @@ def is_morphism(f: FrameMorphism, src: KripkeFrame, dst: KripkeFrame) -> bool:
 
 
 def identity_morphism(frame: KripkeFrame) -> FrameMorphism:
+    """The identity map, kept for acceptance criterion 9."""
     return FrameMorphism(tuple(range(frame.state_count)))
-
-
-def _refine_colors(f: KripkeFrame, g: KripkeFrame) -> tuple[list[int], list[int]]:
-    """Joint color refinement of two frames.
-
-    Colors are comparable across the frames: states that could correspond
-    under an isomorphism always get equal colors.  Used as pruning before
-    the backtracking search.  A state's new color is its color and, per
-    agent, the sorted colors of its class; each class's sorted colors are
-    worked out once and numbered in a table both frames share, so a
-    round costs time linear in the states, up to the sorting.
-    """
-    cf = [0] * f.state_count
-    cg = [0] * g.state_count
-    while True:
-        class_numbers: dict[tuple[int, ...], int] = {}
-        table: dict[tuple[int, ...], int] = {}
-
-        def refine(frame: KripkeFrame, colors: list[int]) -> list[int]:
-            columns = []
-            for classes, row in zip(frame.classes_by_agent, frame.partitions):
-                numbers = [
-                    class_numbers.setdefault(
-                        tuple(sorted(map(colors.__getitem__, members))), len(class_numbers)
-                    )
-                    for members in classes
-                ]
-                columns.append(map(numbers.__getitem__, row))
-            return [table.setdefault(sig, len(table)) for sig in zip(colors, *columns)]
-
-        nf = refine(f, cf)
-        ng = refine(g, cg)
-        if nf == cf and ng == cg:
-            return cf, cg
-        cf, cg = nf, ng
-
-
-def find_isomorphism(f: KripkeFrame, g: KripkeFrame) -> FrameMorphism | None:
-    """Search for a bijective morphism whose inverse is a morphism.
-
-    Color refinement alone prunes before the search.  Its first round
-    colors each state by its class size under each agent, and later
-    rounds only split colors, so frames whose class sizes differ under
-    some agent end with different color multisets.  Intended for
-    desk-scale frames (a few thousand states).  Returns the witness map
-    or None.
-    """
-    if f.state_count != g.state_count or f.agent_count != g.agent_count:
-        return None
-    cf, cg = _refine_colors(f, g)
-    if sorted(cf) != sorted(cg):
-        return None
-
-    by_color: dict[int, list[int]] = {}
-    for t, c in enumerate(cg):
-        by_color.setdefault(c, []).append(t)
-    # most-constrained first: rarest color, then index for determinism
-    order = sorted(f.states(), key=lambda s: (len(by_color.get(cf[s], ())), s))
-
-    n_agents = f.agent_count
-    mapping: list[int] = [-1] * f.state_count
-    used = [False] * g.state_count
-    cls_fwd: list[dict[int, int]] = [{} for _ in range(n_agents)]
-    cls_rev: list[dict[int, int]] = [{} for _ in range(n_agents)]
-
-    def assign(s: int, t: int) -> list[tuple[int, int]] | None:
-        """Try f(s)=t; returns the class-pairings added, or None on clash."""
-        added: list[tuple[int, int]] = []
-        for a in range(n_agents):
-            cs, ct = f.partitions[a][s], g.partitions[a][t]
-            bound = cls_fwd[a].get(cs)
-            if bound is not None:
-                if bound != ct:
-                    break
-                continue
-            # s and t share a color, so their classes have one size
-            if ct in cls_rev[a]:
-                break
-            cls_fwd[a][cs] = ct
-            cls_rev[a][ct] = cs
-            added.append((a, cs))
-        else:
-            return added
-        for a, cs in added:
-            del cls_rev[a][cls_fwd[a].pop(cs)]
-        return None
-
-    # a loop over an explicit stack, so the frame size is not bounded by
-    # the recursion limit: tried[i] holds the candidate index taken at
-    # order[i] and the class pairings its assignment added
-    tried: list[tuple[int, list[tuple[int, int]]]] = []
-    pos = start = 0
-    while pos < len(order):
-        s = order[pos]
-        candidates = by_color.get(cf[s], ())
-        for i in range(start, len(candidates)):
-            t = candidates[i]
-            if used[t]:
-                continue
-            added = assign(s, t)
-            if added is None:
-                continue
-            mapping[s] = t
-            used[t] = True
-            tried.append((i, added))
-            pos, start = pos + 1, 0
-            break
-        else:
-            if not tried:
-                return None
-            pos -= 1
-            i, added = tried.pop()
-            s = order[pos]
-            used[mapping[s]] = False
-            mapping[s] = -1
-            for a, cs in added:
-                del cls_rev[a][cls_fwd[a].pop(cs)]
-            start = i + 1
-    return FrameMorphism(tuple(mapping))
-
-
-def are_isomorphic(f: KripkeFrame, g: KripkeFrame) -> bool:
-    return find_isomorphism(f, g) is not None
 
 
 # ---------------------------------------------------------------------------

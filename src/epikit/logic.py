@@ -133,7 +133,7 @@ def _trusted_model(frame: KripkeFrame, ap: tuple, valuation: tuple) -> KripkeMod
 def is_model_morphism(f: FrameMorphism, src: KripkeModel, dst: KripkeModel) -> bool:
     """Frame morphism that never grows valuations: valuation(f(s)) a subset
     of valuation(s), compared through atom names so the two models may
-    order AP differently."""
+    order AP differently.  Kept for criterion 9 and perfbench's span list."""
     if not is_morphism(f, src.frame, dst.frame):
         return False
     for s in src.frame.states():
@@ -270,7 +270,7 @@ def product_update(
 
 
 def compose_actions(first: ActionModel, second: ActionModel) -> ActionModel:
-    """Sequential composition of two action models.
+    """Sequential composition of two action models (acceptance criterion 3).
 
     Points are pairs (a, b) in a-major order.  Whether an agent can tell
     two pairs apart depends on what the second action shows it: the agent
@@ -328,7 +328,8 @@ def knowledge_loss_check(
     agent: int,
 ) -> bool:
     """Knowledge present at an image state must already hold at the source:
-    for every s, dst, f(s) |= K_a phi implies src, s |= K_a phi."""
+    for every s, dst, f(s) |= K_a phi implies src, s |= K_a phi.  Kept for
+    acceptance criterion 9."""
     for s in src.frame.states():
         if eval_formula(dst, f(s), Know(agent, formula)) and not eval_formula(
             src, s, Know(agent, formula)

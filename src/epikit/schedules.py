@@ -206,7 +206,7 @@ def view1(agent: int, act: BlockAction) -> frozenset[int]:
 
 
 def indist_1(agent: int, a: BlockAction, b: BlockAction) -> bool:
-    """One-round indistinguishability: equal views."""
+    """One-round indistinguishability: equal views; kept for criterion 11."""
     return view1(agent, a) == view1(agent, b)
 
 

@@ -132,7 +132,7 @@ def canonical_finals(n: int, rounds: int) -> list[tuple]:
     One walk of the schedule tree, round by round: every prefix of
     actions is stepped by every block action, with one new state per
     (prefix, process, written set).  Within one call equal final states
-    are one object.
+    are one object.  Kept for README and the tests' simulator reference.
     """
     return _expand(*_last_level(n, rounds))
 
@@ -210,7 +210,8 @@ def class_rows(n: int, rounds: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 def oracle_indist(agent: int, u: Schedule, v: Schedule) -> bool:
     """Whether the agent ends up in the same local state under both
-    schedules.  Both must range over the same ids and round count."""
+    schedules.  Both must range over the same ids and round count.  Kept
+    for README's quick tour and the tests."""
     if u.process_count != v.process_count or u.round_count != v.round_count:
         raise ValueError("schedules must share process and round counts")
     # one table for both runs: equal states are one object, so no

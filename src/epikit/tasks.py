@@ -151,7 +151,8 @@ def make_task(
     tuples: Sequence[OutputTuple],
     delta: DeltaPredicate,
 ) -> InputlessTask:
-    """Tabulate a predicate-form relation over the canonical schedules."""
+    """Tabulate a predicate-form relation over the canonical schedules.
+    Kept for README, the tests' tasks and perfbench's span list."""
     output = OutputFrame(tuple(tuple(t) for t in tuples))
     table = tuple(
         tuple(t for t, out in enumerate(output.tuples) if delta(sched, out))

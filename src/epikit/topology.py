@@ -14,7 +14,6 @@ from .kernel import (
     KripkeFrame,
     _related_pairs,
     agent_name,
-    are_isomorphic,
     is_morphism,
     is_proper,
     new_frame,
@@ -71,6 +70,7 @@ class SimplicialMap(Record):
 def validate_simplicial_map(
     f: SimplicialMap, src: ChromaticComplex, dst: ChromaticComplex
 ) -> bool:
+    """Whether the map keeps colors and facets; kept for criterion 8."""
     if len(f.vertex_map) != len(src.vertices):
         raise ValueError("vertex map must be total")
     for v, image in enumerate(f.vertex_map):
@@ -118,8 +118,9 @@ def complex_to_frame(complex_: ChromaticComplex) -> KripkeFrame:
 
 
 def roundtrip_check(frame: KripkeFrame) -> bool:
-    """Frame -> complex -> frame lands on an isomorphic copy."""
-    return are_isomorphic(frame, complex_to_frame(frame_to_complex(frame)))
+    """Frame -> complex -> frame lands on the same frame, compared with ==
+    (acceptance criterion 5).  Raises ValueError on an improper frame."""
+    return complex_to_frame(frame_to_complex(frame)) == frame
 
 
 def morphism_to_simplicial(
@@ -129,7 +130,8 @@ def morphism_to_simplicial(
     frames, read off their ``class_ids`` without building the complexes:
     vertex (a, class of u) goes to (a, class of f(u)).  It is well defined
     because morphisms keep related states related, keeps colors because
-    class ids are numbered agent by agent, and sends facet u to facet f(u)."""
+    class ids are numbered agent by agent, and sends facet u to facet f(u).
+    Kept for acceptance criterion 8 and perfbench's span list."""
     if src.agent_count != dst.agent_count or not is_morphism(f, src, dst):
         raise ValueError("not a frame morphism")
     if not (is_proper(src) and is_proper(dst)):

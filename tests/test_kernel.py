@@ -1,16 +1,12 @@
-"""Frame construction, morphisms, products, and isomorphism search."""
+"""Frame construction, morphisms, products, and serialization."""
 
 import random
-from itertools import permutations
 
 import pytest
 
 from epikit.kernel import (
     FrameMorphism,
-    _refine_colors,
     agent_name,
-    are_isomorphic,
-    find_isomorphism,
     FormatError,
     frame_from_json,
     frame_to_dot,
@@ -21,7 +17,6 @@ from epikit.kernel import (
     new_frame,
     product,
 )
-from epikit.schedules import protocol_action_model
 
 
 def all_maps(src_states, dst_states):
@@ -235,7 +230,7 @@ def test_product_unit_law():
     f = new_frame(3, 2, [[0, 0, 1], [0, 1, 1]])
     unit = new_frame(1, 2, [[0], [0]])
     h, _, _ = product(f, unit)
-    assert are_isomorphic(h, f)
+    assert h == f
 
 
 def test_product_relation_is_pairwise():
@@ -354,204 +349,6 @@ def test_morphism_composition_closed():
         for m1 in morphisms_between(f, g):
             for m2 in morphisms_between(g, h):
                 assert is_morphism(compose(m2, m1), f, h)
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-
-def test_isomorphic_to_itself():
-    f = new_frame(3, 2, [[0, 0, 1], [0, 1, 1]])
-    assert are_isomorphic(f, f)
-
-
-def test_different_sizes_not_isomorphic():
-    f = new_frame(2, 1, [[0, 1]])
-    g = new_frame(3, 1, [[0, 1, 2]])
-    assert not are_isomorphic(f, g)
-
-
-def test_isomorphism_survives_state_permutation():
-    rng = random.Random(99)
-    for _ in range(15):
-        f = random_frame(rng, 6, 3)
-        perm = list(range(6))
-        rng.shuffle(perm)
-        shuffled = new_frame(
-            6, 3, [[f.partitions[a][perm[s]] for s in range(6)] for a in range(3)]
-        )
-        witness = find_isomorphism(shuffled, f)
-        assert witness is not None
-        assert is_morphism(witness, shuffled, f)
-        # bijective with morphism inverse
-        inverse = [0] * 6
-        for s, t in enumerate(witness.mapping):
-            inverse[t] = s
-        assert sorted(witness.mapping) == list(range(6))
-        assert is_morphism(FrameMorphism(tuple(inverse)), f, shuffled)
-
-
-def test_same_size_different_structure():
-    f = new_frame(2, 1, [[0, 1]])
-    g = new_frame(2, 1, [[0, 0]])
-    assert not are_isomorphic(f, g)
-
-
-def test_same_class_counts_different_wiring():
-    # identical class-size profiles (2+1 per agent), but the second frame
-    # aligns the partitions; class-count pruning alone cannot separate these
-    f = new_frame(3, 2, [[0, 0, 1], [0, 1, 1]])
-    g = new_frame(3, 2, [[0, 0, 1], [0, 0, 1]])
-    assert not are_isomorphic(f, g)
-
-
-def permuted(frame, perm):
-    """The frame whose state s is ``frame``'s state ``perm[s]``."""
-    return new_frame(
-        frame.state_count,
-        frame.agent_count,
-        [[row[perm[s]] for s in frame.states()] for row in frame.partitions],
-    )
-
-
-def regular_frame(rng, states, agents):
-    """Every agent's classes have one size, so color refinement gives all
-    states one color and only the search can tell such frames apart."""
-    size = rng.choice([k for k in range(1, states + 1) if states % k == 0])
-    partitions = []
-    for _ in range(agents):
-        order = list(range(states))
-        rng.shuffle(order)
-        row = [0] * states
-        for i, s in enumerate(order):
-            row[s] = i // size
-        partitions.append(row)
-    return new_frame(states, agents, partitions)
-
-
-def brute_isomorphic(f, g):
-    """Some bijection carries g's partitions onto f's."""
-    if (f.state_count, f.agent_count) != (g.state_count, g.agent_count):
-        return False
-    return any(permuted(g, perm) == f for perm in permutations(g.states()))
-
-
-def is_isomorphism(witness, f, g):
-    inverse = [0] * f.state_count
-    for s, t in enumerate(witness.mapping):
-        inverse[t] = s
-    return (
-        sorted(witness.mapping) == list(g.states())
-        and is_morphism(witness, f, g)
-        and is_morphism(FrameMorphism(tuple(inverse)), g, f)
-    )
-
-
-def test_isomorphism_search_matches_brute_force():
-    rng = random.Random(5150)
-    found = {True: 0, False: 0}
-    for _ in range(240):
-        states, agents = rng.randint(0, 7), rng.randint(1, 3)
-        make = rng.choice([random_frame, regular_frame]) if states else random_frame
-        f = make(rng, states, agents)
-        perm = list(range(states))
-        rng.shuffle(perm)
-        g = permuted(f, perm) if rng.random() < 0.4 else make(rng, states, agents)
-        witness = find_isomorphism(f, g)
-        assert (witness is not None) == brute_isomorphic(f, g)
-        if witness is not None:
-            assert is_isomorphism(witness, f, g)
-        found[witness is not None] += 1
-    assert min(found.values()) > 50
-
-
-def refine_colors_per_state(f, g):
-    """Joint color refinement as it was first written: every state sorts
-    the colors of each of its classes itself."""
-    cf = [0] * f.state_count
-    cg = [0] * g.state_count
-    while True:
-        table = {}
-
-        def signature(frame, colors, s):
-            sig = [colors[s]]
-            for a in range(frame.agent_count):
-                members = frame.classes_by_agent[a][frame.partitions[a][s]]
-                sig.append(tuple(sorted(colors[t] for t in members)))
-            return tuple(sig)
-
-        nf = [table.setdefault(signature(f, cf, s), len(table)) for s in f.states()]
-        ng = [table.setdefault(signature(g, cg, s), len(table)) for s in g.states()]
-        if nf == cf and ng == cg:
-            return cf, cg
-        cf, cg = nf, ng
-
-
-def test_color_refinement_matches_the_per_state_refinement():
-    rng = random.Random(2718)
-    for _ in range(400):
-        states, agents = rng.randint(0, 24), rng.randint(1, 4)
-        make = rng.choice([random_frame, regular_frame]) if states else random_frame
-        f = make(rng, states, agents)
-        if rng.random() < 0.5:
-            perm = list(range(states))
-            rng.shuffle(perm)
-            g = permuted(f, perm)
-        else:
-            g = make(rng, rng.choice([states, rng.randint(1, 24)]), agents)
-        assert _refine_colors(f, g) == refine_colors_per_state(f, g)
-
-
-def test_color_refinement_separates_frames_whose_class_sizes_differ():
-    # find_isomorphism prunes on the color multisets alone: the first round
-    # colors a state by its class size under each agent
-    rng = random.Random(4000)
-    mismatched = 0
-    for _ in range(4000):
-        states, agents = rng.randint(1, 12), rng.randint(1, 3)
-        make = rng.choice([random_frame, regular_frame])
-        f, g = make(rng, states, agents), make(rng, states, agents)
-        sizes = [
-            [sorted(map(len, classes)) for classes in frame.classes_by_agent]
-            for frame in (f, g)
-        ]
-        if sizes[0] != sizes[1]:
-            mismatched += 1
-            cf, cg = _refine_colors(f, g)
-            assert sorted(cf) != sorted(cg)
-    assert mismatched > 1000
-
-
-def cycles_frame(lengths):
-    """Two agents whose classes are the alternate edges of disjoint even
-    cycles of the given lengths."""
-    rows: list[list[int]] = [[], []]
-    start = 0
-    for length in lengths:
-        for i in range(length):
-            rows[0].append(start + i // 2)
-            rows[1].append(start + (i + 1) % length // 2)
-        start += length
-    return new_frame(start, 2, rows)
-
-
-def test_isomorphism_search_backtracks_on_cycles():
-    # every state lies in one two-state class per agent, so color
-    # refinement cannot separate one 12-cycle from two 6-cycles
-    one, two = cycles_frame([12]), cycles_frame([6, 6])
-    assert find_isomorphism(one, two) is None
-    assert find_isomorphism(two, one) is None
-    assert is_isomorphism(find_isomorphism(one, one), one, one)
-    assert is_isomorphism(find_isomorphism(two, two), two, two)
-
-
-def test_isomorphism_on_a_shuffled_protocol_frame():
-    frame = protocol_action_model(2, 3).frame  # 2,197 states
-    perm = list(frame.states())
-    random.Random(7).shuffle(perm)
-    shuffled = permuted(frame, perm)
-    witness = find_isomorphism(shuffled, frame)
-    assert witness is not None
-    assert is_isomorphism(witness, shuffled, frame)
 
 
 # ---------------------------------------------------------------------------
