@@ -210,45 +210,14 @@ def indist_1(agent: int, a: BlockAction, b: BlockAction) -> bool:
     return view1(agent, a) == view1(agent, b)
 
 
-class FinalStates(Sequence):
-    """The final states of every schedule, kept as the walk of
-    :func:`final_states` leaves them: per prefix of all rounds but the
-    last, ``prefixes[p][i][v]`` is process i's state after that prefix
-    and its v-th distinct last-round view, and ``picks[x][i]`` is process
-    i's view slot under the x-th block action.  Schedule k is prefix
-    ``k // len(picks)`` followed by action ``k % len(picks)``.
-
-    Indexing, iteration, ``len`` and ``==`` give what the tuple of rows
-    ``(state of process 0, state of process 1, ...)`` per schedule gives,
-    without building that tuple."""
-
-    __slots__ = ("prefixes", "picks")
-
-    def __init__(self, prefixes: tuple, picks: tuple):
-        self.prefixes = prefixes
-        self.picks = picks
-
-    def __len__(self) -> int:
-        return len(self.prefixes) * len(self.picks)
-
-    def __getitem__(self, k: int) -> tuple:
-        prefix, action = divmod(k, len(self.picks))
-        return tuple(map(tuple.__getitem__, self.prefixes[prefix], self.picks[action]))
-
-    def __iter__(self) -> Iterator[tuple]:
-        for steps in self.prefixes:
-            for pick in self.picks:
-                yield tuple(map(tuple.__getitem__, steps, pick))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, FinalStates)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-
-def final_states(n: int, rounds: int) -> FinalStates:
-    """``final_states(n, rounds)[k][i]``: process i's local state after
-    all rounds of the k-th schedule of :func:`enum_schedules`.
+def final_states(n: int, rounds: int) -> tuple[list, tuple]:
+    """Every process's local state after all rounds of every schedule of
+    :func:`enum_schedules`, as the pair ``(prefixes, picks)``: per prefix
+    of all rounds but the last, ``prefixes[p][i][v]`` is process i's state
+    after that prefix and its v-th distinct last-round view, and
+    ``picks[x][i]`` is process i's view slot under the x-th block action.
+    Schedule k is prefix ``k // len(picks)`` followed by action
+    ``k % len(picks)``.
 
     Full information, derived from the view structure alone: round 1
     writes the ids, every later round each process's state, and round r
@@ -258,9 +227,9 @@ def final_states(n: int, rounds: int) -> FinalStates:
     the two must agree; keep this path free of simulator code.  The
     schedule tree is walked round by round, each prefix's states stepped
     by every block action with one step per (prefix, process, view).  The
-    last level is returned as it comes out, per prefix and view (see
-    :class:`FinalStates`), not expanded per schedule.  Equal states are
-    one object.
+    last level is returned as it comes out, not expanded per schedule:
+    its one reader, :attr:`ScheduleContext.frame`, labels it per prefix.
+    Equal states are one object.
     """
     acts = enum_block_actions(n)
     if rounds < 1:
@@ -289,7 +258,7 @@ def final_states(n: int, rounds: int) -> FinalStates:
                 steps.append(tuple(stepped))
             stepped_level.append(tuple(steps))
         if rnd == rounds:
-            return FinalStates(tuple(stepped_level), picks)
+            return stepped_level, picks
         level = [
             tuple(map(tuple.__getitem__, steps, pick))
             for steps in stepped_level
@@ -301,18 +270,18 @@ def final_states(n: int, rounds: int) -> FinalStates:
 # the shared schedule context
 
 class ScheduleContext:
-    """The canonical schedules of (n, rounds) as text, their final states
-    and the frame of the view classes those give.
+    """The canonical schedules of (n, rounds) as text and the frame of
+    the view classes their final states give.
 
     Get it from :func:`schedule_context`, which builds one per key and
     process, so the model builders, the solver and the reports share it
-    instead of walking the schedules again.  Its three tables (final
-    states from one :func:`final_states` call, texts and the frame) are
-    each built on first use; the final states stay per prefix of rounds,
-    and the frame is read off them.  It keeps no :class:`Schedule`
-    records: a caller that needs them calls :func:`enum_schedules`.  A
-    plain class, not a :class:`Record`: it is a cache shared by identity,
-    not a value compared by its fields.
+    instead of walking the schedules again.  Its two tables, the texts
+    and the frame, are each built on first use.  It keeps no final state:
+    the frame reads them off one :func:`final_states` walk and lets them
+    go.  It keeps no :class:`Schedule` records either: a caller that
+    needs them calls :func:`enum_schedules`.  A plain class, not a
+    :class:`Record`: it is a cache shared by identity, not a value
+    compared by its fields.
     """
 
     def __init__(self, n: int, rounds: int):
@@ -320,15 +289,6 @@ class ScheduleContext:
             raise ValueError("rounds must be >= 1")
         self.n = n
         self.rounds = rounds
-
-    @cached_property
-    def finals(self) -> FinalStates:
-        """``finals[k][i]``: process i's final state under schedule k.
-
-        Equal states are kept as one object: there are far fewer distinct
-        local states than (schedule, process) pairs, and the nested
-        full-information states are large."""
-        return final_states(self.n, self.rounds)
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
@@ -346,22 +306,23 @@ class ScheduleContext:
         final states under them are equal: the frame of the schedule
         action model, whose classes are the solver's view classes.
 
-        Read off the final states per prefix: each agent's states after a
-        prefix are labelled once (equal states are one object, so by id)
+        Read off the last level of one :func:`final_states` walk as it
+        comes out: each agent's states after a prefix are labelled once
+        (equal states are one object, so by id, while the level lives)
         and the labels are spread over the actions by the agent's view
         slots.  Prefixes in order and slots in index order number the
         classes by first occurrence, since slots are numbered in action
         order."""
-        finals = self.finals
+        prefixes, picks = final_states(self.n, self.rounds)
         partitions = []
-        for a, slots in enumerate(zip(*finals.picks)):
+        for a, slots in enumerate(zip(*picks)):
             seen: dict[int, int] = {}
             row: list[int] = []
-            for steps in finals.prefixes:
+            for steps in prefixes:
                 labels = [seen.setdefault(id(state), len(seen)) for state in steps[a]]
                 row.extend(map(labels.__getitem__, slots))
             partitions.append(row)
-        return new_frame(len(finals), self.n + 1, partitions)
+        return new_frame(len(prefixes) * len(picks), self.n + 1, partitions)
 
 
 @lru_cache(maxsize=16)

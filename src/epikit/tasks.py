@@ -184,49 +184,6 @@ def output_model(task: InputlessTask) -> tuple[KripkeModel, dict[tuple[int, int]
 # ---------------------------------------------------------------------------
 # builtins
 
-# The builtins' rules for one schedule at a time, the references their
-# tables are tested against.  They read what a simulated run tells each
-# process of the others, so they stay independent of the view algebra
-# and of the block-action rule the builtins are tabulated by.
-
-def _seen_ids(state) -> frozenset[int]:
-    """Every process id in a full-information local state: its own and,
-    through each snapshot, that of every state it read (a snapshot pairs
-    each state read with its writer's id, which is that state's own).  One
-    loop over an explicit stack walks each shared sub-state once, so the
-    nesting (one level per round) meets no recursion limit."""
-    ids: set[int] = set()
-    walked: set[int] = set()
-    stack = [state]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, int):  # a round-1 write
-            ids.add(value)
-        elif id(value) not in walked:
-            walked.add(id(value))
-            own, snap = value
-            ids.add(own)
-            stack += [sub for _, sub in snap]
-    return frozenset(ids)
-
-
-def never_reads_others(agent: int, sched: Schedule) -> bool:
-    """True when nothing of any other process ever reaches the agent,
-    directly or through an intermediary."""
-    from .simengine import run
-
-    return _seen_ids(run(sched).finals[agent]) == {agent}
-
-
-def reads_only(agents: frozenset[int], sched: Schedule) -> bool:
-    """True when the given processes jointly never acquire data from
-    outside the group."""
-    from .simengine import run
-
-    finals = run(sched).finals
-    return all(_seen_ids(finals[i]) <= agents for i in agents)
-
-
 def _one_hot_tuples(width: int) -> list[OutputTuple]:
     return [tuple(1 if j == i else 0 for j in range(width)) for i in range(width)]
 

@@ -36,18 +36,17 @@ from epikit.schedules import (
     view1,
 )
 from epikit.simengine import run
-from epikit.tasks import _seen_ids, never_reads_others, reads_only
 
-from test_simengine import coarsen, protocol_finals
+from test_simengine import coarsen, protocol_finals, view_finals
 
 P, Q, R = 0, 1, 2
 
 
 def finals_of(sched):
     """One schedule's final states from the view algebra: its row of the
-    full-information context of its size, found by its text."""
-    ctx = schedule_context(sched.process_count - 1, sched.round_count)
-    return ctx.finals[ctx.texts.index(sched.text())]
+    full-information walk of its size, found by its text."""
+    n, rounds = sched.process_count - 1, sched.round_count
+    return view_finals(n, rounds)[schedule_context(n, rounds).texts.index(sched.text())]
 
 
 def brute_force_block_actions(n):
@@ -332,14 +331,14 @@ def test_seen_ids_transitive():
     # from p in round 2 once p has seen r
     s = parse_schedule("1|0,2;1,0|2")
     assert R not in view1(Q, s.rounds[0])
-    assert R in _seen_ids(run(s).finals[Q])
+    assert R in walked_seen_ids(run(s).finals[Q])
 
 
-def heard_of_finals(ctx):
+def heard_of_finals(n, rounds):
     """Each schedule's final heard-of sets, simulated run by run."""
     return [
-        tuple(map(_seen_ids, run(sched).finals))
-        for sched in enum_schedules(ctx.n, ctx.rounds)
+        tuple(map(walked_seen_ids, run(sched).finals))
+        for sched in enum_schedules(n, rounds)
     ]
 
 
@@ -354,9 +353,8 @@ def recursive_seen_ids(state):
 
 
 def test_seen_ids_matches_a_recursive_walk():
-    ctx = schedule_context(2, 2)
-    heard = heard_of_finals(ctx)
-    assert heard == [tuple(map(recursive_seen_ids, finals)) for finals in ctx.finals]
+    heard = heard_of_finals(2, 2)
+    assert heard == [tuple(map(recursive_seen_ids, finals)) for finals in view_finals(2, 2)]
 
 
 def walked_seen_ids(state):
@@ -380,25 +378,42 @@ def walked_seen_ids(state):
     return frozenset(out)
 
 
+# The builtins' rules for one schedule at a time, the references their
+# tables are tested against.  They read what a simulated run tells each
+# process of the others, so they stay independent of the view algebra
+# and of the block-action rule the builtins are tabulated by.
+
+def never_reads_others(agent, sched):
+    """True when nothing of any other process ever reaches the agent,
+    directly or through an intermediary."""
+    return walked_seen_ids(run(sched).finals[agent]) == {agent}
+
+
+def reads_only(agents, sched):
+    """True when the given processes jointly never acquire data from
+    outside the group."""
+    finals = run(sched).finals
+    return all(walked_seen_ids(finals[i]) <= agents for i in agents)
+
+
 @pytest.mark.parametrize(
     "n, rounds", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 )
 def test_seen_ids_with_one_memo_match_a_walk_per_view_class(n, rounds):
     # every member of an agent's full-information view class has heard
     # of the ids in that class's state
-    ctx = schedule_context(n, rounds)
-    heard = heard_of_finals(ctx)
-    for a, classes in enumerate(ctx.frame.classes_by_agent):
+    heard = heard_of_finals(n, rounds)
+    rows = view_finals(n, rounds)
+    for a, classes in enumerate(schedule_context(n, rounds).frame.classes_by_agent):
         for members in classes:
-            expected = walked_seen_ids(ctx.finals[members[0]][a])
+            expected = walked_seen_ids(rows[members[0]][a])
             assert {heard[m][a] for m in members} == {expected}
 
 
 @pytest.mark.parametrize("n, rounds", [(1, 3), (2, 1), (2, 2), (3, 1)])
 def test_seen_ids_with_one_memo_agree_with_the_simulator_references(n, rounds):
-    ctx = schedule_context(n, rounds)
     groups = [frozenset(g) for size in (1, 2) for g in combinations(range(n + 1), size)]
-    for sched, finals in zip(enum_schedules(n, rounds), ctx.finals):
+    for sched, finals in zip(enum_schedules(n, rounds), view_finals(n, rounds)):
         seen = [walked_seen_ids(state) for state in finals]
         for a in range(n + 1):
             assert (seen[a] == {a}) == never_reads_others(a, sched)
@@ -427,21 +442,21 @@ CONTEXT_SIZES = [(n, r) for n in range(3) for r in (1, 2, 3)] + [(3, 1), (3, 2)]
 
 @pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
 def test_context_finals_match_lone_runs_under_seeded_abstractions(n, rounds):
-    # the context's full-information finals determine what each schedule,
+    # the walk's full-information finals determine what each schedule,
     # run alone under a seeded protocol, ends in
     protocol = seeded_abstraction(100 * n + rounds)
-    ctx = schedule_context(n, rounds)
     expected = [protocol_finals(s, protocol) for s in enum_schedules(n, rounds)]
-    assert coarsen(protocol, ctx.finals, rounds) == expected
+    assert coarsen(protocol, view_finals(n, rounds), rounds) == expected
 
 
 @pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
 def test_full_information_context_finals_match_lone_runs(n, rounds):
     ctx = schedule_context(n, rounds)
     assert ctx.texts == tuple(s.text() for s in enum_schedules(n, rounds))
-    assert ctx.finals == final_states(n, rounds)
+    rows = view_finals(n, rounds)
+    assert len(rows) == len(ctx.texts)
     one_object: dict = {}
-    for sched, states in zip(enum_schedules(n, rounds), ctx.finals):
+    for sched, states in zip(enum_schedules(n, rounds), rows):
         assert states == run(sched).finals
         for state in states:
             assert one_object.setdefault(state, state) is state
@@ -454,26 +469,12 @@ def test_final_states_reject_a_negative_n_and_no_rounds():
         final_states(1, 0)
 
 
-def test_final_states_read_like_the_tuple_of_rows():
-    finals = final_states(2, 2)
-    rows = tuple(finals)
-    assert len(finals) == len(rows) == 169
-    assert finals == rows and rows == finals and finals == final_states(2, 2)
-    assert [finals[k] for k in range(-169, 169)] == list(rows) * 2
-    for k in (169, -170):
-        with pytest.raises(IndexError):
-            finals[k]
-    assert finals != rows[:-1] and finals != rows[1:] + rows[:1]
-    # a tuple is never equal to a list
-    assert finals != list(rows)
-
-
-def reference_frame(ctx):
+def reference_frame(n, rounds):
     """The frame over the ids of each schedule's expanded row of final
     states, relabelled by ``new_frame``."""
-    rows = tuple(ctx.finals)
-    partitions = [[id(row[a]) for row in rows] for a in range(ctx.n + 1)]
-    return new_frame(len(rows), ctx.n + 1, partitions)
+    rows = view_finals(n, rounds)
+    partitions = [[id(row[a]) for row in rows] for a in range(n + 1)]
+    return new_frame(len(rows), n + 1, partitions)
 
 
 # full information is the one protocol epikit builds; the kind stays in
@@ -493,10 +494,11 @@ def test_frame_read_off_the_prefixes_matches_the_expanded_rows(
     monkeypatch.setattr(schedules, "final_states", counting_walk)
     ctx = schedule_context(n, rounds)
     frame = ctx.frame
-    assert len(ctx.finals) == len(ctx.texts)
-    # the frame and the final states share one walk
+    assert frame.state_count == len(ctx.texts)
+    # the frame is read off one walk, and the context keeps no final state
     assert walks == [(n, rounds)]
-    assert frame == reference_frame(ctx)
+    assert set(vars(ctx)) == {"n", "rounds", "texts", "frame"}
+    assert frame == reference_frame(n, rounds)
 
 
 # ---------------------------------------------------------------------------

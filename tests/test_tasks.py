@@ -21,13 +21,13 @@ from epikit.tasks import (
     _winners_task,
     builtin,
     make_task,
-    never_reads_others,
     output_model,
-    reads_only,
     task_action_model,
     task_from_json,
     task_to_json,
 )
+
+from test_schedules import never_reads_others, reads_only
 
 P, Q, R = 0, 1, 2
 
