@@ -41,12 +41,13 @@ class KripkeFrame(Record):
 
     @cached_property
     def classes_by_agent(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """For each agent, the states of each class, class index order."""
+        """For each agent, the states of each class, class index order;
+        each state is one object, taken from one list of the states."""
+        states = list(range(self.state_count))
         out = []
-        for a in range(self.agent_count):
-            row = self.partitions[a]
+        for a, row in enumerate(self.partitions):
             buckets: list[list[int]] = [[] for _ in range(self.num_classes(a))]
-            for s, c in enumerate(row):
+            for s, c in zip(states, row):
                 buckets[c].append(s)
             out.append(tuple(tuple(b) for b in buckets))
         return tuple(out)
@@ -56,12 +57,14 @@ class KripkeFrame(Record):
         """For each state, its class under each agent, numbered across the
         agents: agent a's class c is number c after all classes of agents
         0..a-1.  The numbers rise with the agent, so a state's tuple is
-        its facet in the dual complex, in ascending order."""
+        its facet in the dual complex, in ascending order.  Each number
+        is one object, looked up in a list of the agent's numbers."""
         columns = []
         offset = 0
         for a, row in enumerate(self.partitions):
-            columns.append(map(offset.__add__, row))
-            offset += self.num_classes(a)
+            numbers = list(range(offset, offset + self.num_classes(a)))
+            columns.append(map(numbers.__getitem__, row))
+            offset += len(numbers)
         return tuple(zip(*columns))
 
     def states(self) -> range:

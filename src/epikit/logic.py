@@ -121,15 +121,6 @@ class KripkeModel(Record):
         return idx in self.valuation[state]
 
 
-def _trusted_model(frame: KripkeFrame, ap: tuple, valuation: tuple) -> KripkeModel:
-    """The model of parts the package built itself, without the checks of
-    ``__post_init__``, which are for parts a caller hands in."""
-    model = object.__new__(KripkeModel)
-    for name, value in zip(KripkeModel._fields, (frame, ap, valuation)):
-        object.__setattr__(model, name, value)
-    return model
-
-
 def is_model_morphism(f: FrameMorphism, src: KripkeModel, dst: KripkeModel) -> bool:
     """Frame morphism that never grows valuations: valuation(f(s)) a subset
     of valuation(s), compared through atom names so the two models may
@@ -266,7 +257,7 @@ def product_update(
     ]
     frame = new_frame(len(pairs), model.frame.agent_count, partitions)
     valuation = tuple(model.valuation[s] for (s, t) in pairs)
-    return KripkeModel(frame, model.ap, valuation), pairing
+    return KripkeModel._trusted(frame, model.ap, valuation), pairing
 
 
 def compose_actions(first: ActionModel, second: ActionModel) -> ActionModel:

@@ -71,15 +71,6 @@ def _fill_tables(act: BlockAction) -> None:
     object.__setattr__(act, "_text", text)
 
 
-def _trusted_action(classes: tuple[tuple[int, ...], ...]) -> BlockAction:
-    """The action of classes the package built itself, without the checks
-    of ``__post_init__``, which are for classes a caller hands in."""
-    act = object.__new__(BlockAction)
-    object.__setattr__(act, "classes", classes)
-    _fill_tables(act)
-    return act
-
-
 class Schedule(Record):
     """A sequence of block actions, one per round, over one id set."""
 
@@ -180,7 +171,10 @@ def enum_block_actions(n: int) -> tuple[BlockAction, ...]:
     if n < 0:
         raise ValueError("n must be >= 0")
     parts = sorted(_ordered_partitions(tuple(range(n + 1))), key=lambda p: (len(p), p))
-    return tuple(map(_trusted_action, parts))
+    acts = tuple(map(BlockAction._trusted, parts))
+    for act in acts:
+        _fill_tables(act)
+    return acts
 
 
 def enum_schedules(n: int, rounds: int) -> list[Schedule]:
@@ -312,7 +306,7 @@ class ScheduleContext:
         and the labels are spread over the actions by the agent's view
         slots.  Prefixes in order and slots in index order number the
         classes by first occurrence, since slots are numbered in action
-        order."""
+        order.  The level is dropped before the frame is built."""
         prefixes, picks = final_states(self.n, self.rounds)
         partitions = []
         for a, slots in enumerate(zip(*picks)):
@@ -322,7 +316,8 @@ class ScheduleContext:
                 labels = [seen.setdefault(id(state), len(seen)) for state in steps[a]]
                 row.extend(map(labels.__getitem__, slots))
             partitions.append(row)
-        return new_frame(len(prefixes) * len(picks), self.n + 1, partitions)
+        del prefixes
+        return new_frame(len(partitions[0]), self.n + 1, partitions)
 
 
 @lru_cache(maxsize=16)
@@ -362,11 +357,11 @@ def input_model(n: int, rounds: int) -> KripkeModel:
     """The initial model: one state per schedule, all states alike to every
     process (only the environment knows the schedule).  State atoms name
     the schedule; id atoms hold everywhere."""
-    from .logic import _trusted_model
+    from .logic import KripkeModel
 
     ctx = schedule_context(n, rounds)
     frame = new_frame(len(ctx.texts), n + 1, [[0] * len(ctx.texts)] * (n + 1))
-    return _trusted_model(frame, *_schedule_atoms(ctx))
+    return KripkeModel._trusted(frame, *_schedule_atoms(ctx))
 
 
 def protocol_model(n: int, rounds: int) -> KripkeModel:
@@ -376,10 +371,10 @@ def protocol_model(n: int, rounds: int) -> KripkeModel:
     state, so the product is the context's frame with the input atoms.
     Built, like :func:`input_model`, without the constructor's checks of
     a caller's parts."""
-    from .logic import _trusted_model
+    from .logic import KripkeModel
 
     ctx = schedule_context(n, rounds)
-    return _trusted_model(ctx.frame, *_schedule_atoms(ctx))
+    return KripkeModel._trusted(ctx.frame, *_schedule_atoms(ctx))
 
 
 def _fubini_numbers() -> Iterator[int]:

@@ -17,7 +17,7 @@ from operator import contains
 
 from .kernel import KripkeFrame, new_frame
 from .record import Record
-from .schedules import protocol_action_model, schedule_context
+from .schedules import ScheduleContext, protocol_action_model, schedule_context
 from .tasks import InputlessTask, Value, _value_to_json
 
 
@@ -43,10 +43,15 @@ class SearchStats(Record):
 
 
 class Verdict(Record):
-    solvable: bool
+    """The certificate found (None if the task is unsolvable) and the
+    search's counts; its view classes are the schedule context frame's."""
+
     decision: DecisionMap | None
-    classes: tuple[tuple[tuple[int, ...], ...], ...]  # [agent][class] -> schedules
     stats: SearchStats
+
+    @property
+    def solvable(self) -> bool:
+        return self.decision is not None
 
     def __bool__(self) -> bool:
         return self.solvable
@@ -446,19 +451,17 @@ def solve(task: InputlessTask) -> Verdict:
     A Solvable verdict carries the canonically first certificate and is
     re-verified through the simulator path before being returned.
     """
-    frame = protocol_action_model(task.n, task.rounds).frame
-    classes = frame.classes_by_agent
-    search = _Search(task, frame)
+    search = _Search(task, protocol_action_model(task.n, task.rounds).frame)
     solvable = search.run()
     stats = SearchStats(
         search.nodes, search.backtracks, search.assignments, search.learned
     )
     if not solvable:
-        return Verdict(False, None, classes, stats)
+        return Verdict(None, stats)
     decision = search.decision()
     if not verify_certificate(task, decision):
         raise SolverError("internal error: found certificate failed verification")
-    return Verdict(True, decision, classes, stats)
+    return Verdict(decision, stats)
 
 
 def verify_certificate(task: InputlessTask, decision: DecisionMap) -> bool:
@@ -550,15 +553,15 @@ def conflict_core(task: InputlessTask) -> tuple[int, ...]:
 def verdict_report(task: InputlessTask, verdict: Verdict) -> dict:
     """The verdict with class inventories and search statistics, JSON-ready;
     only an unsolvable verdict searches again, for its conflict core."""
-    texts = schedule_context(task.n, task.rounds).texts
+    ctx = schedule_context(task.n, task.rounds)
     report = {
         "task": task.name,
         "n": task.n,
         "rounds": task.rounds,
         "solvable": verdict.solvable,
-        "states": len(texts),
-        "class_counts": [len(by_agent) for by_agent in verdict.classes],
-        "classes": _class_texts(texts, verdict),
+        "states": len(ctx.texts),
+        "class_counts": [len(by_agent) for by_agent in ctx.frame.classes_by_agent],
+        "classes": _class_texts(ctx),
         "search_nodes": verdict.stats.nodes,
         "search_backtracks": verdict.stats.backtracks,
         "search_assignments": verdict.stats.assignments,
@@ -567,14 +570,14 @@ def verdict_report(task: InputlessTask, verdict: Verdict) -> dict:
         report["decision"] = _decision_values(verdict)
     else:
         core = conflict_core(task)
-        report["conflict_core"] = [texts[k] for k in core]
+        report["conflict_core"] = [ctx.texts[k] for k in core]
     return report
 
 
-def _class_texts(texts: tuple[str, ...], verdict: Verdict) -> list:
+def _class_texts(ctx: ScheduleContext) -> list:
     return [
-        [[texts[k] for k in members] for members in by_agent]
-        for by_agent in verdict.classes
+        [list(map(ctx.texts.__getitem__, members)) for members in by_agent]
+        for by_agent in ctx.frame.classes_by_agent
     ]
 
 
@@ -589,11 +592,10 @@ def decision_to_json(task: InputlessTask, verdict: Verdict) -> dict:
     in canonical schedule order."""
     if not verdict.solvable:
         raise SolverError("no certificate for an unsolvable task")
-    texts = schedule_context(task.n, task.rounds).texts
     return {
         "task": task.name,
         "n": task.n,
         "N": task.rounds,
         "decision": _decision_values(verdict),
-        "classes": _class_texts(texts, verdict),
+        "classes": _class_texts(schedule_context(task.n, task.rounds)),
     }

@@ -227,6 +227,8 @@ def test_update_matches_pairwise_reference(seed):
     updated, pairing = product_update(model, action)
     expected, expected_pairing = reference_update(model, action)
     assert updated == expected
+    # built without the constructor's checks, which it would pass
+    assert KripkeModel(updated.frame, updated.ap, updated.valuation) == updated
     assert list(pairing.items()) == list(expected_pairing.items())
     if nothing_holds:
         assert updated.frame.state_count == 0

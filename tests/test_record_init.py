@@ -60,6 +60,12 @@ def test_bad_calls_of_a_seven_field_record_raise_pythons_own_errors(args, kwargs
         Seven(*args, **kwargs)
 
 
+def test_trusted_skips_post_init_and_equals_the_checked_record():
+    unchecked = Seven._trusted(None, 2, 3, 4, 5, 6, "seventh")
+    assert unchecked.a is None and unchecked.g == "seventh"
+    assert Seven._trusted(1, 2, 3, 4, 5, 6, "seventh") == Seven(1, 2, 3, 4, 5, 6)
+
+
 def test_an_error_in_post_init_names_the_initializer_source():
     with pytest.raises(ValueError) as info:
         Seven(None, 2, 3, 4, 5, 6)

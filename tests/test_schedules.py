@@ -558,6 +558,14 @@ def test_action_model_reads_the_context_frame_and_last_round_views(n, rounds):
     )
 
 
+def test_the_frame_tables_hold_one_int_object_per_id():
+    frame = schedule_context(3, 2).frame
+    vertices = sum(frame.num_classes(a) for a in range(frame.agent_count))
+    assert len({id(c) for facet in frame.class_ids for c in facet}) == vertices
+    members = {id(s) for by_agent in frame.classes_by_agent for m in by_agent for s in m}
+    assert len(members) == frame.state_count == 5625
+
+
 @pytest.mark.parametrize("n", range(4))
 def test_block_actions_are_built_once_per_n(n):
     assert enum_block_actions(n) is enum_block_actions(n)

@@ -82,7 +82,7 @@ def test_snapshot_solvable_with_view_decisions():
     # every class decides exactly its own view
     scheds = enum_schedules(2, 1)
     for a in range(3):
-        for c, members in enumerate(verdict.classes[a]):
+        for c, members in enumerate(schedules.schedule_context(2, 1).frame.classes_by_agent[a]):
             view = tuple(sorted(view1(a, scheds[members[0]].rounds[0])))
             assert verdict.decision.value(a, c) == view
 
@@ -121,6 +121,13 @@ def test_all_tuples_task_trivially_solvable():
     assert verdict.solvable
     # canonical first certificate: the first value in every domain
     assert all(v == 0 for per_agent in verdict.decision.values for v in per_agent)
+
+
+@pytest.mark.parametrize("name, solvable", [("snapshot", True), ("testset", False)])
+def test_a_verdict_is_its_decision_and_stats(name, solvable):
+    verdict = solve(builtin(name, 2))
+    assert type(verdict)._fields == ("decision", "stats")
+    assert verdict.solvable is bool(verdict) is (verdict.decision is not None) is solvable
 
 
 def test_empty_delta_is_unsolvable():
@@ -278,7 +285,7 @@ def test_abstracted_solution_transfers_to_full_information():
     fine = solve(task)
     assert fine.solvable
     values = []
-    for a, per_agent in enumerate(fine.classes):
+    for a, per_agent in enumerate(schedules.schedule_context(2, 1).frame.classes_by_agent):
         for members in per_agent:
             assert len({coarse[k][a] for k in members}) == 1
         values.append(tuple(decide[coarse[members[0]][a]] for members in per_agent))
