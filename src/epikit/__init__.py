@@ -31,8 +31,8 @@ _EXPORTS = {
     **dict.fromkeys([
         "BlockAction", "Schedule", "block_action", "enum_block_actions",
         "enum_schedules", "indist_1", "input_model", "parse_schedule",
-        "protocol_action_model", "protocol_model", "schedule",
-        "schedule_context", "view1",
+        "protocol_action_model", "protocol_frame", "protocol_model",
+        "schedule", "schedule_texts", "view1",
     ], "schedules"),
     **dict.fromkeys(["RunRecord", "oracle_indist", "run"], "simengine"),
     **dict.fromkeys([

@@ -121,9 +121,9 @@ def _resolve_state(args) -> int:
         return int(args.state)
     if args.model_file or args.kind == "output":
         raise CliError("schedule text names a state of the input and protocol models only")
-    from .schedules import parse_schedule, schedule_context
+    from .schedules import parse_schedule, schedule_texts
 
-    texts = schedule_context(args.n, args.rounds).texts
+    texts = schedule_texts(args.n, args.rounds)
     text = parse_schedule(args.state).text()
     if text in texts:
         return texts.index(text)
@@ -148,9 +148,9 @@ def _build_complex(args):
     from .topology import frame_to_complex
 
     if args.kind == "protocol":
-        from .schedules import schedule_context
+        from .schedules import protocol_frame
 
-        frame = schedule_context(args.n, args.rounds).frame
+        frame = protocol_frame(args.n, args.rounds)
     else:
         frame = _load_task(args).output.frame
     return frame_to_complex(frame)
@@ -355,9 +355,9 @@ def cmd_schedules(args) -> int:
     if args.json:
         sys.stdout.write(_render(args, "schedules", False))
     else:
-        from .schedules import schedule_context
+        from .schedules import schedule_texts
 
-        print("\n".join(schedule_context(args.n, args.rounds).texts))
+        print("\n".join(schedule_texts(args.n, args.rounds)))
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ is a sequence of N block actions, each applied to a fresh array.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, islice, product as iproduct
 
 from .kernel import ActionModel, KripkeFrame, new_frame
@@ -222,8 +222,9 @@ def final_states(n: int, rounds: int) -> tuple[list, tuple]:
     schedule tree is walked round by round, each prefix's states stepped
     by every block action with one step per (prefix, process, view).  The
     last level is returned as it comes out, not expanded per schedule:
-    its one reader, :attr:`ScheduleContext.frame`, labels it per prefix.
-    Equal states are one object.
+    its one reader, :func:`protocol_frame`, labels it per prefix.
+    Equal states are one object: states of different rounds never are
+    equal, so each round interns its own.
     """
     acts = enum_block_actions(n)
     if rounds < 1:
@@ -235,20 +236,28 @@ def final_states(n: int, rounds: int) -> tuple[list, tuple]:
         tuple(views[i].setdefault(v, len(views[i])) for i, v in enumerate(act.views))
         for act in acts
     )
-    distinct: dict = {}
     level = [tuple(range(n + 1))]  # round 1 writes the ids
     for rnd in range(1, rounds + 1):
+        # per process, a round's states keyed by the ids of the states its
+        # view reads: the level before is interned and alive, and each of
+        # its states carries its process, so the key names one state.  No
+        # state is hashed, which would recurse once per round it nests
+        distinct: list[dict] = [{} for _ in views]
         stepped_level = []
         for before in level:
             # per process, the (id, value) its write puts in a snapshot,
             # built once per prefix and shared by every snapshot holding it
             cells = list(enumerate(before))
+            ids = list(map(id, before))
             steps = []
-            for i, own_views in enumerate(views):
+            for i, (own_views, own) in enumerate(zip(views, distinct)):
                 stepped = []
                 for view in own_views:
-                    state = (i, tuple(map(cells.__getitem__, view)))
-                    stepped.append(distinct.setdefault(state, state))
+                    key = tuple(map(ids.__getitem__, view))
+                    state = own.get(key)
+                    if state is None:
+                        state = own[key] = (i, tuple(map(cells.__getitem__, view)))
+                    stepped.append(state)
                 steps.append(tuple(stepped))
             stepped_level.append(tuple(steps))
         if rnd == rounds:
@@ -261,69 +270,45 @@ def final_states(n: int, rounds: int) -> tuple[list, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# the shared schedule context
+# the tables of (n, rounds), built once per key and process and shared by
+# the model builders, the solver and the reports
 
-class ScheduleContext:
-    """The canonical schedules of (n, rounds) as text and the frame of
-    the view classes their final states give.
-
-    Get it from :func:`schedule_context`, which builds one per key and
-    process, so the model builders, the solver and the reports share it
-    instead of walking the schedules again.  Its two tables, the texts
-    and the frame, are each built on first use.  It keeps no final state:
-    the frame reads them off one :func:`final_states` walk and lets them
-    go.  It keeps no :class:`Schedule` records either: a caller that
-    needs them calls :func:`enum_schedules`.  A plain class, not a
-    :class:`Record`: it is a cache shared by identity, not a value
-    compared by its fields.
-    """
-
-    def __init__(self, n: int, rounds: int):
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        self.n = n
-        self.rounds = rounds
-
-    @cached_property
-    def texts(self) -> tuple[str, ...]:
-        """``texts[k]`` is ``enum_schedules(n, rounds)[k].text()``.  The
-        canonical order is the cartesian power of the block-action order,
-        so the texts are that power of the actions' texts."""
-        acts = enum_block_actions(self.n)
-        return tuple(
-            map(";".join, iproduct([a.text() for a in acts], repeat=self.rounds))
-        )
-
-    @cached_property
-    def frame(self) -> KripkeFrame:
-        """One state per schedule, two alike for an agent iff the agent's
-        final states under them are equal: the frame of the schedule
-        action model, whose classes are the solver's view classes.
-
-        Read off the last level of one :func:`final_states` walk as it
-        comes out: each agent's states after a prefix are labelled once
-        (equal states are one object, so by id, while the level lives)
-        and the labels are spread over the actions by the agent's view
-        slots.  Prefixes in order and slots in index order number the
-        classes by first occurrence, since slots are numbered in action
-        order.  The level is dropped before the frame is built."""
-        prefixes, picks = final_states(self.n, self.rounds)
-        partitions = []
-        for a, slots in enumerate(zip(*picks)):
-            seen: dict[int, int] = {}
-            row: list[int] = []
-            for steps in prefixes:
-                labels = [seen.setdefault(id(state), len(seen)) for state in steps[a]]
-                row.extend(map(labels.__getitem__, slots))
-            partitions.append(row)
-        del prefixes
-        return new_frame(len(partitions[0]), self.n + 1, partitions)
+@lru_cache(maxsize=16)
+def schedule_texts(n: int, rounds: int) -> tuple[str, ...]:
+    """``texts[k]`` is ``enum_schedules(n, rounds)[k].text()``.  The
+    canonical order is the cartesian power of the block-action order, so
+    the texts are that power of the actions' texts.  No :class:`Schedule`
+    record is kept: a caller that needs them calls :func:`enum_schedules`."""
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    acts = enum_block_actions(n)
+    return tuple(map(";".join, iproduct([a.text() for a in acts], repeat=rounds)))
 
 
 @lru_cache(maxsize=16)
-def schedule_context(n: int, rounds: int) -> ScheduleContext:
-    """The shared context for (n, rounds)."""
-    return ScheduleContext(n, rounds)
+def protocol_frame(n: int, rounds: int) -> KripkeFrame:
+    """One state per schedule, two alike for an agent iff the agent's
+    final states under them are equal: the frame of the schedule action
+    model, whose classes are the solver's view classes.
+
+    Read off the last level of one :func:`final_states` walk as it comes
+    out: each agent's states after a prefix are labelled once (equal
+    states are one object, so by id, while the level lives) and the
+    labels are spread over the actions by the agent's view slots.
+    Prefixes in order and slots in index order number the classes by
+    first occurrence, since slots are numbered in action order.  The
+    level is dropped before the frame is built."""
+    prefixes, picks = final_states(n, rounds)
+    partitions = []
+    for a, slots in enumerate(zip(*picks)):
+        seen: dict[int, int] = {}
+        row: list[int] = []
+        for steps in prefixes:
+            labels = [seen.setdefault(id(state), len(seen)) for state in steps[a]]
+            row.extend(map(labels.__getitem__, slots))
+        partitions.append(row)
+    del prefixes
+    return new_frame(len(partitions[0]), n + 1, partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +323,7 @@ def protocol_action_model(n: int, rounds: int) -> ActionModel:
     state carrying the same schedule.  Points record who observes whom in
     the last round, which is what sequential composition needs.
     """
-    frame = schedule_context(n, rounds).frame
+    frame = protocol_frame(n, rounds)
     preconditions = tuple(frozenset((k,)) for k in range(frame.state_count))
     # who observes whom depends only on the last round, which varies fastest
     acts = enum_block_actions(n)
@@ -346,11 +331,12 @@ def protocol_action_model(n: int, rounds: int) -> ActionModel:
     return ActionModel(frame, preconditions, sees)
 
 
-def _schedule_atoms(ctx: ScheduleContext) -> tuple[tuple, tuple]:
+def _schedule_atoms(n: int, rounds: int) -> tuple[tuple, tuple]:
     """The input atoms and valuation: state k has ``sched_<its text>`` and each ``id_i``."""
-    ap = tuple(f"sched_{t}" for t in ctx.texts) + tuple(f"id_{i}" for i in range(ctx.n + 1))
-    ids = frozenset(range(len(ctx.texts), len(ap)))
-    return ap, tuple(frozenset((k,)) | ids for k in range(len(ctx.texts)))
+    texts = schedule_texts(n, rounds)
+    ap = tuple(f"sched_{t}" for t in texts) + tuple(f"id_{i}" for i in range(n + 1))
+    ids = frozenset(range(len(texts), len(ap)))
+    return ap, tuple(frozenset((k,)) | ids for k in range(len(texts)))
 
 
 def input_model(n: int, rounds: int) -> KripkeModel:
@@ -359,22 +345,21 @@ def input_model(n: int, rounds: int) -> KripkeModel:
     the schedule; id atoms hold everywhere."""
     from .logic import KripkeModel
 
-    ctx = schedule_context(n, rounds)
-    frame = new_frame(len(ctx.texts), n + 1, [[0] * len(ctx.texts)] * (n + 1))
-    return KripkeModel._trusted(frame, *_schedule_atoms(ctx))
+    ap, valuation = _schedule_atoms(n, rounds)
+    frame = new_frame(len(valuation), n + 1, [[0] * len(valuation)] * (n + 1))
+    return KripkeModel._trusted(frame, ap, valuation)
 
 
 def protocol_model(n: int, rounds: int) -> KripkeModel:
     """The product update of the input model with the schedule action
-    model, read off the schedule context.  Point k's precondition {k}
+    model, read off :func:`protocol_frame`.  Point k's precondition {k}
     keeps exactly the pairs (k, k), and the input frame relates every
-    state, so the product is the context's frame with the input atoms.
+    state, so the product is the protocol frame with the input atoms.
     Built, like :func:`input_model`, without the constructor's checks of
     a caller's parts."""
     from .logic import KripkeModel
 
-    ctx = schedule_context(n, rounds)
-    return KripkeModel._trusted(ctx.frame, *_schedule_atoms(ctx))
+    return KripkeModel._trusted(protocol_frame(n, rounds), *_schedule_atoms(n, rounds))
 
 
 def _fubini_numbers() -> Iterator[int]:

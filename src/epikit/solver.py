@@ -17,7 +17,7 @@ from operator import contains
 
 from .kernel import KripkeFrame, new_frame
 from .record import Record
-from .schedules import ScheduleContext, protocol_action_model, schedule_context
+from .schedules import protocol_action_model, protocol_frame, schedule_texts
 from .tasks import InputlessTask, Value, _value_to_json
 
 
@@ -44,7 +44,7 @@ class SearchStats(Record):
 
 class Verdict(Record):
     """The certificate found (None if the task is unsolvable) and the
-    search's counts; its view classes are the schedule context frame's."""
+    search's counts; its view classes are the protocol frame's."""
 
     decision: DecisionMap | None
     stats: SearchStats
@@ -484,7 +484,7 @@ def verify_certificate(task: InputlessTask, decision: DecisionMap) -> bool:
     walk reads what each process snapshots off the scheduler's writes to
     an array, never off a view, so it stays an oracle.  Each agent's
     classes come as one row over the schedules, numbered by first
-    occurrence as :attr:`ScheduleContext.frame` numbers the view
+    occurrence as :func:`protocol_frame` numbers the view
     algebra's, and the row must equal the frame's: any disagreement
     between the simulator and the view algebra is refused, whatever the
     map decides.  With the rows equal, schedule k decides the map's value
@@ -495,7 +495,7 @@ def verify_certificate(task: InputlessTask, decision: DecisionMap) -> bool:
     """
     from . import simengine
 
-    ctx = schedule_context(task.n, task.rounds)
+    frame = protocol_frame(task.n, task.rounds)
     n_agents = task.process_count
     if len(decision.values) != n_agents:
         raise SolverError(
@@ -505,7 +505,7 @@ def verify_certificate(task: InputlessTask, decision: DecisionMap) -> bool:
     agrees = True
     decided = []
     for a, ((labels, count), row) in enumerate(
-        zip(simengine.class_rows(task.n, task.rounds), ctx.frame.partitions)
+        zip(simengine.class_rows(task.n, task.rounds), frame.partitions)
     ):
         if len(decision.values[a]) != count:
             raise SolverError(
@@ -533,7 +533,7 @@ def conflict_core(task: InputlessTask) -> tuple[int, ...]:
     task unsolvable, since a solution would restrict to its schedules;
     so the whole task is searched only when the shrink dropped nothing.
     """
-    frame = schedule_context(task.n, task.rounds).frame
+    frame = protocol_frame(task.n, task.rounds)
     core = list(range(len(task.delta_table)))
     chunk = max(1, len(core) // 2)
     while chunk >= 1:
@@ -553,15 +553,15 @@ def conflict_core(task: InputlessTask) -> tuple[int, ...]:
 def verdict_report(task: InputlessTask, verdict: Verdict) -> dict:
     """The verdict with class inventories and search statistics, JSON-ready;
     only an unsolvable verdict searches again, for its conflict core."""
-    ctx = schedule_context(task.n, task.rounds)
+    frame = protocol_frame(task.n, task.rounds)
     report = {
         "task": task.name,
         "n": task.n,
         "rounds": task.rounds,
         "solvable": verdict.solvable,
-        "states": len(ctx.texts),
-        "class_counts": [len(by_agent) for by_agent in ctx.frame.classes_by_agent],
-        "classes": _class_texts(ctx),
+        "states": frame.state_count,
+        "class_counts": [len(by_agent) for by_agent in frame.classes_by_agent],
+        "classes": _class_texts(task),
         "search_nodes": verdict.stats.nodes,
         "search_backtracks": verdict.stats.backtracks,
         "search_assignments": verdict.stats.assignments,
@@ -570,14 +570,16 @@ def verdict_report(task: InputlessTask, verdict: Verdict) -> dict:
         report["decision"] = _decision_values(verdict)
     else:
         core = conflict_core(task)
-        report["conflict_core"] = [ctx.texts[k] for k in core]
+        texts = schedule_texts(task.n, task.rounds)
+        report["conflict_core"] = [texts[k] for k in core]
     return report
 
 
-def _class_texts(ctx: ScheduleContext) -> list:
+def _class_texts(task: InputlessTask) -> list:
+    texts = schedule_texts(task.n, task.rounds)
     return [
-        [list(map(ctx.texts.__getitem__, members)) for members in by_agent]
-        for by_agent in ctx.frame.classes_by_agent
+        [list(map(texts.__getitem__, members)) for members in by_agent]
+        for by_agent in protocol_frame(task.n, task.rounds).classes_by_agent
     ]
 
 
@@ -597,5 +599,5 @@ def decision_to_json(task: InputlessTask, verdict: Verdict) -> dict:
         "n": task.n,
         "N": task.rounds,
         "decision": _decision_values(verdict),
-        "classes": _class_texts(schedule_context(task.n, task.rounds)),
+        "classes": _class_texts(task),
     }

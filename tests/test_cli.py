@@ -62,6 +62,24 @@ def test_schedules_refuses_a_negative_n(capsys):
     assert (code, out, err) == (1, "", "error: --n must be >= 0\n")
 
 
+# the power of the actions over no rounds is one empty schedule: every
+# command that reads the schedule tables refuses it instead of printing it
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedules"],
+        ["model", "input"],
+        ["model", "protocol"],
+        ["mc", "protocol", "--state", "0|1", "--formula", "id_0"],
+        ["complex", "protocol"],
+    ],
+)
+def test_commands_refuse_fewer_than_one_round(capsys, argv, rounds):
+    code, out, err = run_cli(capsys, *argv, "--n", "1", "--rounds", rounds)
+    assert (code, out, err) == (1, "", "error: rounds must be >= 1\n")
+
+
 # sha256 of `schedules --n 1 --rounds 2 --json` (1,629 bytes), which the
 # export of the same object must match
 SCHEDULES_N1R2_SHA256 = "cb0c7d80f4e9672edb6bef8fd2141380abca7b8adf1a7ab0a2fc2ba8b7f25d12"

@@ -8,6 +8,8 @@ table of shared partitions is checked against a plain recursion.
 """
 
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
 from math import comb
 
@@ -28,10 +30,11 @@ from epikit.schedules import (
     input_model,
     parse_schedule,
     protocol_action_model,
+    protocol_frame,
     protocol_model,
     schedule,
-    schedule_context,
     schedule_count,
+    schedule_texts,
     schedule_to_json,
     view1,
 )
@@ -46,7 +49,7 @@ def finals_of(sched):
     """One schedule's final states from the view algebra: its row of the
     full-information walk of its size, found by its text."""
     n, rounds = sched.process_count - 1, sched.round_count
-    return view_finals(n, rounds)[schedule_context(n, rounds).texts.index(sched.text())]
+    return view_finals(n, rounds)[schedule_texts(n, rounds).index(sched.text())]
 
 
 def brute_force_block_actions(n):
@@ -404,7 +407,7 @@ def test_seen_ids_with_one_memo_match_a_walk_per_view_class(n, rounds):
     # of the ids in that class's state
     heard = heard_of_finals(n, rounds)
     rows = view_finals(n, rounds)
-    for a, classes in enumerate(schedule_context(n, rounds).frame.classes_by_agent):
+    for a, classes in enumerate(protocol_frame(n, rounds).classes_by_agent):
         for members in classes:
             expected = walked_seen_ids(rows[members[0]][a])
             assert {heard[m][a] for m in members} == {expected}
@@ -451,10 +454,10 @@ def test_context_finals_match_lone_runs_under_seeded_abstractions(n, rounds):
 
 @pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
 def test_full_information_context_finals_match_lone_runs(n, rounds):
-    ctx = schedule_context(n, rounds)
-    assert ctx.texts == tuple(s.text() for s in enum_schedules(n, rounds))
+    texts = schedule_texts(n, rounds)
+    assert texts == tuple(s.text() for s in enum_schedules(n, rounds))
     rows = view_finals(n, rounds)
-    assert len(rows) == len(ctx.texts)
+    assert len(rows) == len(texts)
     one_object: dict = {}
     for sched, states in zip(enum_schedules(n, rounds), rows):
         assert states == run(sched).finals
@@ -467,6 +470,36 @@ def test_final_states_reject_a_negative_n_and_no_rounds():
         final_states(-1, 1)
     with pytest.raises(ValueError):
         final_states(1, 0)
+
+
+def test_the_schedule_tables_refuse_no_rounds():
+    # the power of the actions over no rounds is one empty schedule
+    with pytest.raises(ValueError, match="rounds must be >= 1"):
+        schedule_texts(1, 0)
+    with pytest.raises(ValueError, match="rounds must be >= 1"):
+        protocol_frame(1, 0)
+
+
+def test_a_walk_thousands_of_rounds_deep_fits_a_small_stack():
+    # a state nests three tuples per round and CPython hashes a tuple by
+    # recursing in C with no depth guard, so a walk that hashed its
+    # states crashed this thread's 256 KiB stack; the stack size is set
+    # in a child process, for its threads alone
+    code = (
+        "import threading\n"
+        "from epikit import builtin, solve\n"
+        "threading.stack_size(256 * 1024)\n"
+        "out = []\n"
+        "task = builtin('testset', 0, 4000)\n"
+        "walk = threading.Thread(target=lambda: out.append(solve(task).solvable))\n"
+        "walk.start()\n"
+        "walk.join()\n"
+        "print(*out)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
 
 def reference_frame(n, rounds):
@@ -492,12 +525,10 @@ def test_frame_read_off_the_prefixes_matches_the_expanded_rows(
 
     real_walk = schedules.final_states
     monkeypatch.setattr(schedules, "final_states", counting_walk)
-    ctx = schedule_context(n, rounds)
-    frame = ctx.frame
-    assert frame.state_count == len(ctx.texts)
-    # the frame is read off one walk, and the context keeps no final state
+    frame = protocol_frame(n, rounds)
+    assert frame.state_count == len(schedule_texts(n, rounds))
+    # the frame is read off one walk
     assert walks == [(n, rounds)]
-    assert set(vars(ctx)) == {"n", "rounds", "texts", "frame"}
     assert frame == reference_frame(n, rounds)
 
 
@@ -549,9 +580,8 @@ def test_identity_preconditions():
     "n,rounds", [(n, r) for n in range(4) for r in (1, 2, 3) if (n, r) != (3, 3)]
 )
 def test_action_model_reads_the_context_frame_and_last_round_views(n, rounds):
-    ctx = schedule_context(n, rounds)
     model = protocol_action_model(n, rounds)
-    assert model.frame is ctx.frame
+    assert model.frame is protocol_frame(n, rounds)
     assert model.sees == tuple(
         tuple(tuple(sorted(view1(a, s.rounds[-1]))) for a in range(n + 1))
         for s in enum_schedules(n, rounds)
@@ -559,7 +589,7 @@ def test_action_model_reads_the_context_frame_and_last_round_views(n, rounds):
 
 
 def test_the_frame_tables_hold_one_int_object_per_id():
-    frame = schedule_context(3, 2).frame
+    frame = protocol_frame(3, 2)
     vertices = sum(frame.num_classes(a) for a in range(frame.agent_count))
     assert len({id(c) for facet in frame.class_ids for c in facet}) == vertices
     members = {id(s) for by_agent in frame.classes_by_agent for m in by_agent for s in m}
@@ -622,12 +652,12 @@ def test_singleton_input_model_knows_schedule():
     assert eval_formula(model, 0, Know(0, Atom("sched_0")))
 
 
-def checked_model(ctx, frame):
+def checked_model(n, rounds, frame):
     """The model of ``frame`` with the schedule atoms, through the public
     constructor and its checks; the atoms come from the schedule records."""
-    scheds = enum_schedules(ctx.n, ctx.rounds)
+    scheds = enum_schedules(n, rounds)
     ap = tuple(f"sched_{s.text()}" for s in scheds)
-    ap += tuple(f"id_{i}" for i in range(ctx.n + 1))
+    ap += tuple(f"id_{i}" for i in range(n + 1))
     ids = frozenset(range(len(scheds), len(ap)))
     valuation = tuple(frozenset((k,)) | ids for k in range(len(scheds)))
     return KripkeModel(frame, ap, valuation)
@@ -636,13 +666,12 @@ def checked_model(ctx, frame):
 @pytest.mark.parametrize("kind", ["full information"])
 @pytest.mark.parametrize("n, rounds", CONTEXT_SIZES)
 def test_built_models_equal_the_checked_constructor(n, rounds, kind):
-    ctx = schedule_context(n, rounds)
     model = protocol_model(n, rounds)
     assert type(model) is KripkeModel
-    assert model == checked_model(ctx, ctx.frame)
+    assert model == checked_model(n, rounds, protocol_frame(n, rounds))
     count = len(enum_schedules(n, rounds))
     blind = new_frame(count, n + 1, [[0] * count] * (n + 1))
-    assert input_model(n, rounds) == checked_model(ctx, blind)
+    assert input_model(n, rounds) == checked_model(n, rounds, blind)
 
 
 def test_protocol_model_states_follow_schedules():
@@ -668,8 +697,7 @@ def test_protocol_model_is_the_papers_product_update(n, rounds, kind):
     assert pairing == {(k, k): k for k in range(reference.frame.state_count)}
     model = protocol_model(n, rounds)
     assert model == reference
-    ctx = schedule_context(n, rounds)
-    assert model.frame is ctx.frame
+    assert model.frame is protocol_frame(n, rounds)
     # the atoms, by name, from the schedule records
     ids = {f"id_{i}" for i in range(n + 1)}
     assert len(model.ap) == len(enum_schedules(n, rounds)) + n + 1

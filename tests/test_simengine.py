@@ -11,7 +11,7 @@ from epikit.schedules import (
     enum_block_actions,
     enum_schedules,
     parse_schedule,
-    schedule_context,
+    protocol_frame,
 )
 from epikit.simengine import (
     RunRecord,
@@ -297,7 +297,7 @@ def test_class_rows_are_the_frames_rows(n, rounds, kind):
     # the certificate check compares these rows with the frame's as they
     # are, so the simulator's classes must be numbered by the frame's rule
     rows = list(class_rows(n, rounds))
-    frame = schedule_context(n, rounds).frame
+    frame = protocol_frame(n, rounds)
     assert [labels for labels, _ in rows] == list(frame.partitions)
     assert [count for _, count in rows] == list(map(len, frame.classes_by_agent))
     # each class holds one final state of the kind's protocol, so a

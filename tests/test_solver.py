@@ -82,7 +82,7 @@ def test_snapshot_solvable_with_view_decisions():
     # every class decides exactly its own view
     scheds = enum_schedules(2, 1)
     for a in range(3):
-        for c, members in enumerate(schedules.schedule_context(2, 1).frame.classes_by_agent[a]):
+        for c, members in enumerate(schedules.protocol_frame(2, 1).classes_by_agent[a]):
             view = tuple(sorted(view1(a, scheds[members[0]].rounds[0])))
             assert verdict.decision.value(a, c) == view
 
@@ -187,7 +187,7 @@ def count_records(monkeypatch, cls):
 
 
 def test_search_and_models_build_no_schedule_record(monkeypatch):
-    schedules.schedule_context.cache_clear()
+    schedules.protocol_frame.cache_clear()
     built = count_records(monkeypatch, Schedule)
     assert not solve(builtin("testset", 3, 2)).solvable
     protocol_model(3, 2)
@@ -195,7 +195,7 @@ def test_search_and_models_build_no_schedule_record(monkeypatch):
 
 
 def test_snapshot_certificate_builds_actions_and_records_once(monkeypatch):
-    schedules.schedule_context.cache_clear()
+    schedules.protocol_frame.cache_clear()
     schedules.enum_block_actions.cache_clear()
     # enumerated and checked actions both get their tables here
     actions = []
@@ -285,7 +285,7 @@ def test_abstracted_solution_transfers_to_full_information():
     fine = solve(task)
     assert fine.solvable
     values = []
-    for a, per_agent in enumerate(schedules.schedule_context(2, 1).frame.classes_by_agent):
+    for a, per_agent in enumerate(schedules.protocol_frame(2, 1).classes_by_agent):
         for members in per_agent:
             assert len({coarse[k][a] for k in members}) == 1
         values.append(tuple(decide[coarse[members[0]][a]] for members in per_agent))
@@ -515,7 +515,7 @@ def test_verifier_refuses_simulator_classes_other_than_the_frames(monkeypatch, s
     rng = random.Random(seed)
     n, rounds = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
     finals = simengine.canonical_finals(n, rounds)
-    frame = schedules.schedule_context(n, rounds).frame
+    frame = schedules.protocol_frame(n, rounds)
     while True:
         moved = rng.sample(finals, len(finals))
         rows = [[id(states[a]) for states in moved] for a in range(n + 1)]
@@ -1045,7 +1045,7 @@ TESTSET_3_2_CORE = (
 def test_three_process_two_round_conflict_core_is_minimal():
     task = builtin("testset", 3, 2)
     core = conflict_core(task)
-    texts = schedules.schedule_context(3, 2).texts
+    texts = schedules.schedule_texts(3, 2)
     assert tuple(texts[k] for k in core) == TESTSET_3_2_CORE
     frame = protocol_action_model(3, 2).frame
     assert not _Search(task, frame, core).run()

@@ -282,11 +282,11 @@ def test_winners_rule_on_every_binary_tuple(n, rounds):
 
 
 @pytest.mark.parametrize("name", ["testset", "two_testset"])
-def test_winners_builtins_build_no_final_states_or_schedule_context(monkeypatch, name):
+def test_winners_builtins_build_no_final_states_or_schedule_tables(monkeypatch, name):
     # every module's binding is counted, so a new import cannot slip past
     calls = []
     for module in [m for key, m in sys.modules.items() if key.startswith("epikit")]:
-        for attr in ("final_states", "schedule_context"):
+        for attr in ("final_states", "schedule_texts", "protocol_frame"):
             real = vars(module).get(attr)
             if real is not None:
 
@@ -299,7 +299,7 @@ def test_winners_builtins_build_no_final_states_or_schedule_context(monkeypatch,
     make_task("t", 2, 1, [(0, 0, 0)], lambda sched, out: True)
     assert calls == []
     input_model(2, 1)
-    assert calls == ["schedule_context"]  # the counting is live
+    assert calls == ["schedule_texts"]  # the counting is live
 
 
 def test_references_on_a_run_of_1500_rounds():
